@@ -22,6 +22,7 @@ from .quiver import AlgebraPresentation, Path
 from . import rep as _rep
 from .rep import (
     ModuleMorphism,
+    ProjectivePresentation,
     Representation,
     are_isomorphic,
     decompose,
@@ -70,16 +71,18 @@ def _reversed_class_coords(model_fwd, model_op, a: str, b: str, coeffs) -> list:
     return out
 
 
-def transpose(M: Representation) -> Representation:
+def transpose(M: Representation,
+              presentation: Optional[ProjectivePresentation] = None) -> Representation:
     """Transpose of M, a module over the opposite presentation.
 
-    Zero when M is projective.
+    Zero when M is projective.  ``presentation``, when given, must be
+    ``minimal_presentation(M)``; it saves computing it again.
     """
     if M.is_zero():
         raise ValueError("zero module has no transpose")
     pres = M.pres
     op = pres.opposite()
-    pp = minimal_presentation(M)
+    pp = minimal_presentation(M) if presentation is None else presentation
     if pp.p1.is_zero():
         return zero_representation(op)
     model = pres.model()
@@ -138,9 +141,14 @@ def transpose(M: Representation) -> Representation:
     return tr
 
 
-def ar_translate(M: Representation) -> Optional[Representation]:
-    """τM = D(Tr M); None iff M is projective."""
-    tr = transpose(M)
+def ar_translate(M: Representation,
+                 presentation: Optional[ProjectivePresentation] = None
+                 ) -> Optional[Representation]:
+    """τM = D(Tr M); None iff M is projective.
+
+    ``presentation`` is as for ``transpose``.
+    """
+    tr = transpose(M, presentation)
     if tr.is_zero():
         return None
     return tr.dual()
@@ -154,14 +162,17 @@ def ar_translate_inverse(M: Representation) -> Optional[Representation]:
     return tr
 
 
-def almost_split_middle(Z: Representation, tau_z: Representation) -> Representation:
+def almost_split_middle(Z: Representation, tau_z: Representation,
+                        presentation: Optional[ProjectivePresentation] = None
+                        ) -> Representation:
     """Middle term of the almost split sequence 0 -> τZ -> E -> Z -> 0.
 
     The extension class is a nonzero element of Ext¹(Z, τZ) annihilated by
     the radical of End(Z); Ext¹ is presented on Hom(ΩZ, τZ) modulo the
     restrictions from the cover, and E is the pushout cokernel.
+    ``presentation`` is as for ``transpose``.
     """
-    pp = minimal_presentation(Z)
+    pp = minimal_presentation(Z) if presentation is None else presentation
     K, incl = kernel_submodule(pp.epi)
     if K.is_zero():
         raise ValueError("projective module has no almost split sequence ending at it")
@@ -343,6 +354,9 @@ class _Knitter:
         self.tau: Dict[int, int] = {}
         self.total_dim = 0
         self.fresh = 0
+        # minimal presentations of the non-projective nodes, kept from the
+        # τ step until the almost split middle term is built
+        self.presentations: Dict[int, ProjectivePresentation] = {}
 
     def find_iso(self, rep: Representation) -> Optional[int]:
         for idx in self.buckets.get(rep.dim_vector(), ()):
@@ -362,13 +376,6 @@ class _Knitter:
         self.buckets.setdefault(rep.dim_vector(), []).append(idx)
         return idx
 
-    def find_or_add(self, rep: Representation) -> int:
-        idx = self.find_iso(rep)
-        if idx is not None:
-            return idx
-        self.fresh += 1
-        return self.add(rep, f"M{self.fresh}", 0)
-
     def link_tau(self, y: int, x: int) -> None:
         """Record τ(node y) = node x."""
         old = self.tau.get(y)
@@ -377,9 +384,9 @@ class _Knitter:
         self.tau[y] = x
 
     def _absorb(self, rep: Representation) -> None:
-        j = self.find_iso(rep)
-        if j is None:
-            j = self.find_or_add(rep)
+        if self.find_iso(rep) is None:
+            self.fresh += 1
+            j = self.add(rep, f"M{self.fresh}", 0)
             self.orbit_queue.append(j)
             self.mesh_queue.append(j)
 
@@ -395,8 +402,10 @@ class _Knitter:
                 self.orbit_queue.append(e)
                 self.mesh_queue.append(e)
             self.link_tau(e, idx)
-        prev = ar_translate(X)
+        pp = minimal_presentation(X)
+        prev = ar_translate(X, pp)
         if prev is not None:
+            self.presentations[idx] = pp
             p = self.find_iso(prev)
             if p is None:
                 p = self.add(prev, node.orbit_root, node.orbit_power - 1)
@@ -412,11 +421,13 @@ class _Knitter:
             rad, _ = radical_submodule(X)
             summands = decompose(rad) if not rad.is_zero() else []
         else:
-            summands = decompose(almost_split_middle(X, self.nodes[self.tau[idx]].rep))
+            middle = almost_split_middle(X, self.nodes[self.tau[idx]].rep,
+                                         self.presentations.pop(idx, None))
+            summands = decompose(middle)
         for summand in summands:
             self._absorb(summand)
         if idx not in self.tau_inv_seen:  # injective: successors are the soc-quotient summands
-            quo, _ = quotient_representation(X, _socle_spaces(X))
+            quo, _ = quotient_representation(X, _rep._socle_subspaces(X))
             for summand in decompose(quo) if not quo.is_zero() else []:
                 self._absorb(summand)
 
@@ -455,20 +466,6 @@ class _Knitter:
                     aliases[idx].append(f"{tag}_{a}")
         for i, node in enumerate(self.nodes):
             node.aliases = tuple(aliases[i])
-
-
-def _socle_spaces(M: Representation) -> Dict[str, Subspace]:
-    quiver = M.pres.quiver
-    spaces = {}
-    for v in quiver.vertices:
-        rows = []
-        for a in quiver.out_arrows(v):
-            rows.extend(list(r) for r in M.matrices[a.name].data)
-        if rows:
-            spaces[v] = RatMatrix(rows, cols=M.dims[v]).kernel()
-        else:
-            spaces[v] = Subspace.full(M.dims[v])
-    return spaces
 
 
 def _enumerate_nodes(pres: AlgebraPresentation, limits: EnumerationLimits):

@@ -1,15 +1,30 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
 Everything downstream (Hom spaces, radical layers, translates) reduces to
 rank/kernel/membership questions here, so arithmetic never rounds: entries
-are Python ints or ``fractions.Fraction``.  Elimination clears denominators
-and works on arbitrary-precision integers; canonical bases make subspace
-equality a plain data comparison.
+are Python ints or ``fractions.Fraction``.  Matrices are stored dense, and
+every stored entry is an ``int`` or a ``Fraction`` that is not an integer.
+``RatMatrix(...)`` establishes that invariant for outside input;
+``RatMatrix._of`` builds the results of matrix arithmetic on entries that
+already satisfy it, so it normalises only the entries that are not ``int``.
+
+Elimination is sparse and integral: each row is a dict of its nonzero
+entries, rows are scaled to integers first, reduced one at a time against
+the pivot rows found so far, and divided by their content after every
+update, with a positive pivot; back-substitution comes last.  The result is
+the canonical reduced echelon form with primitive integer rows and positive
+pivots, so subspace equality is a plain data comparison.  Kernels, subspace
+coordinates and quotient coordinates are computed in integers over one
+common denominator, and a ``Fraction`` is built only for a value that is
+not an integer.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ShapeError
@@ -27,6 +42,12 @@ def _norm(x):
     raise TypeError(f"not a rational entry: {x!r}")
 
 
+def _ratio(num: int, den: int):
+    """num/den as an int when it divides exactly, else as a Fraction."""
+    q, r = divmod(num, den)
+    return q if not r else Fraction(num, den)
+
+
 def _row_lcm_den(row) -> int:
     d = 1
     for x in row:
@@ -35,86 +56,153 @@ def _row_lcm_den(row) -> int:
     return d
 
 
-def _int_row(row) -> list:
-    """Scale a rational row to a primitive integer row (keeps direction)."""
-    d = _row_lcm_den(row)
-    out = [int(x * d) if not type(x) is int else x * d for x in row]
-    g = 0
-    for v in out:
-        g = gcd(g, v)
-    if g > 1:
-        out = [v // g for v in out]
-    return out
+def _int_vector(vec) -> tuple:
+    """(w, d): d > 0 is the lcm of the denominators and w = d·vec in integers."""
+    if all(type(x) is int for x in vec):
+        return list(vec), 1
+    v = [_norm(x) for x in vec]
+    d = _row_lcm_den(v)
+    return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in v], d
 
 
-def _normalize_int_row(row) -> None:
-    """In place: divide by content, make the first nonzero entry positive."""
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-    if g == 0:
-        return
-    lead = next(v for v in row if v)
-    if lead < 0:
+def _make_primitive(row: dict, pivot: int | None = None) -> None:
+    """In place: divide by the content; make the entry at pivot positive if given."""
+    g = gcd(*row.values())
+    if pivot is not None and row[pivot] < 0:
         g = -g
     if g != 1:
-        for i, v in enumerate(row):
-            row[i] = v // g
+        for c in row:
+            row[c] //= g
+
+
+def _eliminate(row: dict, prow: dict, c: int) -> None:
+    """In place: row := a·row − b·prow with a > 0, clearing column c."""
+    piv, v = prow[c], row[c]  # piv > 0: pivot rows are kept with positive pivots
+    g = gcd(piv, v)
+    a, b = piv // g, v // g
+    if a != 1:
+        for k in row:
+            row[k] *= a
+    for k, x in prow.items():
+        y = row.get(k, 0) - b * x
+        if y:
+            row[k] = y
+        else:
+            del row[k]
+
+
+def _echelon_sparse(rows: Iterable, reduced: bool = True) -> tuple:
+    """Sparse integer elimination: (rows as dicts, pivot columns), rows primitive.
+
+    ``rows`` holds integer rows, as dicts of nonzero entries or as dense
+    sequences.  The output rows are sorted by pivot column and have positive
+    pivots; with ``reduced`` they are also zero at every other pivot column,
+    which makes them the canonical basis of the row space.
+    """
+    prow: dict = {}  # pivot column -> primitive row with a positive pivot
+    for r in rows:
+        row = dict(r) if isinstance(r, dict) else {c: x for c, x in enumerate(r) if x}
+        # Pivot rows vanish left of their pivot, so clearing pivot columns in
+        # increasing order never brings back a column already cleared.
+        heap = [c for c in row if c in prow]
+        heapify(heap)
+        while heap and row:
+            c = heappop(heap)
+            if c not in row:
+                continue
+            for k in prow[c]:
+                if k not in row and k in prow:
+                    heappush(heap, k)
+            _eliminate(row, prow[c], c)
+            if row:
+                _make_primitive(row)
+        if row:
+            c = min(row)
+            _make_primitive(row, c)
+            prow[c] = row
+    pivots = sorted(prow)
+    if reduced:
+        # Back-substitution, last pivot first: a row used here is already zero
+        # at every other pivot column, so each step clears exactly one.
+        for p in reversed(pivots):
+            row = prow[p]
+            for c in [k for k in row if k != p and k in prow]:
+                _eliminate(row, prow[c], c)
+            _make_primitive(row, p)
+    return [prow[p] for p in pivots], pivots
 
 
 def _echelon_int(rows: list, ncols: int, reduced: bool = True):
-    """Integer Gauss-Jordan: returns (rows, pivot columns), rows primitive.
+    """Integer Gauss-Jordan: returns (dense rows, pivot columns), rows primitive.
 
-    Pivoting is deterministic (first nonzero in column order), so the reduced
-    form is canonical for a given row space.
+    The reduced form is canonical for the row space; see ``_echelon_sparse``.
     """
-    work = [list(r) for r in rows if any(r)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        _normalize_int_row(work[r])
-        piv = work[r][c]
-        targets = range(len(work)) if reduced else range(r + 1, len(work))
-        for i in targets:
-            if i == r:
-                continue
-            v = work[i][c]
-            if v:
-                g = gcd(piv, v)
-                a, b = piv // g, v // g
-                ri, rr = work[i], work[r]
-                work[i] = [a * x - b * y for x, y in zip(ri, rr)]
-                _normalize_int_row(work[i])
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    work = [w for w in work if any(w)]
-    return work, pivots
+    red, pivots = _echelon_sparse(rows, reduced)
+    out = []
+    for row in red:
+        dense = [0] * ncols
+        for c, x in row.items():
+            dense[c] = x
+        out.append(dense)
+    return out, pivots
 
 
-def _kernel_int(rows: list, ncols: int) -> list:
-    """Primitive integer basis of {x : rows·x = 0}, ordered by free column."""
-    rref, pivots = _echelon_int(rows, ncols, reduced=True)
+def _kernel_int(rows: Iterable, ncols: int) -> list:
+    """Primitive integer basis of {x : rows·x = 0} as dicts, ordered by free column.
+
+    Each basis vector has a positive entry at its free column.
+    """
+    red, pivots = _echelon_sparse(rows, reduced=True)
     pivset = set(pivots)
+    by_free: dict = {}  # free column -> [(pivot column, entry, pivot entry)]
+    for p, row in zip(pivots, red):
+        piv = row[p]
+        for c, x in row.items():
+            if c != p:
+                by_free.setdefault(c, []).append((p, x, piv))
     basis = []
     for free in range(ncols):
         if free in pivset:
             continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = Fraction(-rref[i][free], rref[i][p])
-        basis.append(_int_row(vec))
+        entries = by_free.get(free, ())
+        d = 1
+        for _, _, piv in entries:
+            d = d * piv // gcd(d, piv)
+        vec = {free: d}
+        for p, x, piv in entries:
+            vec[p] = -x * (d // piv)
+        g = gcd(*vec.values())
+        if g > 1:
+            vec = {c: x // g for c, x in vec.items()}
+        basis.append(vec)
     return basis
+
+
+def _sparse_int_rows(data) -> list:
+    """Rational rows as sparse integer rows, each a positive multiple."""
+    out = []
+    for r in data:
+        w, _ = _int_vector(r)
+        out.append({c: x for c, x in enumerate(w) if x})
+    return out
+
+
+def _trusted_row(r) -> tuple:
+    t = tuple(r)
+    for x in t:
+        if type(x) is not int:
+            return tuple(x if type(x) is int else _norm(x) for x in t)
+    return t
+
+
+@lru_cache(maxsize=1024)
+def _zeros(rows: int, cols: int) -> "RatMatrix":
+    return RatMatrix._of(((0,) * cols,) * rows, cols)
+
+
+@lru_cache(maxsize=256)
+def _identity(n: int) -> "RatMatrix":
+    return RatMatrix._of([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
 
 class RatMatrix:
@@ -138,12 +226,27 @@ class RatMatrix:
         raise AttributeError("RatMatrix is immutable")
 
     @classmethod
+    def _of(cls, rows: Iterable[Sequence], cols: int) -> "RatMatrix":
+        """Trusted constructor for results of arithmetic on stored entries.
+
+        Every entry must be an int or a Fraction and every row must have
+        ``cols`` entries; only the entries that are not int are normalised,
+        so a stored entry is an int or a Fraction that is not an integer.
+        """
+        m = object.__new__(cls)
+        d = tuple(map(_trusted_row, rows))
+        object.__setattr__(m, "data", d)
+        object.__setattr__(m, "rows", len(d))
+        object.__setattr__(m, "cols", cols)
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return _zeros(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)], cols=n)
+        return _identity(n)
 
     @classmethod
     def column(cls, entries: Sequence) -> "RatMatrix":
@@ -161,8 +264,8 @@ class RatMatrix:
 
     def transpose(self) -> "RatMatrix":
         if self.rows == 0:
-            return RatMatrix([() for _ in range(self.cols)], cols=0)
-        return RatMatrix(zip(*self.data), cols=self.rows)
+            return RatMatrix._of([() for _ in range(self.cols)], 0)
+        return RatMatrix._of(zip(*self.data), self.rows)
 
     def __eq__(self, other):
         return (
@@ -177,34 +280,31 @@ class RatMatrix:
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         if self.shape != other.shape:
             raise ShapeError(f"add {self.shape} vs {other.shape}")
-        return RatMatrix(
+        return RatMatrix._of(
             [[x + y for x, y in zip(r, s)] for r, s in zip(self.data, other.data)],
-            cols=self.cols,
+            self.cols,
         )
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix([[-x for x in r] for r in self.data], cols=self.cols)
+        return RatMatrix._of([[-x for x in r] for r in self.data], self.cols)
 
     def scaled(self, c) -> "RatMatrix":
         c = _norm(c)
-        return RatMatrix([[c * x for x in r] for r in self.data], cols=self.cols)
+        return RatMatrix._of([[c * x for x in r] for r in self.data], self.cols)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ShapeError(f"matmul {self.shape} @ {other.shape}")
-        if self.rows == 0 or other.cols == 0:
-            return RatMatrix([() for _ in range(self.rows)], cols=other.cols)
-        ot = list(zip(*other.data)) if other.data else []
-        out = []
-        for row in self.data:
-            if ot:
-                out.append([sum(a * b for a, b in zip(row, col)) for col in ot])
-            else:
-                out.append([0] * other.cols)
-        return RatMatrix(out, cols=other.cols)
+        if self.rows == 0 or other.cols == 0 or other.rows == 0:
+            return _zeros(self.rows, other.cols)
+        ot = list(zip(*other.data))
+        zero = (0,) * other.cols
+        out = [[sum(map(mul, row, col)) for col in ot] if any(row) else zero
+               for row in self.data]
+        return RatMatrix._of(out, other.cols)
 
     def apply(self, vec: Sequence) -> list:
         """Matrix-vector product."""
@@ -214,13 +314,11 @@ class RatMatrix:
 
     def rref(self):
         """Canonical reduced echelon form over the integers: (matrix, pivots)."""
-        rows = [_int_row(r) for r in self.data]
-        red, piv = _echelon_int(rows, self.cols, reduced=True)
-        return RatMatrix(red, cols=self.cols), tuple(piv)
+        red, piv = _echelon_int(_sparse_int_rows(self.data), self.cols, reduced=True)
+        return RatMatrix._of(red, self.cols), tuple(piv)
 
     def rank(self) -> int:
-        rows = [_int_row(r) for r in self.data]
-        _, piv = _echelon_int(rows, self.cols, reduced=False)
+        _, piv = _echelon_sparse(_sparse_int_rows(self.data), reduced=False)
         return len(piv)
 
     def det(self):
@@ -249,7 +347,7 @@ class RatMatrix:
 
     def kernel(self) -> "Subspace":
         """Right kernel {x : Ax = 0} as a subspace of k^cols."""
-        rows = [_int_row(r) for r in self.data]
+        rows = _sparse_int_rows(self.data)
         return Subspace._from_int_vectors(self.cols, _kernel_int(rows, self.cols))
 
     def image(self) -> "Subspace":
@@ -257,38 +355,34 @@ class RatMatrix:
         cols = list(zip(*self.data)) if self.data else []
         return Subspace.from_vectors(self.rows, cols)
 
-    def row_space(self) -> "Subspace":
-        return Subspace.from_vectors(self.cols, self.data)
-
     def solve(self, rhs: Sequence):
         """One exact solution of Ax = rhs, or None when inconsistent."""
         if len(rhs) != self.rows:
             raise ShapeError("solve: rhs length mismatch")
         n = self.cols
-        aug = [list(row) + [_norm(b)] for row, b in zip(self.data, rhs)]
-        aug = [_int_row(r) for r in aug]
-        red, piv = _echelon_int(aug, n + 1, reduced=True)
+        aug = _sparse_int_rows(list(row) + [b] for row, b in zip(self.data, rhs))
+        red, piv = _echelon_sparse(aug, reduced=True)
         if n in piv:
             return None
-        sol = [Fraction(0)] * n
-        for i, p in enumerate(piv):
-            sol[p] = Fraction(red[i][n], red[i][p])
-        return tuple(_norm(x) for x in sol)
+        sol = [0] * n
+        for row, p in zip(red, piv):
+            sol[p] = _ratio(row.get(n, 0), row[p])
+        return tuple(sol)
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square():
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
-        aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.data)]
-        aug = [_int_row(r) for r in aug]
-        red, piv = _echelon_int(aug, 2 * n, reduced=True)
+        aug = _sparse_int_rows(list(row) + [1 if i == j else 0 for j in range(n)]
+                               for i, row in enumerate(self.data))
+        red, piv = _echelon_sparse(aug, reduced=True)
         if list(piv[:n]) != list(range(n)) or len(piv) != n:
             raise ShapeError("matrix is singular")
         inv = []
-        for i in range(n):
-            p = red[i][i]
-            inv.append([Fraction(x, p) for x in red[i][n:]])
-        return RatMatrix(inv, cols=n)
+        for i, row in enumerate(red):
+            p = row[i]
+            inv.append([_ratio(row.get(n + j, 0), p) for j in range(n)])
+        return RatMatrix._of(inv, n)
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -305,7 +399,7 @@ def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     if any(m.rows != rows for m in mats):
         raise ShapeError("hstack: row mismatch")
     data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-    return RatMatrix(data, cols=sum(m.cols for m in mats))
+    return RatMatrix._of(data, sum(m.cols for m in mats))
 
 
 def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
@@ -316,7 +410,7 @@ def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
     if any(m.cols != cols for m in mats):
         raise ShapeError("vstack: column mismatch")
     data = [row for m in mats for row in m.data]
-    return RatMatrix(data, cols=cols)
+    return RatMatrix._of(data, cols)
 
 
 class Subspace:
@@ -327,27 +421,30 @@ class Subspace:
     objects componentwise.
     """
 
-    __slots__ = ("ambient", "basis", "pivots")
+    __slots__ = ("ambient", "basis", "pivots", "_reducer")
 
     def __init__(self, ambient: int, basis, pivots):
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivots", pivots)
+        object.__setattr__(self, "_reducer", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def _from_int_vectors(cls, ambient: int, vectors) -> "Subspace":
+        """Canonical span of integer vectors, given dense or as sparse dicts."""
         red, piv = _echelon_int(vectors, ambient, reduced=True)
         return cls(ambient, tuple(tuple(r) for r in red), tuple(piv))
 
     @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        ints = [_int_row([_norm(x) for x in v]) for v in vectors]
-        for v in ints:
+        ints = []
+        for v in vectors:
             if len(v) != ambient:
                 raise ShapeError("vector length != ambient")
+            ints.append(_int_vector(v)[0])
         return cls._from_int_vectors(ambient, ints)
 
     @classmethod
@@ -376,20 +473,44 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, self.basis))
 
+    def _residue(self, vec: Sequence, what: str) -> tuple:
+        """Reduce vec by the basis, in integers: (w, d, res, den).
+
+        w = d·vec with d > 0 the lcm of vec's denominators.  The reduced
+        basis puts coefficient vec[p_i]/b_i[p_i] on row b_i, and ``res`` maps
+        each non-pivot column to den times the residue vec − Σ (that
+        coefficient)·b_i there; den > 0.  The residue is zero at the pivots.
+        """
+        if len(vec) != self.ambient:
+            raise ShapeError(f"{what}: length mismatch")
+        w, d = _int_vector(vec)
+        if self._reducer is None:
+            # basis rows as (pivot, pivot entry, nonzero entries off the pivots)
+            pset = set(self.pivots)
+            rows = tuple((p, row[p], tuple((c, x) for c, x in enumerate(row)
+                                           if x and c not in pset))
+                         for row, p in zip(self.basis, self.pivots))
+            nonpivots = tuple(c for c in range(self.ambient) if c not in pset)
+            object.__setattr__(self, "_reducer", (rows, nonpivots))
+        rows, nonpivots = self._reducer
+        terms = [(w[p], piv, off) for p, piv, off in rows if w[p]]
+        den = 1
+        for x, piv, _ in terms:
+            den = den * piv // gcd(den, piv)
+        res = {c: w[c] * den for c in nonpivots}
+        for x, piv, off in terms:
+            k = x * (den // piv)
+            for c, y in off:
+                res[c] -= k * y
+        return w, d, res, d * den
+
     def coords(self, vec: Sequence):
         """Coefficients of vec over the canonical basis, or None if outside."""
-        v = [_norm(x) for x in vec]
-        if len(v) != self.ambient:
-            raise ShapeError("coords: length mismatch")
-        cs = []
-        for row, p in zip(self.basis, self.pivots):
-            c = Fraction(v[p], row[p]) if v[p] else Fraction(0)
-            cs.append(c)
-            if c:
-                v = [x - c * y for x, y in zip(v, row)]
-        if any(v):
+        w, d, res, _ = self._residue(vec, "coords")
+        if any(res.values()):
             return None
-        return tuple(_norm(c) for c in cs)
+        return tuple(_ratio(w[p], d * row[p]) if w[p] else 0
+                     for row, p in zip(self.basis, self.pivots))
 
     def contains_vector(self, vec: Sequence) -> bool:
         return self.coords(vec) is not None
@@ -411,12 +532,9 @@ class Subspace:
         n = self.ambient
         block = [list(r) + list(r) for r in self.basis]
         block += [list(r) + [0] * n for r in other.basis]
-        red, _ = _echelon_int(block, 2 * n, reduced=False)
-        inter = [row[n:] for row in red if not any(row[:n])]
+        red, _ = _echelon_sparse(block, reduced=False)
+        inter = [{c - n: x for c, x in row.items()} for row in red if min(row) >= n]
         return Subspace._from_int_vectors(n, inter)
-
-    def basis_vectors(self):
-        return self.basis
 
     def nonpivots(self) -> tuple:
         pset = set(self.pivots)
@@ -428,14 +546,8 @@ class Subspace:
         The quotient basis is the image of the unit vectors at non-pivot
         positions, so these coordinates are the residue after elimination.
         """
-        v = [_norm(x) for x in vec]
-        if len(v) != self.ambient:
-            raise ShapeError("quotient_coords: length mismatch")
-        for row, p in zip(self.basis, self.pivots):
-            if v[p]:
-                c = Fraction(v[p], row[p])
-                v = [x - c * y for x, y in zip(v, row)]
-        return tuple(_norm(v[c]) for c in self.nonpivots())
+        _, _, res, den = self._residue(vec, "quotient_coords")
+        return tuple(_ratio(x, den) for x in res.values())
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
@@ -456,7 +568,9 @@ def algebra_radical(mult_table: Sequence[Sequence[Sequence]]) -> Subspace:
             raise ShapeError("mult_table must be n x n x n")
     # left-multiplication matrices: (L_i)[k][j] = coefficient of e_k in e_i e_j
     L = [RatMatrix([[table[i][j][k] for j in range(n)] for k in range(n)], cols=n) for i in range(n)]
+    gram = []
     for i in range(n):
+        row = []
         for j in range(n):
             lhs = L[i] @ L[j]
             rhs_rows = [[0] * n for _ in range(n)]
@@ -468,12 +582,7 @@ def algebra_radical(mult_table: Sequence[Sequence[Sequence]]) -> Subspace:
                             rhs_rows[k][col] += c * table[m][col][k]
             if lhs != RatMatrix(rhs_rows, cols=n):
                 raise ValueError("multiplication table is not associative")
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            prod = L[i] @ L[j]
-            row.append(sum(prod.data[k][k] for k in range(n)))
+            row.append(sum(lhs.data[k][k] for k in range(n)))
         gram.append(row)
     return RatMatrix(gram, cols=n).kernel()
 
@@ -490,7 +599,7 @@ def minimal_polynomial(mat: RatMatrix) -> tuple:
     k = 0
     while True:
         flat = [x for row in power.data for x in row]
-        sys = RatMatrix(zip(*flats), cols=len(flats)) if flats else RatMatrix([[] for _ in range(n * n)], cols=0)
+        sys = RatMatrix._of(zip(*flats), len(flats)) if flats else _zeros(n * n, 0)
         sol = sys.solve(flat)
         if sol is not None:
             coeffs = [-c for c in sol] + [1]

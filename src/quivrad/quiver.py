@@ -662,17 +662,6 @@ class _QuotientModel:
             coords[pos[c]] = v
         return coords
 
-    def reduce_combination(self, terms) -> dict:
-        """Sum of (coeff, Path) -> {(i,j): coords list} grouped by endpoints."""
-        grouped: dict = {}
-        for c, p in terms:
-            vec = self.reduce_path(p)
-            pair = (p.start, p.end)
-            acc = grouped.setdefault(pair, [Fraction(0)] * len(vec))
-            for k, x in enumerate(vec):
-                acc[k] += c * x
-        return grouped
-
 
 # ---------------------------------------------------------------------------
 # Operations

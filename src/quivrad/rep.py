@@ -14,7 +14,14 @@ from itertools import product
 from typing import Dict, Optional, Sequence
 
 from .errors import ShapeError, SplitFieldNeededError
-from .linalg import RatMatrix, Subspace, algebra_radical, minimal_polynomial
+from .linalg import (
+    RatMatrix,
+    Subspace,
+    _int_vector,
+    _kernel_int,
+    algebra_radical,
+    minimal_polynomial,
+)
 from .quiver import AlgebraPresentation, Path
 
 
@@ -260,7 +267,7 @@ def _unflatten(M: Representation, N: Representation, vec: Sequence) -> Dict[str,
     for v in M.pres.quiver.vertices:
         r, c = N.dims[v], M.dims[v]
         rows = [vec[pos + i * c: pos + (i + 1) * c] for i in range(r)]
-        maps[v] = RatMatrix(rows, cols=c)
+        maps[v] = RatMatrix._of(rows, c)
         pos += r * c
     return maps
 
@@ -315,7 +322,7 @@ def hom_space(M: Representation, N: Representation) -> HomSpace:
     for v in quiver.vertices:
         offsets[v] = pos
         pos += M.dims[v] * N.dims[v]
-    rows = []
+    rows = []  # sparse: column -> coefficient
     for a in quiver.arrows:
         s, t = a.source, a.target
         Ma, Na = M.matrices[a.name], N.matrices[a.name]
@@ -323,25 +330,29 @@ def hom_space(M: Representation, N: Representation) -> HomSpace:
             continue
         for i in range(N.dims[t]):
             for j in range(M.dims[s]):
-                row = [0] * ambient
-                used = False
+                row = {}
                 # + f_t[i, k] * Ma[k, j]
+                base = offsets[t] + i * M.dims[t]
                 for k in range(M.dims[t]):
                     c = Ma.data[k][j]
                     if c:
-                        row[offsets[t] + i * M.dims[t] + k] += c
-                        used = True
+                        row[base + k] = c
                 # - Na[i, k] * f_s[k, j]
                 for k in range(N.dims[s]):
                     c = Na.data[i][k]
                     if c:
-                        row[offsets[s] + k * M.dims[s] + j] -= c
-                        used = True
-                if used:
-                    rows.append(row)
-    if not rows:
-        return HomSpace(M, N, Subspace.full(ambient))
-    kernel = RatMatrix(rows, cols=ambient).kernel()
+                        col = offsets[s] + k * M.dims[s] + j
+                        x = row.get(col, 0) - c
+                        if x:
+                            row[col] = x
+                        else:
+                            del row[col]
+                if not row:
+                    continue
+                if any(type(x) is not int for x in row.values()):
+                    row = dict(zip(row, _int_vector(row.values())[0]))
+                rows.append(row)
+    kernel = Subspace._from_int_vectors(ambient, _kernel_int(rows, ambient))
     return HomSpace(M, N, kernel)
 
 
@@ -437,6 +448,17 @@ def _radical_subspaces(M: Representation) -> Dict[str, Subspace]:
     return out
 
 
+def _socle_subspaces(M: Representation) -> Dict[str, Subspace]:
+    quiver = M.pres.quiver
+    out = {}
+    for v in quiver.vertices:
+        rows = []
+        for a in quiver.out_arrows(v):
+            rows.extend(M.matrices[a.name].data)
+        out[v] = RatMatrix._of(rows, M.dims[v]).kernel()
+    return out
+
+
 def radical_submodule(M: Representation):
     """rad M = span of the images of all arrow maps, with its inclusion."""
     return subrepresentation(M, _radical_subspaces(M))
@@ -449,17 +471,7 @@ def top(M: Representation):
 
 def socle(M: Representation):
     """Joint kernel of all outgoing arrow maps, with its inclusion."""
-    quiver = M.pres.quiver
-    spaces = {}
-    for v in quiver.vertices:
-        rows = []
-        for a in quiver.out_arrows(v):
-            rows.extend(list(r) for r in M.matrices[a.name].data)
-        if rows:
-            spaces[v] = RatMatrix(rows, cols=M.dims[v]).kernel()
-        else:
-            spaces[v] = Subspace.full(M.dims[v])
-    return subrepresentation(M, spaces)
+    return subrepresentation(M, _socle_subspaces(M))
 
 
 def composition_multiplicity(M: Representation, a: str) -> int:
@@ -536,7 +548,7 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
                     data[ro + i][co + j] = x
             ro += r.dims[a.target]
             co += r.dims[a.source]
-        mats[a.name] = RatMatrix(data, cols=cols)
+        mats[a.name] = RatMatrix._of(data, cols)
     return Representation(pres, dims, mats, check=False)
 
 
@@ -649,7 +661,7 @@ def _total_matrix(f: ModuleMorphism) -> RatMatrix:
             for j in range(m.cols):
                 data[pos + i][pos + j] = m.data[i][j]
         pos += m.rows
-    return RatMatrix(data, cols=n)
+    return RatMatrix._of(data, n)
 
 
 def _poly_divmod(a, b):
@@ -898,6 +910,12 @@ def _find_split_idempotent(end: HomSpace) -> Optional[ModuleMorphism]:
     ident = ModuleMorphism.identity(end.source)
     for cand in _idempotent_candidates(end):
         if cand.is_zero():
+            continue
+        if ((cand @ cand) - cand).is_zero():
+            # an idempotent other than 0 and 1 has minimal polynomial t² − t,
+            # and the CRT projector of that split is the idempotent itself
+            if not (cand - ident).is_zero():
+                return cand
             continue
         mp = list(minimal_polynomial(_total_matrix(cand)))
         split = _coprime_split(mp)

@@ -1,0 +1,66 @@
+"""Digest of the CLI output on every fixture in tests/data.
+
+Runs ``ar --json``, ``index --format json`` and
+``check --theorem all --format json`` on each ``tests/data/*.quiver``, one
+fresh interpreter per call, and prints one line per call:
+
+    <fixture> <command> exit=<code> sha256=<hex digest of stdout>
+
+Two checkouts produce identical output exactly when every call gives the
+same exit code and byte-identical stdout, so diffing the output of two runs
+checks that a change left the CLI's results alone.  The Kronecker fixture is
+representation-infinite and runs at ``--max-total-dim 400``: at the default
+guard its refusal takes over ten minutes.
+
+Usage, from anywhere:
+
+    python3 tools/fixture_digest.py > digest.txt
+
+It imports quivrad from the ``src/`` directory of the checkout that holds
+this script, and uses only the standard library.  The whole run takes a few
+minutes, most of it on ``ex_2_5``.
+"""
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
+COMMANDS = (
+    ("ar", ["ar", "--json"]),
+    ("index", ["index", "--format", "json"]),
+    ("check", ["check", "--theorem", "all", "--format", "json"]),
+)
+EXTRA_ARGS = {"kronecker.quiver": ["--max-total-dim", "400"]}
+RUNNER = "import sys; from quivrad.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def digest(fixture: Path, argv: list) -> tuple:
+    """(exit code, sha256 of stdout) of one CLI call in a fresh process."""
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    args = [argv[0], str(fixture)] + argv[1:] + EXTRA_ARGS.get(fixture.name, [])
+    proc = subprocess.run([sys.executable, "-c", RUNNER] + args, cwd=ROOT, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
+    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+
+
+def main() -> int:
+    fixtures = sorted(DATA.glob("*.quiver"))
+    if not fixtures:
+        print(f"no fixtures under {DATA}", file=sys.stderr)
+        return 2
+    for fixture in fixtures:
+        for name, argv in COMMANDS:
+            code, sha = digest(fixture, argv)
+            print(f"{fixture.name} {name} exit={code} sha256={sha}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
