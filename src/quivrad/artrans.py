@@ -28,7 +28,6 @@ from .rep import (
     decompose,
     end_radical,
     hom_space,
-    injective,
     kernel_submodule,
     minimal_presentation,
     morphism_ambient,
@@ -37,7 +36,6 @@ from .rep import (
     quotient_representation,
     radical_submodule,
     restrict_to_submodule,
-    simple,
     sum_of_projectives_morphism,
     zero_representation,
 )
@@ -265,10 +263,7 @@ class ARQuiver:
         self.tau = tau                       # non-projective node -> its translate
         self.tau_inverse = {v: k for k, v in tau.items()}
         self.filtration = filtration
-        self._alias_map = {}
-        for node in nodes:
-            for al in node.aliases:
-                self._alias_map[al] = node.index
+        self._alias_map = filtration.aliases
 
     @property
     def reps(self) -> list:
@@ -451,21 +446,7 @@ class _Knitter:
                 break
             self._expand_mesh(self.mesh_queue[mi])
             mi += 1
-        self._alias()
         return self.nodes, self.tau
-
-    def _alias(self) -> None:
-        aliases: Dict[int, list] = {i: [] for i in range(len(self.nodes))}
-        for a in self.pres.quiver.vertices:
-            for tag, build in (("P", projective), ("I", injective), ("S", simple)):
-                rep = build(self.pres, a)
-                if rep.is_zero():
-                    continue
-                idx = self.find_iso(rep)
-                if idx is not None:
-                    aliases[idx].append(f"{tag}_{a}")
-        for i, node in enumerate(self.nodes):
-            node.aliases = tuple(aliases[i])
 
 
 def _enumerate_nodes(pres: AlgebraPresentation, limits: EnumerationLimits):
@@ -483,6 +464,6 @@ def ar_quiver(pres: AlgebraPresentation,
               limits: EnumerationLimits | None = None) -> ARQuiver:
     nodes, tau = _enumerate_nodes(pres, limits or EnumerationLimits())
     filt = RadicalFiltration(pres, [n.rep for n in nodes])
-    ar = ARQuiver(pres, nodes, tau, filt)
-    filt.attach_aliases(ar._alias_map)
-    return ar
+    for key, idx in filt.aliases.items():
+        nodes[idx].aliases += (key,)
+    return ARQuiver(pres, nodes, tau, filt)

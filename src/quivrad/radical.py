@@ -32,6 +32,26 @@ from .rep import (
 )
 
 
+def _alias_table(pres: AlgebraPresentation, reps: Sequence[Representation]) -> Dict[str, int]:
+    """``P_a``/``I_a``/``S_a`` -> index of the first node isomorphic to it.
+
+    Keys run over the vertices in order, P before I before S; a module with
+    no isomorphic node gets no key.
+    """
+    buckets: Dict[tuple, list] = {}
+    for i, r in enumerate(reps):
+        buckets.setdefault(r.dim_vector(), []).append(i)
+    table: Dict[str, int] = {}
+    for a in pres.quiver.vertices:
+        for tag, build in (("P", projective), ("I", injective), ("S", simple)):
+            target = build(pres, a)
+            for i in buckets.get(target.dim_vector(), ()):
+                if are_isomorphic(reps[i], target):
+                    table[f"{tag}_{a}"] = i
+                    break
+    return table
+
+
 class RadicalFiltration:
     """Descending chains R ⊇ R² ⊇ … for every ordered pair of nodes.
 
@@ -63,13 +83,10 @@ class RadicalFiltration:
         self._depth = 1
         self._complete = not self.chains
         self._tensors: Dict[tuple, Optional[list]] = {}
-        self._aliases: Dict[str, int] = {}
+        self.aliases = _alias_table(pres, self.reps)
         self._length_bound = 1 + sum(hs.dim for hs in self.hom.values())
 
     # -- node bookkeeping ----------------------------------------------------
-
-    def attach_aliases(self, alias_map: Dict[str, int]) -> None:
-        self._aliases.update(alias_map)
 
     def node_index(self, rep: Representation) -> int:
         for i, r in enumerate(self.reps):
@@ -80,35 +97,19 @@ class RadicalFiltration:
                 return i
         raise ValueError("representation is not a filtration node")
 
-    def node_index_up_to_iso(self, rep: Representation) -> int:
-        try:
-            return self.node_index(rep)
-        except ValueError:
-            pass
-        for i, r in enumerate(self.reps):
-            if r.dim_vector() == rep.dim_vector() and are_isomorphic(r, rep):
-                return i
-        raise ValueError("no filtration node is isomorphic to the representation")
-
-    def _special_index(self, tag: str, a: str, build) -> int:
-        key = f"{tag}_{a}"
-        if key in self._aliases:
-            return self._aliases[key]
-        target = build(self.pres, a)
-        for i, r in enumerate(self.reps):
-            if r.dim_vector() == target.dim_vector() and are_isomorphic(r, target):
-                self._aliases[key] = i
-                return i
-        raise ValueError(f"{key} is not among the filtration nodes")
+    def _alias_index(self, key: str) -> int:
+        if key not in self.aliases:
+            raise ValueError(f"{key} is not among the filtration nodes")
+        return self.aliases[key]
 
     def projective_index(self, a: str) -> int:
-        return self._special_index("P", str(a), projective)
+        return self._alias_index(f"P_{a}")
 
     def injective_index(self, a: str) -> int:
-        return self._special_index("I", str(a), injective)
+        return self._alias_index(f"I_{a}")
 
     def simple_index(self, a: str) -> int:
-        return self._special_index("S", str(a), simple)
+        return self._alias_index(f"S_{a}")
 
     # -- layers ---------------------------------------------------------------
 
@@ -236,16 +237,13 @@ class RadicalFiltration:
 def radical_filtration(nodes, pres: AlgebraPresentation | None = None) -> RadicalFiltration:
     """Build the filtration for a complete indecomposable list.
 
-    ``nodes`` may be a sequence of representations or anything exposing
-    ``pres`` and ``reps`` (an AR quiver); the chains are computed lazily and
+    ``nodes`` is a sequence of representations or an AR quiver, whose own
+    filtration is returned; the chains are computed lazily and
     ``ensure_complete`` drives them to zero.
     """
-    if hasattr(nodes, "reps") and hasattr(nodes, "pres"):
-        ar = nodes
-        filt = getattr(ar, "filtration", None)
-        if isinstance(filt, RadicalFiltration):
-            return filt
-        return RadicalFiltration(ar.pres, ar.reps)
+    from .artrans import ARQuiver  # deferred: artrans builds on this module
+    if isinstance(nodes, ARQuiver):
+        return nodes.filtration
     reps = list(nodes)
     if pres is None:
         if not reps:
@@ -331,33 +329,29 @@ def _vertex_once_per_relation(pres: AlgebraPresentation) -> bool:
     return bool(counts) and all(c == 1 for c in counts.values())
 
 
-def _zero_relation_representatives(pres: AlgebraPresentation) -> tuple:
-    reps = []
-    for rel in pres.relations:
-        if rel.is_zero_relation():
-            interior = rel.terms[0][1].interior_vertices()
-            if interior:
-                reps.append(interior[0])
-    return tuple(reps)
+def licensed_vertices(pres: AlgebraPresentation, method: str) -> tuple:
+    """The vertex set a reduction method computes r_A = max r_a + 1 over.
 
-
-def gate_method(pres: AlgebraPresentation, method: str) -> None:
-    """Raise MethodInapplicableError when a method's static precondition fails."""
-    if method in ("direct", "auto"):
-        return
+    Raises MethodInapplicableError when the method's static precondition
+    fails, and ValueError for a name that is not a reduction method.
+    """
     if method == "v-set":
-        if not sinks_and_sources(pres.quiver)[2]:
+        middle = sinks_and_sources(pres.quiver)[2]
+        if not middle:
             raise MethodInapplicableError(
                 "every vertex is a sink or a source; the v-set bound needs a middle vertex")
-        return
+        return middle
+    if method not in ("zero-relations", "one-per-relation", "toupie"):
+        raise ValueError(f"unknown method {method!r}")
     cls = classify(pres)
     if method == "zero-relations":
         if not cls.is_monomial:
             raise MethodInapplicableError("zero-relations method requires a monomial ideal")
-        if not zero_relation_vertices(pres):
+        r0 = zero_relation_vertices(pres)
+        if not r0:
             raise MethodInapplicableError(
                 "no vertices are involved in zero-relations; fall back to the v-set method")
-        return
+        return r0
     if method == "one-per-relation":
         if not cls.is_monomial:
             raise MethodInapplicableError("one-per-relation method requires a monomial ideal")
@@ -365,28 +359,32 @@ def gate_method(pres: AlgebraPresentation, method: str) -> None:
             raise MethodInapplicableError(
                 "a vertex is involved in more than one zero-relation (or repeatedly in one); "
                 "per-relation representatives are not valid here")
-        return
-    if method == "toupie":
-        if cls.toupie is None or cls.toupie.grafo is None:
-            raise MethodInapplicableError(
-                "toupie method requires the three-branch shape with one zero-relation "
-                "branch and one commutativity pair")
-        return
-    raise ValueError(f"unknown method {method!r}")
+        interiors = (rel.terms[0][1].interior_vertices() for rel in pres.relations
+                     if rel.is_zero_relation())
+        return tuple(inner[0] for inner in interiors if inner)
+    if cls.toupie is None or cls.toupie.grafo is None:
+        raise MethodInapplicableError(
+            "toupie method requires the three-branch shape with one zero-relation "
+            "branch and one commutativity pair")
+    g = cls.toupie.grafo
+    return (cls.toupie.branches[g.zero_branch].vertices[g.j - 1],)
+
+
+def gate_method(pres: AlgebraPresentation, method: str) -> None:
+    """Raise MethodInapplicableError when a method's static precondition fails."""
+    if method not in ("direct", "auto"):
+        licensed_vertices(pres, method)
 
 
 def choose_method(pres: AlgebraPresentation) -> str:
     """Preference order for 'auto': toupie > one-per-relation > zero-relations
     > v-set > direct, gated by each method's precondition."""
-    cls = classify(pres)
-    if cls.toupie is not None and cls.toupie.grafo is not None:
-        return "toupie"
-    if cls.is_monomial and zero_relation_vertices(pres):
-        if _vertex_once_per_relation(pres):
-            return "one-per-relation"
-        return "zero-relations"
-    if sinks_and_sources(pres.quiver)[2]:
-        return "v-set"
+    for method in ("toupie", "one-per-relation", "zero-relations", "v-set"):
+        try:
+            licensed_vertices(pres, method)
+        except MethodInapplicableError:
+            continue
+        return method
     return "direct"
 
 
@@ -400,7 +398,7 @@ def nilpotency_index(pres: AlgebraPresentation, method: str = "direct",
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    gate_method(pres, method)
+    vertices = () if method in ("direct", "auto") else licensed_vertices(pres, method)
     if filt is None:
         from .artrans import ar_quiver  # deferred: artrans builds on this module
         filt = ar_quiver(pres, limits).filtration
@@ -421,30 +419,6 @@ def nilpotency_index(pres: AlgebraPresentation, method: str = "direct",
         r = filt.nilpotency_index()
         return NilpotencyReport("direct", r, {}, (), filt.layers_computed())
 
-    if method == "v-set":
-        _, _, middle = sinks_and_sources(pres.quiver)
-        per = {a: canonical_r(pres, filt, a) for a in middle}
-        return NilpotencyReport("v-set", max(per.values()) + 1, per, tuple(middle),
-                                filt.layers_computed())
-
-    if method == "zero-relations":
-        r0 = zero_relation_vertices(pres)
-        per = {a: canonical_r(pres, filt, a) for a in r0}
-        return NilpotencyReport("zero-relations", max(per.values()) + 1, per, tuple(r0),
-                                filt.layers_computed())
-
-    if method == "one-per-relation":
-        reps = _zero_relation_representatives(pres)
-        per = {a: canonical_r(pres, filt, a) for a in reps}
-        return NilpotencyReport("one-per-relation", max(per.values()) + 1, per, tuple(reps),
-                                filt.layers_computed())
-
-    if method == "toupie":
-        g = classify(pres).toupie.grafo
-        branch = classify(pres).toupie.branches[g.zero_branch]
-        rep_vertex = branch.vertices[g.j - 1]
-        per = {rep_vertex: canonical_r(pres, filt, rep_vertex)}
-        return NilpotencyReport("toupie", per[rep_vertex] + 1, per, (rep_vertex,),
-                                filt.layers_computed())
-
-    raise AssertionError("unreachable")
+    per = {a: canonical_r(pres, filt, a) for a in vertices}
+    return NilpotencyReport(method, max(per.values()) + 1, per, vertices,
+                            filt.layers_computed())

@@ -168,7 +168,11 @@ def injective(pres: AlgebraPresentation, a: str) -> Representation:
 
 
 class ModuleMorphism:
-    """Per-vertex matrices intertwining two representations exactly."""
+    """Per-vertex matrices intertwining two representations exactly.
+
+    ``check=False`` stores ``maps`` as given: the caller supplies one matrix
+    of the right shape for every vertex, intertwining by construction.
+    """
 
     __slots__ = ("source", "target", "maps")
 
@@ -176,6 +180,9 @@ class ModuleMorphism:
                  maps: Dict[str, RatMatrix], check: bool = True):
         self.source = source
         self.target = target
+        if not check:
+            self.maps = maps
+            return
         ms = {}
         for v in source.pres.quiver.vertices:
             m = maps.get(v)
@@ -186,7 +193,7 @@ class ModuleMorphism:
                 raise ShapeError(f"vertex {v}: map {m.shape}, expected {shape}")
             ms[v] = m
         self.maps = ms
-        if check and not self._intertwines():
+        if not self._intertwines():
             raise ValueError("maps do not intertwine the arrow actions")
 
     def _intertwines(self) -> bool:
@@ -204,7 +211,9 @@ class ModuleMorphism:
 
     @classmethod
     def zero(cls, source: Representation, target: Representation) -> "ModuleMorphism":
-        return cls(source, target, {}, check=False)
+        return cls(source, target,
+                   {v: RatMatrix.zeros(target.dims[v], source.dims[v]) for v in source.dims},
+                   check=False)
 
     def __matmul__(self, other: "ModuleMorphism") -> "ModuleMorphism":
         """Composition self after other."""
@@ -972,8 +981,8 @@ def decompose(M: Representation) -> list:
     return decompose(image) + decompose(kernel)
 
 
-def are_isomorphic(M: Representation, N: Representation) -> bool:
-    """Exact isomorphism test.
+def find_isomorphism(M: Representation, N: Representation) -> Optional[ModuleMorphism]:
+    """An isomorphism M -> N, or None when the modules are not isomorphic.
 
     Fast paths: dimension vectors, then single basis morphisms (complete for
     indecomposables).  Fallback: the generic-combination determinant over a
@@ -981,23 +990,29 @@ def are_isomorphic(M: Representation, N: Representation) -> bool:
     everywhere on it, so exhausting the grid certifies non-isomorphism.
     """
     if M.pres is not N.pres:
-        return False
+        return None
     if M.dim_vector() != N.dim_vector():
-        return False
+        return None
     if M.is_zero():
-        return True
+        return ModuleMorphism.zero(M, N)
     hom = hom_space(M, N)
     if hom.dim == 0:
-        return False
+        return None
     for b in hom.basis:
         if b.is_invertible():
-            return True
+            return b
     if hom.dim == 1:
-        return False
+        return None
     degree = M.total_dim()
     for coeffs in product(range(degree + 1), repeat=hom.dim):
         if not any(coeffs):
             continue
-        if hom.element(coeffs).is_invertible():
-            return True
-    return False
+        cand = hom.element(coeffs)
+        if cand.is_invertible():
+            return cand
+    return None
+
+
+def are_isomorphic(M: Representation, N: Representation) -> bool:
+    """Exact isomorphism test; see ``find_isomorphism``."""
+    return find_isomorphism(M, N) is not None

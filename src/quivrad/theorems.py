@@ -31,6 +31,7 @@ from .radical import (
 from .rep import (
     ModuleMorphism,
     Representation,
+    find_isomorphism,
     hom_space,
     is_indecomposable,
     morphism_from_projective,
@@ -424,27 +425,15 @@ def build_toupie_witness(pres: AlgebraPresentation, shape: ToupieShape, i: int,
     if filt is None:
         from .artrans import ar_quiver
         filt = ar_quiver(pres).filtration
-    idx = filt.node_index_up_to_iso(M)
-    node_rep = filt.reps[idx]
-    u = _iso_between(M, node_rep)
+    for node_rep in filt.reps:  # pairwise non-isomorphic: the first hit is the node
+        u = find_isomorphism(M, node_rep)  # None at once on another dimension vector
+        if u is not None:
+            break
+    else:
+        raise ValueError("no filtration node is isomorphic to the representation")
     rho_on_node = u @ rho @ u.inverse()
     layer = morphism_length(rho_on_node, filt)
     return ToupieWitness(z, M, rho, phi, psi, expected, layer, end_dim)
-
-
-def _iso_between(M: Representation, N: Representation) -> ModuleMorphism:
-    hs = hom_space(M, N)
-    for b in hs.basis:
-        if b.is_invertible():
-            return b
-    degree = M.total_dim()
-    from itertools import product
-    for coeffs in product(range(degree + 1), repeat=hs.dim):
-        if any(coeffs):
-            cand = hs.element(coeffs)
-            if cand.is_invertible():
-                return cand
-    raise ValueError("modules are not isomorphic")
 
 
 def check_lemma_32(pres: AlgebraPresentation) -> list:

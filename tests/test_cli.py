@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from quivrad.cli import main
 
@@ -150,3 +154,13 @@ def test_output_file_writing(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(target.read_text())["r_A"] == 2
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "quivrad", "validate", "tests/data/a2.quiver"],
+                          cwd=root, env=env, capture_output=True, text=True, check=False)
+    code, out, _ = run(capsys, "validate", str(root / "tests" / "data" / "a2.quiver"))
+    assert proc.returncode == code == 0
+    assert proc.stdout == out

@@ -7,6 +7,7 @@ from quivrad.radical import (
     canonical_r,
     choose_method,
     gate_method,
+    licensed_vertices,
     morphism_length,
     nilpotency_index,
     radical_filtration,
@@ -14,7 +15,8 @@ from quivrad.radical import (
 from quivrad.rep import ModuleMorphism
 from quivrad import parse_presentation
 
-from conftest import load
+from conftest import DATA, load, pipeline
+from randgen import random_finite_monomial
 
 
 def test_a2_second_layer_vanishes(a2_pipeline):
@@ -221,3 +223,62 @@ def test_non_factoring_morphisms_are_shorter(s2_pipeline):
         for f in hs.basis:
             if not through.contains_vector(f.flatten()):
                 assert morphism_length(f, filt) < r_a
+
+
+LIST_FIXTURES = ("a2", "a3", "a3_rel", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final")
+REDUCTIONS = ("toupie", "one-per-relation", "zero-relations", "v-set")  # auto's order
+
+
+@pytest.mark.parametrize("name", LIST_FIXTURES)
+def test_filtration_from_a_node_list_matches_the_ar_quiver(name):
+    pres, ar, filt = pipeline(name)
+    fresh = radical_filtration([n.rep for n in ar.nodes], pres)
+    # one alias table: the AR quiver and its nodes read the filtration's
+    assert ar._alias_map is filt.aliases
+    assert fresh.aliases == filt.aliases
+    assert sum(len(n.aliases) for n in ar.nodes) == len(filt.aliases)
+    for key, idx in filt.aliases.items():
+        assert key in ar.nodes[idx].aliases
+    for a in pres.quiver.vertices:
+        assert fresh.projective_index(a) == filt.projective_index(a) == ar.projective_index(a)
+        assert fresh.injective_index(a) == filt.injective_index(a) == ar.injective_index(a)
+        assert fresh.simple_index(a) == filt.simple_index(a) == ar.simple_index(a)
+        assert canonical_r(pres, fresh, a) == canonical_r(pres, filt, a)
+
+
+def test_missing_alias_names_the_key(a2_pipeline):
+    pres, ar, _ = a2_pipeline
+    p1 = ar.nodes[ar.projective_index("1")].rep
+    partial = radical_filtration([p1], pres)
+    assert partial.projective_index("1") == partial.injective_index("2") == 0
+    with pytest.raises(ValueError, match="S_2 is not among the filtration nodes"):
+        partial.simple_index("2")
+
+
+def _first_admitted(pres) -> str:
+    for method in REDUCTIONS:
+        try:
+            gate_method(pres, method)
+        except MethodInapplicableError:
+            continue
+        return method
+    return "direct"
+
+
+def test_choose_method_is_the_first_admitted_method():
+    samples = [(pipeline(name)[0], pipeline(name)[2]) for name in LIST_FIXTURES]
+    samples += [(pres, ar.filtration) for _, pres, ar in random_finite_monomial(20)]
+    others = [load(path.stem) for path in sorted(DATA.glob("*.quiver"))]
+    assert {choose_method(pres) for pres, _ in samples} == {"direct", *REDUCTIONS}
+    for pres in [p for p, _ in samples] + others:
+        assert choose_method(pres) == _first_admitted(pres)
+    # each admitted method reports exactly its licensed vertex set
+    for pres, filt in samples:
+        for method in REDUCTIONS:
+            try:
+                vertices = licensed_vertices(pres, method)
+            except MethodInapplicableError:
+                continue
+            report = nilpotency_index(pres, method, filt=filt)
+            assert report.vertex_set == vertices
+            assert report.r_A == max(report.per_vertex.values()) + 1

@@ -14,6 +14,7 @@ from quivrad.rep import (
     decompose,
     direct_sum,
     end_radical,
+    find_isomorphism,
     hom_space,
     injective,
     is_indecomposable,
@@ -171,6 +172,59 @@ def test_are_isomorphic(s2):
     assert are_isomorphic(P1, twisted)
     assert not are_isomorphic(direct_sum([simple(s2, "1"), simple(s2, "2")]),
                               direct_sum([simple(s2, "1"), simple(s2, "1")]))
+
+
+def _assert_isomorphism_iff(M, N, expected):
+    f = find_isomorphism(M, N)
+    assert (f is not None) == expected == are_isomorphic(M, N)
+    if f is not None:
+        assert f.source is M and f.target is N and f.is_invertible()
+        assert hom_space(M, N).coords(f) is not None  # f intertwines
+        assert set(f.maps) == set(M.pres.quiver.vertices)
+
+
+def test_find_isomorphism_returns_an_invertible_hom_element(s2):
+    S1, S2, P1 = simple(s2, "1"), simple(s2, "2"), projective(s2, "1")
+    twisted = Representation(s2, dict(P1.dims),
+                             {name: m.scaled(1) for name, m in P1.matrices.items()})
+    _assert_isomorphism_iff(P1, twisted, True)
+    _assert_isomorphism_iff(S1, S2, False)
+    # no single basis morphism of End(S1+S1) or Hom(S1+S2, S2+S1) is
+    # invertible, so these isomorphisms come from the grid fallback
+    S11 = direct_sum([S1, S1])
+    assert not any(b.is_invertible() for b in hom_space(S11, S11).basis)
+    _assert_isomorphism_iff(S11, S11, True)
+    S12, S21 = direct_sum([S1, S2]), direct_sum([S2, S1])
+    assert not any(b.is_invertible() for b in hom_space(S12, S21).basis)
+    _assert_isomorphism_iff(S12, S21, True)
+    zero = R.zero_representation(s2)
+    _assert_isomorphism_iff(zero, zero, True)
+
+
+def test_find_isomorphism_refuses_equal_dimension_vectors():
+    a2 = load("a2")
+    S1, S2, P1 = simple(a2, "1"), simple(a2, "2"), projective(a2, "1")
+    semisimple = direct_sum([S1, S2])
+    assert semisimple.dim_vector() == P1.dim_vector()
+    _assert_isomorphism_iff(semisimple, P1, False)
+    # a three-dimensional Hom space: the whole grid is searched and refused
+    left, right = direct_sum([P1, S2]), direct_sum([S1, S2, S2])
+    assert left.dim_vector() == right.dim_vector()
+    assert hom_space(left, right).dim == 3
+    _assert_isomorphism_iff(left, right, False)
+    _assert_isomorphism_iff(P1, projective(load("a2"), "1"), False)  # other presentation
+
+
+def test_unchecked_morphism_keeps_its_maps(s2):
+    S1 = simple(s2, "1")
+    maps = {v: RatMatrix.zeros(S1.dims[v], S1.dims[v]) for v in s2.quiver.vertices}
+    assert ModuleMorphism(S1, S1, maps, check=False).maps is maps
+    zero = ModuleMorphism.zero(S1, projective(s2, "1"))
+    assert list(zero.maps) == list(s2.quiver.vertices) and zero.is_zero()
+    checked = ModuleMorphism(S1, S1, {"1": RatMatrix([[1]])})
+    assert list(checked.maps) == list(s2.quiver.vertices)  # missing maps filled
+    with pytest.raises(ShapeError):
+        ModuleMorphism(S1, S1, {"1": RatMatrix([[1, 0]])})
 
 
 def test_decompose(s2):

@@ -16,6 +16,13 @@ Usage, from anywhere:
 
     python3 tools/fixture_digest.py > digest.txt
 
+``tools/fixture_digest.expected`` is the committed listing for the current
+code; from the root of the checkout,
+
+    python3 tools/fixture_digest.py | diff tools/fixture_digest.expected -
+
+prints nothing exactly when every result is unchanged.
+
 It imports quivrad from the ``src/`` directory of the checkout that holds
 this script, and uses only the standard library.  The whole run takes a few
 minutes, most of it on ``ex_2_5``.
