@@ -10,9 +10,15 @@ bound quiver algebras), so each node also contributes its almost-split
 middle term, rad P for projectives and I/soc for injectives; for a connected
 representation-finite algebra the AR quiver is connected, so this closure is
 complete.  Guard limits turn a runaway enumeration into an error.
+
+The knitting keeps the right almost split map into every node (rad P ↪ P,
+or the end of the almost split sequence), one piece per indecomposable
+summand read on the node isomorphic to it; the AR arrows are the summand
+multiplicities, and the radical filtration composes with the pieces.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
@@ -27,6 +33,7 @@ from .rep import (
     are_isomorphic,
     decompose,
     end_radical,
+    find_isomorphism,
     hom_space,
     kernel_submodule,
     minimal_presentation,
@@ -161,14 +168,15 @@ def ar_translate_inverse(M: Representation) -> Optional[Representation]:
 
 
 def almost_split_middle(Z: Representation, tau_z: Representation,
-                        presentation: Optional[ProjectivePresentation] = None
-                        ) -> Representation:
+                        presentation: Optional[ProjectivePresentation] = None,
+                        with_map: bool = False):
     """Middle term of the almost split sequence 0 -> τZ -> E -> Z -> 0.
 
     The extension class is a nonzero element of Ext¹(Z, τZ) annihilated by
     the radical of End(Z); Ext¹ is presented on Hom(ΩZ, τZ) modulo the
     restrictions from the cover, and E is the pushout cokernel.
-    ``presentation`` is as for ``transpose``.
+    ``presentation`` is as for ``transpose``.  With ``with_map`` the result
+    is the pair (E, E -> Z), the right almost split map.
     """
     pp = minimal_presentation(Z) if presentation is None else presentation
     K, incl = kernel_submodule(pp.epi)
@@ -229,7 +237,54 @@ def almost_split_middle(Z: Representation, tau_z: Representation,
             vecs.append(list(gv) + [-x for x in iv])
         spaces[v] = Subspace.from_vectors(total.dims[v], vecs)
     middle, _ = quotient_representation(total, spaces)
-    return middle
+    if not with_map:
+        return middle
+    # E -> Z is induced by (0 | epi) on τZ ⊕ P0, read on the quotient's
+    # basis: the unit vectors at the non-pivot positions
+    maps = {}
+    for v in Z.pres.quiver.vertices:
+        cols = [c - tau_z.dims[v] for c in spaces[v].nonpivots()]
+        maps[v] = RatMatrix._of([[row[c] if c >= 0 else 0 for c in cols]
+                                 for row in pp.epi.maps[v].data], len(cols))
+    return middle, ModuleMorphism(middle, Z, maps, check=False)
+
+
+def right_almost_split_summands(Y: Representation, tau_y: Optional[Representation],
+                                presentation: Optional[ProjectivePresentation] = None
+                                ) -> list:
+    """(Z, g: Z -> Y) for each indecomposable summand Z of the source of the
+    minimal right almost split map into Y, g that map on the summand.
+
+    The map is rad Y ↪ Y when Y is projective (``tau_y`` None), else the end
+    of the almost split sequence ending at Y; ``presentation`` is as for
+    ``transpose``.  Each summand Z occurs dim Irr(Z, Y) times.
+    """
+    if tau_y is None:
+        source, into = radical_submodule(Y)
+    else:
+        source, into = almost_split_middle(Y, tau_y, presentation, with_map=True)
+    if source.is_zero():
+        return []
+    return [(Z, into @ incl) for Z, incl in decompose(source, True)]
+
+
+def node_pieces(reps: List[Representation], j: int) -> list:
+    """(k, g: reps[k] -> reps[j]) for each summand of the minimal right almost
+    split map into reps[j], read on the first node isomorphic to it."""
+    Y = reps[j]
+    pp = minimal_presentation(Y)
+    out = []
+    for Z, g in right_almost_split_summands(Y, ar_translate(Y, pp), pp):
+        for k, node in enumerate(reps):
+            iso = find_isomorphism(Z, node)
+            if iso is not None:
+                out.append((k, g @ iso.inverse()))
+                break
+        else:
+            raise InconsistencyError(
+                f"a summand of the right almost split map into node {j} is no node; "
+                "node list is not a complete set of indecomposables")
+    return out
 
 
 @dataclass
@@ -254,7 +309,8 @@ class ARNode:
 
 
 class ARQuiver:
-    """Nodes are iso-class representatives; arrows carry dim Irr = dim R/R²."""
+    """Nodes are iso-class representatives; arrows carry dim Irr = dim R/R²,
+    read off the right almost split maps."""
 
     def __init__(self, pres: AlgebraPresentation, nodes: List[ARNode],
                  tau: Dict[int, int], filtration: RadicalFiltration):
@@ -282,23 +338,23 @@ class ARQuiver:
         return self.nodes[idx]
 
     def projective_index(self, a: str) -> int:
-        return self._alias_map[f"P_{a}"]
+        return self.filtration.projective_index(a)
 
     def injective_index(self, a: str) -> int:
-        return self._alias_map[f"I_{a}"]
+        return self.filtration.injective_index(a)
 
     def simple_index(self, a: str) -> int:
-        return self._alias_map[f"S_{a}"]
+        return self.filtration.simple_index(a)
 
     def arrows(self) -> list:
-        """(source index, target index, dim Irr) for every AR-quiver arrow."""
-        out = []
-        filt = self.filtration
-        for (i, j) in sorted(filt.hom_pairs()):
-            m = filt.dim_irr(i, j)
-            if m > 0:
-                out.append((i, j, m))
-        return out
+        """(source index, target index, dim Irr) for every AR-quiver arrow.
+
+        dim Irr(Z, Y) is the multiplicity of Z among the summands of the
+        right almost split map into Y.
+        """
+        counts = Counter((k, j) for j in range(len(self.nodes))
+                         for k, _ in self.filtration.pieces(j))
+        return sorted((i, j, m) for (i, j), m in counts.items())
 
     def _sorted_nodes(self) -> list:
         return sorted(self.nodes, key=lambda n: (n.rep.dim_vector(), n.label))
@@ -352,6 +408,8 @@ class _Knitter:
         # minimal presentations of the non-projective nodes, kept from the
         # τ step until the almost split middle term is built
         self.presentations: Dict[int, ProjectivePresentation] = {}
+        # node -> its right almost split map, one (k, node k -> node) per summand
+        self.pieces: Dict[int, list] = {}
 
     def find_iso(self, rep: Representation) -> Optional[int]:
         for idx in self.buckets.get(rep.dim_vector(), ()):
@@ -378,12 +436,24 @@ class _Knitter:
             raise InconsistencyError("conflicting translate links")
         self.tau[y] = x
 
+    def _add_fresh(self, rep: Representation) -> int:
+        self.fresh += 1
+        j = self.add(rep, f"M{self.fresh}", 0)
+        self.orbit_queue.append(j)
+        self.mesh_queue.append(j)
+        return j
+
     def _absorb(self, rep: Representation) -> None:
         if self.find_iso(rep) is None:
-            self.fresh += 1
-            j = self.add(rep, f"M{self.fresh}", 0)
-            self.orbit_queue.append(j)
-            self.mesh_queue.append(j)
+            self._add_fresh(rep)
+
+    def _piece(self, summand: Representation, g: ModuleMorphism) -> tuple:
+        """(k, g read on node k) for the node k isomorphic to summand, added if new."""
+        for k in self.buckets.get(summand.dim_vector(), ()):
+            iso = find_isomorphism(summand, self.nodes[k].rep)
+            if iso is not None:
+                return k, g @ iso.inverse()
+        return self._add_fresh(summand), g
 
     def _expand_orbit(self, idx: int) -> None:
         """Walk τ in both directions; cheap, and where the guards trip first."""
@@ -409,18 +479,13 @@ class _Knitter:
             self.link_tau(idx, p)
 
     def _expand_mesh(self, idx: int) -> None:
-        """Neighbor closure: rad P, I/soc, or the almost split middle term."""
-        node = self.nodes[idx]
-        X = node.rep
-        if idx not in self.tau:  # projective: predecessors are the rad summands
-            rad, _ = radical_submodule(X)
-            summands = decompose(rad) if not rad.is_zero() else []
-        else:
-            middle = almost_split_middle(X, self.nodes[self.tau[idx]].rep,
-                                         self.presentations.pop(idx, None))
-            summands = decompose(middle)
-        for summand in summands:
-            self._absorb(summand)
+        """Neighbor closure: the summands of the right almost split map into
+        the node (rad P for a projective, else the almost split middle term),
+        kept as its pieces, and I/soc for an injective."""
+        X = self.nodes[idx].rep
+        tau_rep = self.nodes[self.tau[idx]].rep if idx in self.tau else None
+        summands = right_almost_split_summands(X, tau_rep, self.presentations.pop(idx, None))
+        self.pieces[idx] = [self._piece(summand, g) for summand, g in summands]
         if idx not in self.tau_inv_seen:  # injective: successors are the soc-quotient summands
             quo, _ = quotient_representation(X, _rep._socle_subspaces(X))
             for summand in decompose(quo) if not quo.is_zero() else []:
@@ -446,24 +511,24 @@ class _Knitter:
                 break
             self._expand_mesh(self.mesh_queue[mi])
             mi += 1
-        return self.nodes, self.tau
+        return self
 
 
-def _enumerate_nodes(pres: AlgebraPresentation, limits: EnumerationLimits):
+def _enumerate_nodes(pres: AlgebraPresentation, limits: EnumerationLimits) -> _Knitter:
     return _Knitter(pres, limits).run()
 
 
 def enumerate_indecomposables(pres: AlgebraPresentation,
                               limits: EnumerationLimits | None = None) -> list:
     """All indecomposables, by knitting closure from the projectives."""
-    nodes, _ = _enumerate_nodes(pres, limits or EnumerationLimits())
-    return [n.rep for n in nodes]
+    return [n.rep for n in _enumerate_nodes(pres, limits or EnumerationLimits()).nodes]
 
 
 def ar_quiver(pres: AlgebraPresentation,
               limits: EnumerationLimits | None = None) -> ARQuiver:
-    nodes, tau = _enumerate_nodes(pres, limits or EnumerationLimits())
-    filt = RadicalFiltration(pres, [n.rep for n in nodes])
+    knit = _enumerate_nodes(pres, limits or EnumerationLimits())
+    nodes, tau = knit.nodes, knit.tau
+    filt = RadicalFiltration(pres, [n.rep for n in nodes], knit.pieces)
     for key, idx in filt.aliases.items():
         nodes[idx].aliases += (key,)
     return ARQuiver(pres, nodes, tau, filt)

@@ -1,18 +1,30 @@
 """Radical filtration of the module category and the nilpotency index.
 
-Layer one over a complete list of indecomposables is every Hom space between
-distinct nodes plus the radical of each endomorphism algebra; layer n+1 is
-spanned by composites of a layer-n morphism after a layer-one morphism,
-summed over all intermediate nodes.  All subspaces live in coordinates over
-the canonical Hom bases, so membership and equality are exact.
+Every node Y carries the pieces g_k : Z_k -> Y of its minimal right almost
+split map (rad Y ↪ Y for a projective Y, else the end of the almost split
+sequence ending at Y), one per indecomposable summand, read on the node Z_k
+isomorphic to that summand; Z occurs dim Irr(Z, Y) times among the Z_k.
+Every radical map into Y factors through that map, so for each source node X
+
+    R(X, Y) = Σ_k g_k ∘ Hom(X, Z_k),    R^{n+1}(X, Y) = Σ_k g_k ∘ R^n(X, Z_k),
+
+and the layers of one row R^n(X, -) depend on that row alone.  R^m = 0
+exactly when R^m(P_a, -) = 0 for every vertex a, since every module is a
+quotient of a projective; so the projective rows are computed first and
+advance together to one depth, any other row is built when it is first
+asked for and brought to that depth, and a Hom space is computed the first
+time it is looked up.  All subspaces live in coordinates over the canonical
+Hom bases, so membership and equality are exact.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from itertools import product
+from typing import Dict, Optional, Sequence
 
 from .errors import InconsistencyError, MethodInapplicableError
-from .linalg import Subspace
+from .linalg import Subspace, _int_vector
 from .quiver import (
     AlgebraPresentation,
     classify,
@@ -24,12 +36,14 @@ from .rep import (
     ModuleMorphism,
     Representation,
     are_isomorphic,
-    end_radical,
     hom_space,
     injective,
     projective,
     simple,
 )
+
+_INCOMPLETE = "node list is not a complete set of indecomposables"
+_OUTLIVED = f"radical filtration outlived its projective rows; {_INCOMPLETE}"
 
 
 def _alias_table(pres: AlgebraPresentation, reps: Sequence[Representation]) -> Dict[str, int]:
@@ -52,39 +66,117 @@ def _alias_table(pres: AlgebraPresentation, reps: Sequence[Representation]) -> D
     return table
 
 
+class _HomTable(Mapping):
+    """(i, j) -> Hom(node_i, node_j) for the pairs with a nonzero Hom space.
+
+    A pair is computed the first time it is looked up; iterating or taking
+    the length computes every pair.
+    """
+
+    def __init__(self, reps: Sequence[Representation]):
+        self._reps = reps
+        self._known: Dict[tuple, Optional[HomSpace]] = {}
+
+    def __getitem__(self, key) -> HomSpace:
+        if key not in self._known:
+            i, j = key
+            if not (0 <= i < len(self._reps) and 0 <= j < len(self._reps)):
+                raise KeyError(key)
+            hs = hom_space(self._reps[i], self._reps[j])
+            self._known[key] = hs if hs.dim else None
+        hs = self._known[key]
+        if hs is None:
+            raise KeyError(key)
+        return hs
+
+    def __iter__(self):
+        return (key for key in product(range(len(self._reps)), repeat=2) if key in self)
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+
+class _Row:
+    """The layers R^n(node_i, -) of one source node i.
+
+    ``maps[j]`` is (dim Hom(i, j), [(k, columns)]) with one entry per piece
+    g_k into node j: ``columns[u]`` spans g_k ∘ b_u in Hom(i, j) coordinates,
+    b_u the u-th basis element of Hom(i, k), all scaled by one positive
+    integer per piece (which leaves every span alone).  ``chains[j]`` holds
+    the nonzero layers R^1(i, j), R^2(i, j), ...; ``depth`` layers have been
+    computed.
+    """
+
+    __slots__ = ("maps", "chains", "depth")
+
+    def __init__(self, maps: Dict[int, tuple]):
+        self.maps = maps
+        self.chains: Dict[int, list] = {}
+        for j, (dim, pieces) in maps.items():
+            first = Subspace._from_int_vectors(dim, [c for _, cols in pieces for c in cols])
+            if first.dim:
+                self.chains[j] = [first]
+        self.depth = 1
+
+    def alive(self) -> bool:
+        """Whether the last computed layer is nonzero."""
+        return any(len(c) == self.depth for c in self.chains.values())
+
+    def next_layer(self) -> bool:
+        """Compute layer depth+1; True when it is nonzero."""
+        n = self.depth
+        new = {}
+        for j, (dim, pieces) in self.maps.items():
+            vecs = []
+            for k, cols in pieces:
+                chain = self.chains.get(k, ())
+                if len(chain) < n:
+                    continue
+                for v in chain[n - 1].basis:
+                    out = [0] * dim
+                    for x, col in zip(v, cols):
+                        if x:
+                            for t, y in enumerate(col):
+                                if y:
+                                    out[t] += x * y
+                    vecs.append(out)
+            if vecs:
+                sub = Subspace._from_int_vectors(dim, vecs)
+                if sub.dim:
+                    new[j] = sub
+        live = [j for j, c in self.chains.items() if len(c) == n]
+        if live and all(new.get(j) == self.chains[j][-1] for j in live):
+            # the next layer is a function of this one, so the row never shrinks again
+            raise InconsistencyError(f"radical filtration failed to terminate; {_INCOMPLETE}")
+        for j, sub in new.items():
+            self.chains[j].append(sub)
+        self.depth += 1
+        return bool(new)
+
+
 class RadicalFiltration:
     """Descending chains R ⊇ R² ⊇ … for every ordered pair of nodes.
 
-    Layers are computed on demand; ``ensure_complete`` iterates until every
-    chain has reached zero, which must happen for representation-finite
-    input (a safety bound turns a non-terminating run into an error).
+    ``pieces`` maps each node to its right almost split map as
+    ``[(k, node_k -> node)]`` (the knitting keeps them); a node missing from
+    it gets its pieces from ``artrans.node_pieces`` when they are first
+    needed.  Layers are computed on demand; ``ensure_complete`` iterates
+    until every chain has reached zero, which must happen for
+    representation-finite input (a row that stops shrinking while nonzero
+    turns a non-terminating run into an error).
     """
 
-    def __init__(self, pres: AlgebraPresentation, nodes: Sequence[Representation]):
+    def __init__(self, pres: AlgebraPresentation, nodes: Sequence[Representation],
+                 pieces: Optional[Dict[int, list]] = None):
         self.pres = pres
         self.reps = list(nodes)
-        n = len(self.reps)
-        self.hom: Dict[tuple, HomSpace] = {}
-        for i in range(n):
-            for j in range(n):
-                hs = hom_space(self.reps[i], self.reps[j])
-                if hs.dim:
-                    self.hom[(i, j)] = hs
-        self.chains: Dict[tuple, list] = {}
-        self._rad1_out: Dict[int, list] = {}
-        for (i, j), hs in self.hom.items():
-            if i == j:
-                first = end_radical(hs)
-            else:
-                first = Subspace.full(hs.dim)
-            if first.dim:
-                self.chains[(i, j)] = [first]
-                self._rad1_out.setdefault(i, []).append((j, first))
-        self._depth = 1
-        self._complete = not self.chains
-        self._tensors: Dict[tuple, Optional[list]] = {}
+        self.hom = _HomTable(self.reps)
         self.aliases = _alias_table(pres, self.reps)
-        self._length_bound = 1 + sum(hs.dim for hs in self.hom.values())
+        self._pieces: Dict[int, list] = dict(pieces or {})
+        self._projective = sorted({i for key, i in self.aliases.items() if key[0] == "P"})
+        self._rows: Dict[int, _Row] = {}
+        self._depth = 0  # layers computed in every projective row; 0 before the first
+        self._complete = False
 
     # -- node bookkeeping ----------------------------------------------------
 
@@ -111,100 +203,96 @@ class RadicalFiltration:
     def simple_index(self, a: str) -> int:
         return self._alias_index(f"S_{a}")
 
+    def pieces(self, j: int) -> list:
+        """(k, g: node_k -> node_j) per summand of the right almost split map into node j."""
+        got = self._pieces.get(j)
+        if got is None:
+            from .artrans import node_pieces  # deferred: artrans builds on this module
+            got = self._pieces[j] = node_pieces(self.reps, j)
+        return got
+
+    # -- rows -----------------------------------------------------------------
+
+    def _build_row(self, i: int) -> _Row:
+        """Layer one of row i: the composites g_k ∘ Hom(i, k) into each node."""
+        maps = {}
+        for j in range(len(self.reps)):
+            hij = self.hom.get((i, j))
+            if hij is None:
+                continue
+            pieces = []
+            for k, g in self.pieces(j):
+                hik = self.hom.get((i, k))
+                if hik is None:
+                    continue
+                images = []
+                for b in hik.basis:
+                    coords = hij.coords(g @ b)
+                    if coords is None:
+                        raise InconsistencyError("composite escaped its Hom space")
+                    images.extend(coords)
+                w, _ = _int_vector(images)
+                pieces.append((k, [w[u:u + hij.dim] for u in range(0, len(w), hij.dim)]))
+            maps[j] = (hij.dim, pieces)
+        return _Row(maps)
+
+    def _start(self) -> None:
+        """Build every projective row at layer one, once."""
+        if self._depth:
+            return
+        for i in self._projective:
+            self._rows[i] = self._build_row(i)
+        self._depth = 1
+        self._complete = not any(self._rows[i].alive() for i in self._projective)
+
+    def _row(self, i: int) -> _Row:
+        """Row i, built on first use and brought to the projective rows' depth."""
+        self._start()
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = self._build_row(i)
+            while row.depth < self._depth and row.alive():
+                row.next_layer()
+            if self._complete and row.alive():
+                raise InconsistencyError(_OUTLIVED)
+        return row
+
+    def _next_layer(self) -> None:
+        """One more layer in every row that is still nonzero."""
+        for row in self._rows.values():
+            if row.alive():
+                row.next_layer()
+        self._depth += 1
+        if not any(self._rows[i].alive() for i in self._projective):
+            if any(row.alive() for row in self._rows.values()):
+                raise InconsistencyError(_OUTLIVED)
+            self._complete = True
+
     # -- layers ---------------------------------------------------------------
 
-    def hom_pairs(self) -> Iterable[tuple]:
-        return self.hom.keys()
-
-    def _tensor(self, i: int, k: int, j: int) -> Optional[list]:
-        key = (i, k, j)
-        if key in self._tensors:
-            return self._tensors[key]
-        hij = self.hom.get((i, j))
-        hik = self.hom[(i, k)]
-        hkj = self.hom[(k, j)]
-        if hij is None:
-            self._tensors[key] = None  # all composites are zero
-            return None
-        tensor = []
-        for u in range(hik.dim):
-            row = []
-            for v in range(hkj.dim):
-                comp = hkj.basis[v] @ hik.basis[u]
-                coords = hij.coords(comp)
-                if coords is None:
-                    raise InconsistencyError("composite escaped its Hom space")
-                row.append(coords)
-            tensor.append(row)
-        self._tensors[key] = tensor
-        return tensor
-
-    def _advance(self) -> None:
-        """Compute layer depth+1 for every pair from layer depth and layer 1."""
-        n = self._depth
-        cur_by_src: Dict[int, list] = {}
-        for (k, j), chain in self.chains.items():
-            if len(chain) >= n:
-                cur_by_src.setdefault(k, []).append((j, chain[n - 1]))
-        grew = False
-        for i, outs in self._rad1_out.items():
-            acc: Dict[int, list] = {}
-            for (k, s1) in outs:
-                for (j, sn) in cur_by_src.get(k, ()):
-                    hij = self.hom.get((i, j))
-                    if hij is None:
-                        continue
-                    tensor = self._tensor(i, k, j)
-                    if tensor is None:
-                        continue
-                    vecs = acc.setdefault(j, [])
-                    for fu in s1.basis:
-                        for gv in sn.basis:
-                            out = [0] * hij.dim
-                            for u, cu in enumerate(fu):
-                                if not cu:
-                                    continue
-                                row = tensor[u]
-                                for v, cv in enumerate(gv):
-                                    if not cv:
-                                        continue
-                                    cell = row[v]
-                                    f = cu * cv
-                                    for t, x in enumerate(cell):
-                                        if x:
-                                            out[t] += f * x
-                            if any(out):
-                                vecs.append(out)
-            for j, vecs in acc.items():
-                sub = Subspace.from_vectors(self.hom[(i, j)].dim, vecs)
-                if sub.dim:
-                    chain = self.chains[(i, j)]
-                    if len(chain) != n:
-                        raise InconsistencyError("radical chain grew past a zero layer")
-                    chain.append(sub)
-                    grew = True
-        self._depth += 1
-        if not grew:
-            self._complete = True
-        if self._depth > self._length_bound:
-            raise InconsistencyError(
-                "radical filtration failed to terminate; node list is not a "
-                "complete set of indecomposables")
+    def hom_pairs(self) -> list:
+        """Every pair with a nonzero Hom space (computes them all)."""
+        return list(self.hom)
 
     def ensure_depth(self, n: int) -> None:
+        self._start()
         while not self._complete and self._depth < n:
-            self._advance()
+            self._next_layer()
 
     def ensure_complete(self) -> None:
+        self._start()
         while not self._complete:
-            self._advance()
+            self._next_layer()
 
     @property
     def complete(self) -> bool:
+        self._start()
         return self._complete
 
     def layers_computed(self) -> int:
-        return max((len(c) for c in self.chains.values()), default=0)
+        self._start()
+        return max((len(c) for row in self._rows.values() for c in row.chains.values()),
+                   default=0)
 
     def subspace(self, i: int, j: int, n: int) -> Subspace:
         """R^n(node_i, node_j) in Hom-basis coordinates."""
@@ -213,21 +301,19 @@ class RadicalFiltration:
         hs = self.hom.get((i, j))
         if hs is None:
             return Subspace.zero(0)
-        chain = self.chains.get((i, j), [])
+        row = self._row(i)
+        chain = row.chains.get(j, [])
         if n <= len(chain):
             return chain[n - 1]
         if not self._complete:
             self.ensure_depth(n)
-            chain = self.chains.get((i, j), [])
+            chain = row.chains.get(j, [])
         return chain[n - 1] if n <= len(chain) else Subspace.zero(hs.dim)
 
     def dim_irr(self, i: int, j: int) -> int:
-        """dim Irr(node_i, node_j) = dim R - dim R²."""
-        self.ensure_depth(2)
-        chain = self.chains.get((i, j), [])
-        d1 = chain[0].dim if len(chain) >= 1 else 0
-        d2 = chain[1].dim if len(chain) >= 2 else 0
-        return d1 - d2
+        """dim Irr(node_i, node_j): the multiplicity of node i in the right
+        almost split map into node j."""
+        return sum(1 for k, _ in self.pieces(j) if k == i)
 
     def nilpotency_index(self) -> int:
         self.ensure_complete()

@@ -961,14 +961,18 @@ def is_indecomposable(M: Representation) -> bool:
         f"End/rad has dimension {end.dim - rad.dim} with no rational idempotent")
 
 
-def decompose(M: Representation) -> list:
-    """Indecomposable direct summands (Krull-Schmidt list, deterministic order)."""
+def decompose(M: Representation, with_inclusions: bool = False) -> list:
+    """Indecomposable direct summands (Krull-Schmidt list, deterministic order).
+
+    With ``with_inclusions`` each entry is a pair (summand, inclusion into
+    M), and M is the internal direct sum of the inclusions' images.
+    """
     if M.is_zero():
         return []
     end = hom_space(M, M)
     rad = end_radical(end)
     if end.dim - rad.dim == 1:
-        return [M]
+        return [(M, ModuleMorphism.identity(M))] if with_inclusions else [M]
     e = _find_split_idempotent(end)
     if e is None:
         raise SplitFieldNeededError(
@@ -976,9 +980,11 @@ def decompose(M: Representation) -> list:
     quiver = M.pres.quiver
     im_spaces = {v: e.maps[v].image() for v in quiver.vertices}
     ker_spaces = {v: e.maps[v].kernel() for v in quiver.vertices}
-    image, _ = subrepresentation(M, im_spaces)
-    kernel, _ = subrepresentation(M, ker_spaces)
-    return decompose(image) + decompose(kernel)
+    parts = (subrepresentation(M, im_spaces), subrepresentation(M, ker_spaces))
+    if not with_inclusions:
+        return [s for part, _ in parts for s in decompose(part)]
+    return [(s, incl @ inner) for part, incl in parts
+            for s, inner in decompose(part, True)]
 
 
 def find_isomorphism(M: Representation, N: Representation) -> Optional[ModuleMorphism]:

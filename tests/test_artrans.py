@@ -10,7 +10,14 @@ from quivrad.artrans import (
     transpose,
 )
 from quivrad.errors import LimitsExceededError
-from quivrad.rep import are_isomorphic, injective, projective, simple
+from quivrad.rep import (
+    ModuleMorphism,
+    are_isomorphic,
+    injective,
+    projective,
+    radical_submodule,
+    simple,
+)
 
 from conftest import load, pipeline
 
@@ -182,6 +189,46 @@ def test_almost_split_middle_a2(a2):
     # 0 -> S_2 -> P_1 -> S_1 -> 0
     middle = almost_split_middle(simple(a2, "1"), simple(a2, "2"))
     assert are_isomorphic(middle, projective(a2, "1"))
+
+
+def test_almost_split_map_is_the_cokernel(s3_pipeline):
+    # E -> Z is an epimorphism whose kernel has the dimension vector of τZ
+    pres, ar, _ = s3_pipeline
+    for node in ar.nodes:
+        if node.index not in ar.tau:
+            continue
+        tau_rep = ar.nodes[ar.tau[node.index]].rep
+        middle, g = almost_split_middle(node.rep, tau_rep, with_map=True)
+        assert middle.same_data(almost_split_middle(node.rep, tau_rep))
+        ModuleMorphism(middle, node.rep, g.maps)  # intertwines, checked on construction
+        assert g.is_epi()
+        kernel = [middle.dims[v] - node.rep.dims[v] for v in pres.quiver.vertices]
+        assert kernel == list(tau_rep.dim_vector())
+
+
+def test_pieces_map_into_their_node(s2_pipeline):
+    # each piece is a nonzero radical morphism node_k -> node_j, and the
+    # pieces into j are the summands of the right almost split map
+    pres, ar, filt = s2_pipeline
+    for j, node in enumerate(ar.nodes):
+        pieces = filt.pieces(j)
+        source_dim = sum(ar.nodes[k].rep.total_dim() for k, _ in pieces)
+        if j in ar.tau:  # the middle term of the almost split sequence
+            assert source_dim == node.rep.total_dim() + ar.nodes[ar.tau[j]].rep.total_dim()
+        else:  # rad P
+            assert source_dim == radical_submodule(node.rep)[0].total_dim()
+        for k, g in pieces:
+            assert g.source is ar.nodes[k].rep and g.target is node.rep
+            ModuleMorphism(g.source, g.target, g.maps)
+            assert not g.is_zero() and not g.is_invertible()
+
+
+def test_alias_lookups_share_one_error_contract(a2_pipeline):
+    _, ar, filt = a2_pipeline
+    for lookup, key in ((ar.projective_index, "P_9"), (ar.injective_index, "I_9"),
+                        (ar.simple_index, "S_9")):
+        with pytest.raises(ValueError, match=f"^{key} is not among the filtration nodes$"):
+            lookup("9")
 
 
 def test_dot_output_is_deterministic_and_labeled(s2_pipeline):

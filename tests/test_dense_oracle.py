@@ -1,0 +1,61 @@
+"""The sparse radical filtration against the dense all-pairs oracle."""
+import pytest
+
+from quivrad import ar_quiver
+from quivrad.radical import radical_filtration
+
+from conftest import load
+from dense_oracle import DenseFiltration
+from randgen import random_finite_monomial
+
+# every representation-finite fixture but ex_2_5, which is too slow for the oracle
+FIXTURES = ("a2", "a3", "a3_rel", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final")
+
+
+def _agrees_with_dense(filt, dense, arrows=None):
+    # layer by layer from a fresh filtration: the same depth reached, the same
+    # completion, the same layers_computed
+    d = 1
+    while True:
+        filt.ensure_depth(d)
+        dense.ensure_depth(d)
+        assert filt.layers_computed() == dense.layers_computed(), d
+        assert filt.complete == dense.complete, d
+        if dense.complete:
+            break
+        d += 1
+    depth = filt.layers_computed()
+    # every chain, building the rows of the nodes that are not projective
+    assert set(filt.hom_pairs()) == set(dense.hom)
+    for (i, j) in dense.hom:
+        chain = dense.chains.get((i, j), [])
+        got = [filt.subspace(i, j, n) for n in range(1, len(chain) + 2)]
+        assert got[:len(chain)] == chain, (i, j)
+        assert got[len(chain)].is_zero(), (i, j)
+    assert filt.layers_computed() == depth  # the lazily built rows are no longer
+    expected = sorted((i, j, dense.dim_irr(i, j)) for (i, j) in dense.hom
+                      if dense.dim_irr(i, j))
+    for (i, j) in dense.hom:
+        assert filt.dim_irr(i, j) == dense.dim_irr(i, j), (i, j)
+    if arrows is not None:
+        assert arrows == expected
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_fixture_chains_match_the_dense_oracle(name):
+    pres = load(name)
+    ar = ar_quiver(pres)
+    _agrees_with_dense(ar.filtration, DenseFiltration(ar.reps), ar.arrows())
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_node_list_chains_match_the_dense_oracle(name):
+    # a bare node list takes its pieces from artrans.node_pieces, one node at a time
+    pres = load(name)
+    reps = ar_quiver(pres).reps
+    _agrees_with_dense(radical_filtration(reps, pres), DenseFiltration(reps))
+
+
+def test_random_monomial_chains_match_the_dense_oracle():
+    for _, pres, ar in random_finite_monomial(20):
+        _agrees_with_dense(ar.filtration, DenseFiltration(ar.reps), ar.arrows())

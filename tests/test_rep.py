@@ -253,6 +253,25 @@ def test_decompose_random_sum_recovers_summands(s2, s2_pipeline):
         assert is_indecomposable(p)
 
 
+def test_decompose_inclusions_split_the_module(s2, s2_pipeline):
+    _, ar, _ = s2_pipeline
+    rng = random.Random(5)
+    total = direct_sum([ar.nodes[rng.randrange(ar.node_count())].rep for _ in range(3)])
+    pairs = decompose(total, True)
+    plain = decompose(total)
+    assert len(pairs) == len(plain)
+    assert all(s.same_data(t) for (s, _), t in zip(pairs, plain))
+    for summand, incl in pairs:
+        # a module morphism into the sum (checked on construction), and injective
+        ModuleMorphism(summand, total, incl.maps)
+        assert incl.is_mono()
+    # the images together span each vertex space: the sum is internal and direct
+    for v in s2.quiver.vertices:
+        cols = [col for _, incl in pairs for col in zip(*incl.maps[v].data)]
+        assert len(cols) == total.dims[v]
+        assert RatMatrix(cols, cols=total.dims[v]).rank() == total.dims[v]
+
+
 def test_split_field_needed_is_reported():
     # Kronecker module (I, J) with J^2 = -1: End is the Gaussian rationals,
     # so indecomposability cannot be certified over the rationals
