@@ -412,7 +412,7 @@ def _vertex_once_per_relation(pres: AlgebraPresentation) -> bool:
             continue
         for v in rel.terms[0][1].interior_vertices():
             counts[v] = counts.get(v, 0) + 1
-    return bool(counts) and all(c == 1 for c in counts.values())
+    return all(c == 1 for c in counts.values())
 
 
 def licensed_vertices(pres: AlgebraPresentation, method: str) -> tuple:
@@ -430,17 +430,15 @@ def licensed_vertices(pres: AlgebraPresentation, method: str) -> tuple:
     if method not in ("zero-relations", "one-per-relation", "toupie"):
         raise ValueError(f"unknown method {method!r}")
     cls = classify(pres)
-    if method == "zero-relations":
+    if method in ("zero-relations", "one-per-relation"):
         if not cls.is_monomial:
-            raise MethodInapplicableError("zero-relations method requires a monomial ideal")
+            raise MethodInapplicableError(f"{method} method requires a monomial ideal")
         r0 = zero_relation_vertices(pres)
         if not r0:
             raise MethodInapplicableError(
                 "no vertices are involved in zero-relations; fall back to the v-set method")
-        return r0
-    if method == "one-per-relation":
-        if not cls.is_monomial:
-            raise MethodInapplicableError("one-per-relation method requires a monomial ideal")
+        if method == "zero-relations":
+            return r0
         if not _vertex_once_per_relation(pres):
             raise MethodInapplicableError(
                 "a vertex is involved in more than one zero-relation (or repeatedly in one); "

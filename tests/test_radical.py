@@ -136,6 +136,14 @@ def test_one_per_relation_refuses_shared_vertices(s3_pipeline):
         nilpotency_index(pres, "one-per-relation", filt=filt)
 
 
+def test_one_per_relation_refuses_a_relation_free_algebra(a3_pipeline):
+    pres, ar, filt = a3_pipeline
+    for method in ("one-per-relation", "zero-relations"):
+        with pytest.raises(MethodInapplicableError,
+                           match="^no vertices are involved in zero-relations; "):
+            licensed_vertices(pres, method)
+
+
 def test_toupie_method(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     report = nilpotency_index(pres, "toupie", filt=filt)
