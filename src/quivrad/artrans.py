@@ -276,9 +276,9 @@ def node_pieces(reps: List[Representation], j: int) -> list:
     out = []
     for Z, g in right_almost_split_summands(Y, ar_translate(Y, pp), pp):
         for k, node in enumerate(reps):
-            iso = find_isomorphism(Z, node)
+            iso = find_isomorphism(node, Z)
             if iso is not None:
-                out.append((k, g @ iso.inverse()))
+                out.append((k, g @ iso))
                 break
         else:
             raise InconsistencyError(
@@ -450,9 +450,9 @@ class _Knitter:
     def _piece(self, summand: Representation, g: ModuleMorphism) -> tuple:
         """(k, g read on node k) for the node k isomorphic to summand, added if new."""
         for k in self.buckets.get(summand.dim_vector(), ()):
-            iso = find_isomorphism(summand, self.nodes[k].rep)
+            iso = find_isomorphism(self.nodes[k].rep, summand)
             if iso is not None:
-                return k, g @ iso.inverse()
+                return k, g @ iso
         return self._add_fresh(summand), g
 
     def _expand_orbit(self, idx: int) -> None:
