@@ -1,6 +1,6 @@
 import pytest
 
-from quivrad.errors import MethodInapplicableError
+from quivrad.errors import InconsistencyError, MethodInapplicableError
 from quivrad.linalg import Subspace
 from quivrad.radical import (
     NilpotencyReport,
@@ -261,6 +261,15 @@ def test_missing_alias_names_the_key(a2_pipeline):
     assert partial.projective_index("1") == partial.injective_index("2") == 0
     with pytest.raises(ValueError, match="S_2 is not among the filtration nodes"):
         partial.simple_index("2")
+
+
+def test_node_list_missing_a_summand_is_refused(s2_pipeline):
+    # drop a non-projective node that is a summand of the map into another
+    pres, ar, filt = s2_pipeline
+    j, k = next((j, k) for j in sorted(ar.tau) for k, _ in filt.pieces(j) if k in ar.tau)
+    partial = radical_filtration([n.rep for n in ar.nodes if n.index != k], pres)
+    with pytest.raises(InconsistencyError, match="not a complete set of indecomposables"):
+        partial.nilpotency_index()
 
 
 def _first_admitted(pres) -> str:
