@@ -4,11 +4,12 @@ Runs ``ar --json``, ``index --format json`` and
 ``check --theorem all --format json`` on each ``tests/data/*.quiver``, one
 fresh interpreter per call, and prints one line per call:
 
-    <fixture> <command> exit=<code> sha256=<hex digest of stdout>
+    <fixture> <command> exit=<code> sha256=<hex digest of stdout> err=<hex digest of stderr>
 
 Two checkouts produce identical output exactly when every call gives the
-same exit code and byte-identical stdout, so diffing the output of two runs
-checks that a change left the CLI's results alone.  The Kronecker fixture is
+same exit code and byte-identical stdout and stderr, so diffing the output
+of two runs checks that a change left the CLI's results alone, its refusal
+and error messages included.  The Kronecker fixture is
 representation-infinite and runs at ``--max-total-dim 400``: at the default
 guard its refusal takes over ten minutes.
 
@@ -47,14 +48,16 @@ RUNNER = "import sys; from quivrad.cli import main; sys.exit(main(sys.argv[1:]))
 
 
 def digest(fixture: Path, argv: list) -> tuple:
-    """(exit code, sha256 of stdout) of one CLI call in a fresh process."""
+    """(exit code, sha256 of stdout, sha256 of stderr) of one CLI call in a
+    fresh process."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     args = [argv[0], str(fixture)] + argv[1:] + EXTRA_ARGS.get(fixture.name, [])
     proc = subprocess.run([sys.executable, "-c", RUNNER] + args, cwd=ROOT, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=False)
-    return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
+                          capture_output=True, check=False)
+    return (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
+            hashlib.sha256(proc.stderr).hexdigest())
 
 
 def main() -> int:
@@ -64,8 +67,8 @@ def main() -> int:
         return 2
     for fixture in fixtures:
         for name, argv in COMMANDS:
-            code, sha = digest(fixture, argv)
-            print(f"{fixture.name} {name} exit={code} sha256={sha}", flush=True)
+            code, out, err = digest(fixture, argv)
+            print(f"{fixture.name} {name} exit={code} sha256={out} err={err}", flush=True)
     return 0
 
 
