@@ -313,11 +313,12 @@ class ARQuiver:
     read off the right almost split maps."""
 
     def __init__(self, pres: AlgebraPresentation, nodes: List[ARNode],
-                 tau: Dict[int, int], filtration: RadicalFiltration):
+                 tau: Dict[int, int], tau_inverse: Dict[int, int],
+                 filtration: RadicalFiltration):
         self.pres = pres
         self.nodes = nodes
         self.tau = tau                       # non-projective node -> its translate
-        self.tau_inverse = {v: k for k, v in tau.items()}
+        self.tau_inverse = tau_inverse       # non-injective node -> its inverse translate
         self.filtration = filtration
         self._alias_map = filtration.aliases
 
@@ -403,8 +404,12 @@ class _Knitter:
         self.nodes: List[ARNode] = []
         self.buckets: Dict[tuple, list] = {}
         self.tau: Dict[int, int] = {}
+        self.tau_inverse: Dict[int, int] = {}
         self.total_dim = 0
         self.fresh = 0
+        # every new node waits in both queues: its τ-orbit step, then its mesh
+        self.orbit_queue: List[int] = []
+        self.mesh_queue: List[int] = []
         # minimal presentations of the non-projective nodes, kept from the
         # τ step until the almost split middle term is built
         self.presentations: Dict[int, ProjectivePresentation] = {}
@@ -427,21 +432,20 @@ class _Knitter:
                 "within the given limits")
         self.nodes.append(ARNode(idx, rep, root, power))
         self.buckets.setdefault(rep.dim_vector(), []).append(idx)
+        self.orbit_queue.append(idx)
+        self.mesh_queue.append(idx)
         return idx
 
     def link_tau(self, y: int, x: int) -> None:
-        """Record τ(node y) = node x."""
-        old = self.tau.get(y)
-        if old is not None and old != x:
+        """Record τ(node y) = node x and τ⁻¹(node x) = node y."""
+        if self.tau.get(y, x) != x or self.tau_inverse.get(x, y) != y:
             raise InconsistencyError("conflicting translate links")
         self.tau[y] = x
+        self.tau_inverse[x] = y
 
     def _add_fresh(self, rep: Representation) -> int:
         self.fresh += 1
-        j = self.add(rep, f"M{self.fresh}", 0)
-        self.orbit_queue.append(j)
-        self.mesh_queue.append(j)
-        return j
+        return self.add(rep, f"M{self.fresh}", 0)
 
     def _absorb(self, rep: Representation) -> None:
         if self.find_iso(rep) is None:
@@ -456,27 +460,31 @@ class _Knitter:
         return self._add_fresh(summand), g
 
     def _expand_orbit(self, idx: int) -> None:
-        """Walk τ in both directions; cheap, and where the guards trip first."""
+        """Walk τ in both directions; cheap, and where the guards trip first.
+
+        τ is a bijection from the non-projective to the non-injective
+        indecomposables, so each link is derived once, from the end the walk
+        reaches first: a side already linked from its other end is skipped.
+        """
         node = self.nodes[idx]
         X = node.rep
-        nxt = ar_translate_inverse(X)
-        if nxt is not None:
-            e = self.find_iso(nxt)
-            if e is None:
-                e = self.add(nxt, node.orbit_root, node.orbit_power + 1)
-                self.orbit_queue.append(e)
-                self.mesh_queue.append(e)
-            self.link_tau(e, idx)
-        pp = minimal_presentation(X)
-        prev = ar_translate(X, pp)
-        if prev is not None:
-            self.presentations[idx] = pp
-            p = self.find_iso(prev)
-            if p is None:
-                p = self.add(prev, node.orbit_root, node.orbit_power - 1)
-                self.orbit_queue.append(p)
-                self.mesh_queue.append(p)
-            self.link_tau(idx, p)
+        if idx not in self.tau_inverse:
+            nxt = ar_translate_inverse(X)
+            if nxt is not None:
+                self.link_tau(self._orbit_node(nxt, node, 1), idx)
+        if idx not in self.tau:
+            pp = minimal_presentation(X)
+            prev = ar_translate(X, pp)
+            if prev is not None:
+                self.presentations[idx] = pp
+                self.link_tau(idx, self._orbit_node(prev, node, -1))
+
+    def _orbit_node(self, rep: Representation, node: ARNode, step: int) -> int:
+        """The node isomorphic to rep, a τ^(-step) of node, added to its orbit if new."""
+        found = self.find_iso(rep)
+        if found is not None:
+            return found
+        return self.add(rep, node.orbit_root, node.orbit_power + step)
 
     def _expand_mesh(self, idx: int) -> None:
         """Neighbor closure: the summands of the right almost split map into
@@ -486,27 +494,22 @@ class _Knitter:
         tau_rep = self.nodes[self.tau[idx]].rep if idx in self.tau else None
         summands = right_almost_split_summands(X, tau_rep, self.presentations.pop(idx, None))
         self.pieces[idx] = [self._piece(summand, g) for summand, g in summands]
-        if idx not in self.tau_inv_seen:  # injective: successors are the soc-quotient summands
+        if idx not in self.tau_inverse:  # injective: successors are the soc-quotient summands
             quo, _ = quotient_representation(X, _rep._socle_subspaces(X))
             for summand in decompose(quo) if not quo.is_zero() else []:
                 self._absorb(summand)
 
     def run(self):
         pres = self.pres
-        self.orbit_queue = []
-        self.mesh_queue = []
         for a in pres.quiver.vertices:
             P = projective(pres, a)
             if self.find_iso(P) is None:
-                idx = self.add(P, f"P_{a}", 0)
-                self.orbit_queue.append(idx)
-                self.mesh_queue.append(idx)
+                self.add(P, f"P_{a}", 0)
         oi = mi = 0
         while True:
             while oi < len(self.orbit_queue):
                 self._expand_orbit(self.orbit_queue[oi])
                 oi += 1
-            self.tau_inv_seen = set(self.tau.values())
             if mi >= len(self.mesh_queue):
                 break
             self._expand_mesh(self.mesh_queue[mi])
@@ -527,8 +530,8 @@ def enumerate_indecomposables(pres: AlgebraPresentation,
 def ar_quiver(pres: AlgebraPresentation,
               limits: EnumerationLimits | None = None) -> ARQuiver:
     knit = _enumerate_nodes(pres, limits or EnumerationLimits())
-    nodes, tau = knit.nodes, knit.tau
+    nodes = knit.nodes
     filt = RadicalFiltration(pres, [n.rep for n in nodes], knit.pieces)
     for key, idx in filt.aliases.items():
         nodes[idx].aliases += (key,)
-    return ARQuiver(pres, nodes, tau, filt)
+    return ARQuiver(pres, nodes, knit.tau, knit.tau_inverse, filt)

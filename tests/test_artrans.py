@@ -1,5 +1,6 @@
 import pytest
 
+from quivrad import artrans
 from quivrad.artrans import (
     EnumerationLimits,
     almost_split_middle,
@@ -9,7 +10,7 @@ from quivrad.artrans import (
     enumerate_indecomposables,
     transpose,
 )
-from quivrad.errors import LimitsExceededError
+from quivrad.errors import InconsistencyError, LimitsExceededError
 from quivrad.rep import (
     ModuleMorphism,
     are_isomorphic,
@@ -20,11 +21,26 @@ from quivrad.rep import (
 )
 
 from conftest import load, pipeline
+from randgen import random_finite_monomial
+
+# every representation-finite fixture but ex_2_5, which is slow to knit
+FINITE_FIXTURES = ("a2", "a3", "a3_rel", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final")
 
 
 @pytest.fixture(scope="module")
 def a2():
     return load("a2")
+
+
+def test_link_tau_refuses_a_second_claim_on_either_end(a2):
+    knit = artrans._Knitter(a2, EnumerationLimits())
+    knit.link_tau(0, 1)
+    knit.link_tau(0, 1)  # the same link again is no conflict
+    with pytest.raises(InconsistencyError, match="conflicting translate links"):
+        knit.link_tau(0, 2)  # a second translate of node 0
+    with pytest.raises(InconsistencyError, match="conflicting translate links"):
+        knit.link_tau(2, 1)  # a second node with translate node 1
+    assert knit.tau == {0: 1} and knit.tau_inverse == {1: 0}
 
 
 def test_translate_of_projective_is_none(a2):
@@ -57,12 +73,53 @@ def test_a3_translates():
     assert ar_translate(projective(a3, "1")) is None  # P_1 = I_3
 
 
-def test_translate_round_trip(s3_pipeline):
-    pres, ar, _ = s3_pipeline
+def _assert_translates_match_links(ar):
+    # the walk derives each link from one end only; derive both ends here
+    assert ar.tau_inverse == {x: y for y, x in ar.tau.items()}
     for node in ar.nodes:
-        if node.index in ar.tau:  # non-projective
-            back = ar_translate_inverse(ar.nodes[ar.tau[node.index]].rep)
-            assert back is not None and are_isomorphic(back, node.rep)
+        t = ar_translate(node.rep)
+        t_inv = ar_translate_inverse(node.rep)
+        if node.index in ar.tau:
+            assert t is not None and are_isomorphic(t, ar.nodes[ar.tau[node.index]].rep)
+        else:
+            assert t is None, node.label
+        if node.index in ar.tau_inverse:
+            back = ar.nodes[ar.tau_inverse[node.index]].rep
+            assert t_inv is not None and are_isomorphic(t_inv, back)
+        else:
+            assert t_inv is None, node.label
+
+
+def test_translate_round_trip():
+    for name in FINITE_FIXTURES:
+        _assert_translates_match_links(pipeline(name)[1])
+
+
+def test_translate_round_trip_on_random_samples():
+    for _, _, ar in random_finite_monomial(20):
+        _assert_translates_match_links(ar)
+
+
+@pytest.mark.parametrize("name", ("a3", "s2_cyclic", "s3_cycle", "ex_4_5"))
+def test_each_translate_link_is_derived_once(name, monkeypatch):
+    # one translate per link, plus the None of τ at each projective and of
+    # τ⁻¹ at each injective; deriving every link from both ends would make
+    # it 2 * node_count
+    calls = []
+
+    def counted(real):
+        def wrapper(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return wrapper
+
+    for fn in ("ar_translate", "ar_translate_inverse"):
+        monkeypatch.setattr(artrans, fn, counted(getattr(artrans, fn)))
+    ar = ar_quiver(load(name))
+    projs = [n for n in ar.nodes if any(a.startswith("P_") for a in n.aliases)]
+    injs = [n for n in ar.nodes if any(a.startswith("I_") for a in n.aliases)]
+    assert len(calls) == len(ar.tau) + len(projs) + len(injs)
+    assert len(calls) < 2 * ar.node_count()
 
 
 def test_transpose_twice_is_identity_on_non_projectives(s3_pipeline):
