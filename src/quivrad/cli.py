@@ -231,6 +231,18 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a guard limit: a positive integer.  A non-integer
+    gets argparse's own ``type=int`` wording."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quivrad",
@@ -245,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-len", type=int, default=DEFAULT_LENGTH_CAP,
                        help="admissibility enumeration cap")
         if limits:
-            p.add_argument("--max-modules", type=int, default=10_000)
-            p.add_argument("--max-total-dim", type=int, default=10_000)
+            p.add_argument("--max-modules", type=_positive_int, default=10_000)
+            p.add_argument("--max-total-dim", type=_positive_int, default=10_000)
 
     p_val = sub.add_parser("validate", help="parse and certify admissibility")
     common(p_val, limits=False)

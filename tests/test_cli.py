@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from quivrad.cli import main
 
 from conftest import fixture_path
@@ -108,6 +110,27 @@ def test_ar_kronecker_limits_exit_3(capsys):
                          "--max-total-dim", "60")
     assert code == 3
     assert "representation-infinite" in err
+
+
+@pytest.mark.parametrize("command", ("ar", "index", "check"))
+@pytest.mark.parametrize("option,value", (("--max-modules", "0"), ("--max-total-dim", "-5")))
+def test_non_positive_guard_limit_is_a_usage_error(command, option, value, capsys):
+    # refused by the argument parser, before the (missing) file is read
+    with pytest.raises(SystemExit) as exc:
+        main([command, "no_such_file.quiver", option, value])
+    assert exc.value.code == 2
+    assert f"argument {option}: must be positive: '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option,value,reached", (
+    ("--max-total-dim", "400", "after 20 modules (total dimension 443)"),
+    ("--max-modules", "12", "after 12 modules (total dimension 171)"),
+))
+def test_kronecker_guard_message_is_pinned(option, value, reached, capsys):
+    code, out, err = run(capsys, "ar", fixture_path("kronecker"), option, value)
+    assert code == 3 and out == ""
+    assert err == (f"enumeration guard hit {reached}; presentation presumed "
+                   "representation-infinite within the given limits\n")
 
 
 def test_check_corollary_text(capsys):
