@@ -1,8 +1,9 @@
 """Digest of the CLI output on every fixture in tests/data.
 
-Runs ``ar --json``, ``index --format json`` and
-``check --theorem all --format json`` on each ``tests/data/*.quiver``, one
-fresh interpreter per call, and prints one line per call:
+Runs ``ar --json``, ``index --format json``,
+``check --theorem all --format json`` and the text-format ``check`` on each
+``tests/data/*.quiver``, one fresh interpreter per call, and prints one line
+per call:
 
     <fixture> <command> exit=<code> sha256=<hex digest of stdout> err=<hex digest of stderr>
 
@@ -26,7 +27,7 @@ prints nothing exactly when every result is unchanged.
 
 It imports quivrad from the ``src/`` directory of the checkout that holds
 this script, and uses only the standard library.  The whole run takes about
-15 seconds on a 2-core machine; ``tests/test_fixture_digest.py`` runs it.
+20 seconds on a 2-core machine; ``tests/test_fixture_digest.py`` runs it.
 """
 from __future__ import annotations
 
@@ -42,6 +43,7 @@ COMMANDS = (
     ("ar", ["ar", "--json"]),
     ("index", ["index", "--format", "json"]),
     ("check", ["check", "--theorem", "all", "--format", "json"]),
+    ("check-text", ["check"]),
 )
 EXTRA_ARGS = {"kronecker.quiver": ["--max-total-dim", "400"]}
 RUNNER = "import sys; from quivrad.cli import main; sys.exit(main(sys.argv[1:]))"
