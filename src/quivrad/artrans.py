@@ -4,12 +4,16 @@ The translate is computed from a minimal projective presentation: read the
 presentation as a matrix of path classes, transport it to the opposite
 presentation, take the cokernel there, dualize back.
 
-Enumeration is a knitting closure.  Inverse-translate orbits of the
-projectives alone can miss translate-periodic modules (they exist for some
-bound quiver algebras), so each node also contributes its almost-split
-middle term, rad P for projectives and I/soc for injectives; for a connected
-representation-finite algebra the AR quiver is connected, so this closure is
-complete.  Guard limits turn a runaway enumeration into an error.
+Enumeration is a knitting closure from the projectives: each node brings
+in its translates τ and τ⁻¹ and its predecessors, the summands of the right
+almost split map into it (rad P for a projective, else the almost split
+middle term).  Inverse-translate orbits of the projectives alone can miss
+translate-periodic modules (they exist for some bound quiver algebras), and
+the predecessors close that gap.  Successors need no step of their own: a
+successor Y of a node X is projective, so a seed, or τ⁻¹ of τY, and
+τY -> X is irreducible, so τY is a predecessor of X.  For a connected
+representation-finite algebra the AR quiver is connected, so this closure
+is complete.  Guard limits turn a runaway enumeration into an error.
 
 The knitting keeps the right almost split map into every node (rad P ↪ P,
 or the end of the almost split sequence), one piece per indecomposable
@@ -38,7 +42,6 @@ from .rep import (
     kernel_submodule,
     minimal_presentation,
     morphism_ambient,
-    morphism_from_projective,
     projective,
     quotient_representation,
     radical_submodule,
@@ -92,55 +95,31 @@ def transpose(M: Representation,
         return zero_representation(op)
     model = pres.model()
     model_op = op.model()
-    # generator offsets of the P1 summands, vertexwise
-    offsets1 = []
-    run = {v: 0 for v in pres.quiver.vertices}
-    for b in pp.p1_summands:
-        offsets1.append(dict(run))
-        for v in pres.quiver.vertices:
-            run[v] += len(model.basis(b, v))
-    # P0 summand slices, vertexwise
-    slices0 = []
-    run0 = {v: 0 for v in pres.quiver.vertices}
-    for a in pp.p0_summands:
-        start = dict(run0)
-        for v in pres.quiver.vertices:
-            run0[v] += len(model.basis(a, v))
-        slices0.append((start, dict(run0)))
-    op_proj = [projective(op, a) for a in pp.p0_summands]
-    op_targets = [projective(op, b) for b in pp.p1_summands]
-    blocks: Dict[tuple, ModuleMorphism] = {}
-    for j, b in enumerate(pp.p1_summands):
-        col = offsets1[j][b]  # trivial path sits first in basis(b, b)
-        fcol = [row[col] for row in pp.f1.maps[b].data]
-        for i, a in enumerate(pp.p0_summands):
-            lo, hi = slices0[i][0][b], slices0[i][1][b]
-            sigma = fcol[lo:hi]  # coords over basis(a, b)
-            if not any(sigma):
-                continue
-            vec = _reversed_class_coords(model, model_op, a, b, sigma)
-            if any(vec):
-                blocks[(j, i)] = morphism_from_projective(op, a, op_targets[j], vec)
-    source = _rep.direct_sum(op_proj)
-    target = _rep.direct_sum(op_targets)
-    maps = {}
-    for v in op.quiver.vertices:
-        data = [[0] * source.dims[v] for _ in range(target.dims[v])]
-        ro = 0
-        for j, tgt in enumerate(op_targets):
-            co = 0
-            for i, src in enumerate(op_proj):
-                blk = blocks.get((j, i))
-                if blk is not None:
-                    m = blk.maps[v]
-                    for r, row in enumerate(m.data):
-                        for c, x in enumerate(row):
-                            if x:
-                                data[ro + r][co + c] = x
-                co += src.dims[v]
-            ro += tgt.dims[v]
-        maps[v] = RatMatrix(data, cols=source.dims[v])
-    g = ModuleMorphism(source, target, maps, check=False)
+
+    def starts(summands) -> list:
+        """Where each summand's block begins in (⊕ P_s)_v, vertexwise."""
+        run = dict.fromkeys(pres.quiver.vertices, 0)
+        out = []
+        for s in summands:
+            out.append(dict(run))
+            for v in pres.quiver.vertices:
+                run[v] += len(model.basis(s, v))
+        return out
+
+    starts1, starts0 = starts(pp.p1_summands), starts(pp.p0_summands)
+    # the generator of P^op_{a_i} goes to the f1-coefficients of the P1
+    # generators on the P0 summand P_{a_i}, reversed into each P^op_{b_j}
+    images = []
+    for i, a in enumerate(pp.p0_summands):
+        vec = []
+        for j, b in enumerate(pp.p1_summands):
+            col = starts1[j][b]  # trivial path sits first in basis(b, b)
+            lo = starts0[i][b]
+            sigma = [row[col] for row in pp.f1.maps[b].data[lo:lo + len(model.basis(a, b))]]
+            vec.extend(_reversed_class_coords(model, model_op, a, b, sigma))
+        images.append(vec)
+    target = _rep.direct_sum([projective(op, b) for b in pp.p1_summands])
+    g = sum_of_projectives_morphism(op, pp.p0_summands, target, images)
     spaces = {v: g.maps[v].image() for v in op.quiver.vertices}
     tr, _ = quotient_representation(target, spaces)
     return tr
@@ -447,10 +426,6 @@ class _Knitter:
         self.fresh += 1
         return self.add(rep, f"M{self.fresh}", 0)
 
-    def _absorb(self, rep: Representation) -> None:
-        if self.find_iso(rep) is None:
-            self._add_fresh(rep)
-
     def _piece(self, summand: Representation, g: ModuleMorphism) -> tuple:
         """(k, g read on node k) for the node k isomorphic to summand, added if new."""
         for k in self.buckets.get(summand.dim_vector(), ()):
@@ -487,17 +462,13 @@ class _Knitter:
         return self.add(rep, node.orbit_root, node.orbit_power + step)
 
     def _expand_mesh(self, idx: int) -> None:
-        """Neighbor closure: the summands of the right almost split map into
-        the node (rad P for a projective, else the almost split middle term),
-        kept as its pieces, and I/soc for an injective."""
+        """The node's predecessors: the summands of the right almost split
+        map into it (rad P for a projective, else the almost split middle
+        term), kept as its pieces."""
         X = self.nodes[idx].rep
         tau_rep = self.nodes[self.tau[idx]].rep if idx in self.tau else None
         summands = right_almost_split_summands(X, tau_rep, self.presentations.pop(idx, None))
         self.pieces[idx] = [self._piece(summand, g) for summand, g in summands]
-        if idx not in self.tau_inverse:  # injective: successors are the soc-quotient summands
-            quo, _ = quotient_representation(X, _rep._socle_subspaces(X))
-            for summand in decompose(quo) if not quo.is_zero() else []:
-                self._absorb(summand)
 
     def run(self):
         pres = self.pres

@@ -122,6 +122,22 @@ def test_each_translate_link_is_derived_once(name, monkeypatch):
     assert len(calls) < 2 * ar.node_count()
 
 
+@pytest.mark.parametrize("name", ("a3", "s2_cyclic", "s3_cycle", "ex_4_5"))
+def test_knitting_decomposes_each_right_almost_split_source_once(name, monkeypatch):
+    # successors need no decomposition of their own: a successor is a
+    # projective seed or the inverse translate of a predecessor
+    calls = []
+    real = artrans.decompose
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(artrans, "decompose", counted)
+    ar = ar_quiver(load(name))
+    assert len(calls) == sum(1 for j in range(ar.node_count()) if ar.filtration.pieces(j))
+
+
 def test_transpose_twice_is_identity_on_non_projectives(s3_pipeline):
     pres, ar, _ = s3_pipeline
     count = 0
