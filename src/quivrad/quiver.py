@@ -56,9 +56,6 @@ class Quiver:
     def has_arrow(self, name: str) -> bool:
         return name in self._by_name
 
-    def vertex_index(self, v: str) -> int:
-        return self._vindex[v]
-
     def out_arrows(self, v: str) -> list:
         return list(self._out[v])
 
@@ -102,9 +99,6 @@ class Path:
     @property
     def length(self) -> int:
         return len(self.arrows)
-
-    def is_trivial(self) -> bool:
-        return not self.arrows
 
     def then(self, other: "Path") -> "Path":
         """Concatenate: self traversed first, then other."""
@@ -495,17 +489,6 @@ class _QuotientModel:
         self._by_len_end.setdefault((path.length, path.end), []).append(path)
         self._by_len_start.setdefault((path.length, path.start), []).append(path)
 
-    def _vector_of_combination(self, terms) -> dict:
-        """Map sum of (coeff, raw path) to column coordinates; unregistered
-        components are provably zero classes and are dropped."""
-        vec: dict = {}
-        for coeff, path in terms:
-            idx = self.path_index.get(path.key())
-            if idx is None:
-                continue
-            vec[idx] = vec.get(idx, 0) + coeff
-        return {c: v for c, v in vec.items() if v}
-
     def _generate_multiples(self, total: int) -> None:
         """Add all q·r·p with len(p)+len(q)+max_term(r) == total."""
         for rel in self.pres.relations:
@@ -747,9 +730,6 @@ class ToupieShape:
     sink: str
     branches: tuple          # of Branch
     grafo: Optional[GrafoPattern] = None
-
-    def branch_vertices(self, idx: int) -> tuple:
-        return self.branches[idx].vertices
 
 
 @dataclass(frozen=True)
