@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .artrans import ARQuiver, EnumerationLimits, ar_quiver
+from .artrans import EnumerationLimits, ar_quiver
 from .errors import (
     InconsistencyError,
     LimitsExceededError,
@@ -33,16 +33,16 @@ EXIT_INCONSISTENT = 5
 VERIFY_SIZE_THRESHOLD = 64  # vertices + arrows; below this, --verify defaults on
 
 
-def _read_presentation(path: str):
+def _read_presentation(args):
+    """Parse ``args.file`` and certify it admissible at ``args.max_len``:
+    (presentation, admissibility report)."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _CliFailure(EXIT_IO, f"cannot read {path}: {exc.strerror or exc}")
-    try:
-        return parse_presentation(text)
-    except ParseError as exc:
-        raise _CliFailure(EXIT_INVALID, f"invalid presentation: {exc}")
+        raise _CliFailure(EXIT_IO, f"cannot read {args.file}: {exc.strerror or exc}")
+    pres = parse_presentation(text)
+    return pres, validate_admissible(pres, max_len=args.max_len)
 
 
 class _CliFailure(Exception):
@@ -67,19 +67,8 @@ def _limits(args) -> EnumerationLimits:
                              max_total_dim=args.max_total_dim)
 
 
-def _build_ar(pres, args) -> ARQuiver:
-    try:
-        return ar_quiver(pres, _limits(args))
-    except LimitsExceededError as exc:
-        raise _CliFailure(EXIT_LIMITS, str(exc))
-
-
 def cmd_validate(args) -> int:
-    pres = _read_presentation(args.file)
-    try:
-        report = validate_admissible(pres, max_len=args.max_len)
-    except NotAdmissibleError as exc:
-        raise _CliFailure(EXIT_INVALID, f"NotAdmissible: {exc}")
+    pres, report = _read_presentation(args)
     payload = {
         "admissible": True,
         "vertices": len(pres.quiver.vertices),
@@ -98,8 +87,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ar(args) -> int:
-    pres = _read_presentation(args.file)
-    ar = _build_ar(pres, args)
+    pres, _ = _read_presentation(args)
+    ar = ar_quiver(pres, _limits(args))
     wrote = False
     if args.dot is not None:
         _emit(ar.to_dot(), args.dot)
@@ -116,17 +105,10 @@ def cmd_ar(args) -> int:
 
 
 def cmd_index(args) -> int:
-    pres = _read_presentation(args.file)
-    try:
-        validate_admissible(pres, max_len=args.max_len)
-    except NotAdmissibleError as exc:
-        raise _CliFailure(EXIT_INVALID, f"NotAdmissible: {exc}")
-    try:
-        gate_method(pres, args.method)  # cheap preconditions before enumeration
-        ar = _build_ar(pres, args)
-        report = nilpotency_index(pres, args.method, filt=ar.filtration)
-    except MethodInapplicableError as exc:
-        raise _CliFailure(EXIT_INAPPLICABLE, f"MethodInapplicable: {exc}")
+    pres, _ = _read_presentation(args)
+    gate_method(pres, args.method)  # cheap preconditions before enumeration
+    ar = ar_quiver(pres, _limits(args))
+    report = nilpotency_index(pres, args.method, filt=ar.filtration)
     payload = report.to_json_dict()
     verify = args.verify
     if verify is None:
@@ -191,37 +173,15 @@ def _findings_text(name: str, obj) -> list:
 
 
 def cmd_check(args) -> int:
-    pres = _read_presentation(args.file)
-    ar = _build_ar(pres, args)
-    filt = ar.filtration
-    chosen = args.theorem
-    try:
-        if chosen == "all":
-            results = theorems.check_all(pres, filt)
-        elif chosen == "corollary":
-            results = {"corollary": [theorems.check_corollary_irred(pres, filt, x.source, x.target)
-                                     for x in pres.quiver.arrows]}
-        elif chosen == "A":
-            results = {"A": [theorems.check_theorem_A(pres, filt, x.source, x.target)
-                             for x in pres.quiver.arrows]}
-        elif chosen == "prop33":
-            results = {"prop33": theorems.check_prop_33(pres, filt)}
-        elif chosen == "B":
-            results = {"B": theorems.check_theorem_B(pres, filt)}
-        elif chosen == "C":
-            results = {"C": theorems.check_theorem_C(pres, filt)}
-        elif chosen == "D":
-            results = {"D": theorems.check_theorem_D(pres, filt)}
-        elif chosen == "lemmas":
-            results = {"lemma32": theorems.check_lemma_32(pres),
-                       "lemma_refe": theorems.check_lemma_refe(pres, filt)}
-        else:
-            raise _CliFailure(EXIT_IO, f"unknown theorem {chosen!r}")
-    except MethodInapplicableError as exc:
-        raise _CliFailure(EXIT_INAPPLICABLE, f"MethodInapplicable: {exc}")
+    pres, _ = _read_presentation(args)
+    filt = ar_quiver(pres, _limits(args)).filtration
+    if args.theorem == "all":
+        results = theorems.check_all(pres, filt)
+    else:  # an inapplicable rule propagates: exit 4
+        results = {name: theorems.CHECKERS[name](pres, filt)
+                   for name in theorems.GROUPS.get(args.theorem, (args.theorem,))}
     if args.format == "json":
-        payload = {k: _findings_json(v) if not (isinstance(v, dict) and "inapplicable" in v)
-                   else v for k, v in results.items()}
+        payload = {k: _findings_json(v) for k, v in results.items()}
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
     else:
         lines = []
@@ -232,8 +192,8 @@ def cmd_check(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for a guard limit: a positive integer.  A non-integer
-    gets argparse's own ``type=int`` wording."""
+    """argparse type for a positive integer option (a guard limit or the
+    length cap).  A non-integer gets argparse's own ``type=int`` wording."""
     try:
         value = int(text)
     except ValueError:
@@ -254,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("file", help="presentation in the quiver DSL")
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        p.add_argument("--max-len", type=int, default=DEFAULT_LENGTH_CAP,
+        p.add_argument("--max-len", type=_positive_int, default=DEFAULT_LENGTH_CAP,
                        help="admissibility enumeration cap")
         if limits:
             p.add_argument("--max-modules", type=_positive_int, default=10_000)

@@ -31,6 +31,7 @@ from .radical import (
 from .rep import (
     ModuleMorphism,
     Representation,
+    end_radical,
     find_isomorphism,
     hom_space,
     is_indecomposable,
@@ -103,59 +104,48 @@ def _conclude(proj_side: bool, inj_side: bool) -> str:
     return "none"
 
 
-def check_corollary_irred(pres: AlgebraPresentation, filt: RadicalFiltration,
-                          a: str, b: str) -> ComparisonFinding:
-    """Arrow a -> b: an irreducible P_b -> P_a with trivial End(P_b) forces
-    r_b <= r_a; dually an irreducible I_b -> I_a with trivial End(I_a)
-    forces r_a <= r_b."""
+def _compare_arrow(pres: AlgebraPresentation, filt: RadicalFiltration, a: str, b: str,
+                   rule: str, context: str, proj_holds, inj_holds) -> ComparisonFinding:
+    """Arrow a -> b: r_b <= r_a when Irr(P_b, P_a) ≠ 0 and ``proj_holds(P_b, P_a)``,
+    r_a <= r_b when Irr(I_b, I_a) ≠ 0 and ``inj_holds(I_b, I_a)`` (node indices)."""
     a, b = str(a), str(b)
     arrow = _arrow_between(pres, a, b)
     pa, pb = filt.projective_index(a), filt.projective_index(b)
     ia, ib = filt.injective_index(a), filt.injective_index(b)
     irr_p = filt.dim_irr(pb, pa)
     irr_i = filt.dim_irr(ib, ia)
-    end_pb = filt.hom[(pb, pb)].dim
-    end_ia = filt.hom[(ia, ia)].dim
-    proj_side = irr_p >= 1 and end_pb == 1
-    inj_side = irr_i >= 1 and end_ia == 1
+    proj_side = irr_p >= 1 and proj_holds(pb, pa)
+    inj_side = irr_i >= 1 and inj_holds(ib, ia)
     relation = _conclude(proj_side, inj_side)
     r_a = canonical_r(pres, filt, a)
     r_b = canonical_r(pres, filt, b)
-    _verify_relation(relation, r_a, r_b, f"corollary at arrow {arrow}")
-    return ComparisonFinding(a, b, arrow, "corollary", irr_p, irr_i, end_pb, end_ia,
+    _verify_relation(relation, r_a, r_b, f"{context} at arrow {arrow}")
+    return ComparisonFinding(a, b, arrow, rule, irr_p, irr_i,
+                             filt.hom[(pb, pb)].dim, filt.hom[(ia, ia)].dim,
                              proj_side, inj_side, relation, r_a, r_b)
 
 
-def _irreducible_representative(filt: RadicalFiltration, i: int, j: int) -> Optional[ModuleMorphism]:
-    """A morphism in R(i,j) \\ R²(i,j), or None when Irr vanishes."""
-    hs = filt.hom.get((i, j))
-    if hs is None:
-        return None
-    r1 = filt.subspace(i, j, 1)
-    r2 = filt.subspace(i, j, 2)
-    for row in r1.basis:
-        if r2.dim == 0 or not r2.contains_vector(row):
-            return hs.element(row)
-    return None
+def check_corollary_irred(pres: AlgebraPresentation, filt: RadicalFiltration,
+                          a: str, b: str) -> ComparisonFinding:
+    """Arrow a -> b: an irreducible P_b -> P_a with trivial End(P_b) forces
+    r_b <= r_a; dually an irreducible I_b -> I_a with trivial End(I_a)
+    forces r_a <= r_b."""
+    return _compare_arrow(pres, filt, a, b, "corollary", "corollary",
+                          lambda pb, pa: filt.hom[(pb, pb)].dim == 1,
+                          lambda ib, ia: filt.hom[(ia, ia)].dim == 1)
 
 
-def _factorization_holds(filt: RadicalFiltration, src: int, dst: int,
-                         through: int, side: str) -> bool:
-    """side 'proj': Hom(src,dst) == End(dst) ∘ f1 for an irreducible f1;
-    side 'inj': Hom(src,dst) == g1 ∘ End(src)."""
-    hs = filt.hom.get((src, dst))
-    if hs is None:
-        return False
-    f1 = _irreducible_representative(filt, src, dst)
-    if f1 is None:
-        return False
-    ends = filt.hom[(through, through)]
-    vecs = []
-    for mu in ends.basis:
-        comp = (mu @ f1) if side == "proj" else (f1 @ mu)
-        vecs.append(comp.flatten())
-    span = Subspace.from_vectors(len(f1.flatten()), vecs)
-    return span.dim == hs.dim
+def _factorization_holds(filt: RadicalFiltration, src: int, dst: int, side: str) -> bool:
+    """side 'proj': Hom(src,dst) == End(dst) ∘ f1; side 'inj':
+    Hom(src,dst) == f1 ∘ End(src); f1 the first knitted piece src -> dst,
+    an irreducible map."""
+    f1 = next(g for k, g in filt.pieces(dst) if k == src)
+    if side == "proj":
+        comps = [mu @ f1 for mu in filt.hom[(dst, dst)].basis]
+    else:
+        comps = [f1 @ mu for mu in filt.hom[(src, src)].basis]
+    span = Subspace.from_vectors(len(f1.flatten()), [c.flatten() for c in comps])
+    return span.dim == filt.hom[(src, dst)].dim
 
 
 def check_theorem_A(pres: AlgebraPresentation, filt: RadicalFiltration,
@@ -164,24 +154,14 @@ def check_theorem_A(pres: AlgebraPresentation, filt: RadicalFiltration,
     with f1 irreducible, then r_b <= r_a; dual on injectives gives r_a <= r_b.
 
     The factorization hypothesis is checked as a subspace identity: composing
-    End with a fixed irreducible representative must fill the whole Hom space
-    (any representative works, since another differs by a scalar plus R²).
+    End with the knitted irreducible f1 must fill the whole Hom space.  Any
+    other irreducible gives the same answer, since End(P_a) and End(I_b) are
+    local: when dim Irr = 1 another one is u∘f1 (or f1∘u) with u invertible,
+    and when dim Irr ≥ 2 no single one fills the Hom space.
     """
-    a, b = str(a), str(b)
-    arrow = _arrow_between(pres, a, b)
-    pa, pb = filt.projective_index(a), filt.projective_index(b)
-    ia, ib = filt.injective_index(a), filt.injective_index(b)
-    irr_p = filt.dim_irr(pb, pa)
-    irr_i = filt.dim_irr(ib, ia)
-    proj_side = irr_p >= 1 and _factorization_holds(filt, pb, pa, pa, "proj")
-    inj_side = irr_i >= 1 and _factorization_holds(filt, ib, ia, ib, "inj")
-    relation = _conclude(proj_side, inj_side)
-    r_a = canonical_r(pres, filt, a)
-    r_b = canonical_r(pres, filt, b)
-    _verify_relation(relation, r_a, r_b, f"factorization rule at arrow {arrow}")
-    return ComparisonFinding(a, b, arrow, "A", irr_p, irr_i,
-                             filt.hom[(pb, pb)].dim, filt.hom[(ia, ia)].dim,
-                             proj_side, inj_side, relation, r_a, r_b)
+    return _compare_arrow(pres, filt, a, b, "A", "factorization rule",
+                          lambda pb, pa: _factorization_holds(filt, pb, pa, "proj"),
+                          lambda ib, ia: _factorization_holds(filt, ib, ia, "inj"))
 
 
 def check_prop_33(pres: AlgebraPresentation, filt: RadicalFiltration) -> list:
@@ -483,8 +463,9 @@ def check_lemma_refe(pres: AlgebraPresentation, filt: RadicalFiltration) -> list
     """For every nonzero P_a -> I_b not factoring through S_a there is a
     non-isomorphism I_b -> I_a whose composite is nonzero and factors through
     S_a; dually, not factoring through S_b admits P_b -> P_a with a nonzero
-    composite through S_b.  Witnesses are searched in the Hom bases; failure
-    to find one is a fatal inconsistency."""
+    composite through S_b.  Each witness is decided by a rank test over the
+    whole space of non-isomorphisms (``_witness_exists``); no witness is a
+    fatal inconsistency."""
     results = []
     for a in pres.quiver.vertices:
         ip = filt.projective_index(a)
@@ -501,66 +482,82 @@ def check_lemma_refe(pres: AlgebraPresentation, filt: RadicalFiltration) -> list
                 if through_a.contains_vector(f.flatten()):
                     results.append({"a": a, "b": b, "case": "vacuous"})
                 else:
-                    witness = _search_factoring_witness(pres, filt, f, ib, ia, a, side="post")
-                    if witness is None:
+                    if not _witness_exists(pres, filt, f, ib, ia, a, side="post"):
                         raise InconsistencyError(
                             f"no witness I_{b} -> I_{a} for a morphism P_{a} -> I_{b}")
                     results.append({"a": a, "b": b, "case": "post-composition"})
                 if through_b.contains_vector(f.flatten()):
                     results.append({"a": a, "b": b, "case": "dual-vacuous"})
                 else:
-                    witness2 = _search_factoring_witness(pres, filt, f, pb, ip, b, side="pre")
-                    if witness2 is None:
+                    if not _witness_exists(pres, filt, f, pb, ip, b, side="pre"):
                         raise InconsistencyError(
                             f"no witness P_{b} -> P_{a} for a morphism P_{a} -> I_{b}")
                     results.append({"a": a, "b": b, "case": "pre-composition"})
     return results
 
 
-def _search_factoring_witness(pres, filt, f: ModuleMorphism, mid: int, end: int,
-                              through_vertex: str, side: str):
-    """phi with phi∘f (side 'post') or f∘phi (side 'pre') nonzero and factoring
-    through S_{through_vertex}; phi must be a non-isomorphism."""
+def _witness_exists(pres, filt, f: ModuleMorphism, mid: int, end: int,
+                    through_vertex: str, side: str) -> bool:
+    """Whether a non-isomorphism phi: node mid -> node end has phi∘f (side
+    'post') or f∘phi (side 'pre') nonzero and factoring through
+    S_{through_vertex}.
+
+    The non-isomorphisms are Hom(mid, end), or rad End(mid) when mid == end
+    (the nodes are pairwise non-isomorphic indecomposables with local
+    endomorphism rings), so they form a subspace.
+    """
     hs = filt.hom.get((mid, end))
     if hs is None:
-        return None
+        return False
     if side == "post":
         # composite runs f.source -> end and must factor through S_{through_vertex}
         target = _factors_through_simple_space(pres, filt, through_vertex, end)
     else:
         # composite runs mid -> f.target and must factor through S_{through_vertex}
         target = _factors_through_simple_dual(pres, filt, through_vertex, mid)
-    candidates = list(hs.basis)
-    for i in range(len(hs.basis)):
-        for j in range(i + 1, len(hs.basis)):
-            candidates.append(hs.basis[i] + hs.basis[j])
-            candidates.append(hs.basis[i] - hs.basis[j])
-    for phi in candidates:
-        if mid == end and phi.is_invertible():
-            continue
-        comp = (phi @ f) if side == "post" else (f @ phi)
-        if comp.is_zero():
-            continue
-        if target.dim and target.contains_vector(comp.flatten()):
-            return phi
-    return None
+    phis = hs.basis if mid != end else [hs.element(r) for r in end_radical(hs).basis]
+    return _composites_meet(phis, f, target, side)
+
+
+def _composites_meet(phis, f: ModuleMorphism, target: Subspace, side: str) -> bool:
+    """Whether some phi in the span of ``phis`` has phi∘f (side 'post') or
+    f∘phi (side 'pre') nonzero and in ``target``.
+
+    The composites span the image L of a linear map, so such a phi exists
+    iff L meets T = ``target`` nontrivially: dim(L + T) < dim L + dim T.
+    """
+    comps = Subspace.from_vectors(target.ambient, [
+        ((phi @ f) if side == "post" else (f @ phi)).flatten() for phi in phis])
+    return (comps + target).dim < comps.dim + target.dim
+
+
+def _each_arrow(check):
+    """A per-arrow comparison run over every arrow, in quiver order."""
+    return lambda pres, filt: [check(pres, filt, arr.source, arr.target)
+                               for arr in pres.quiver.arrows]
+
+
+# rule -> checker(pres, filt), in report order
+CHECKERS = {
+    "corollary": _each_arrow(check_corollary_irred),
+    "A": _each_arrow(check_theorem_A),
+    "prop33": check_prop_33,
+    "B": check_theorem_B,
+    "C": check_theorem_C,
+    "D": check_theorem_D,
+    "lemma32": lambda pres, filt: check_lemma_32(pres),
+    "lemma_refe": check_lemma_refe,
+}
+# a selection of several rules under one name
+GROUPS = {"lemmas": ("lemma32", "lemma_refe")}
 
 
 def check_all(pres: AlgebraPresentation, filt: RadicalFiltration) -> dict:
-    """Run every checker whose gate passes; inapplicable rules are reported."""
+    """Run every checker in ``CHECKERS``; inapplicable rules are reported."""
     out: Dict[str, object] = {}
-    findings = []
-    for arr in pres.quiver.arrows:
-        findings.append(check_corollary_irred(pres, filt, arr.source, arr.target))
-    out["corollary"] = findings
-    out["A"] = [check_theorem_A(pres, filt, arr.source, arr.target)
-                for arr in pres.quiver.arrows]
-    for name, fn in (("prop33", check_prop_33), ("B", check_theorem_B),
-                     ("C", check_theorem_C), ("D", check_theorem_D),
-                     ("lemma32", check_lemma_32)):
+    for name, check in CHECKERS.items():
         try:
-            out[name] = fn(pres, filt) if name != "lemma32" else fn(pres)
+            out[name] = check(pres, filt)
         except MethodInapplicableError as exc:
             out[name] = {"inapplicable": str(exc)}
-    out["lemma_refe"] = check_lemma_refe(pres, filt)
     return out

@@ -122,6 +122,22 @@ def test_non_positive_guard_limit_is_a_usage_error(command, option, value, capsy
     assert f"argument {option}: must be positive: '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ("validate", "ar"))
+def test_non_positive_max_len_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, fixture_path("s2_cyclic"), "--max-len", "-3"])
+    assert exc.value.code == 2
+    assert "argument --max-len: must be positive: '-3'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("validate", "ar", "index", "check"))
+def test_max_len_is_honoured_by_every_command(command, capsys):
+    # s2_cyclic has nonzero paths of length 3
+    code, out, err = run(capsys, command, fixture_path("s2_cyclic"), "--max-len", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("NotAdmissible: paths of length 3")
+
+
 @pytest.mark.parametrize("option,value,reached", (
     ("--max-total-dim", "400", "after 20 modules (total dimension 443)"),
     ("--max-modules", "12", "after 12 modules (total dimension 171)"),
@@ -161,6 +177,32 @@ def test_check_all_json(capsys):
                          "lemma32", "lemma_refe"}
     assert "inapplicable" in data["D"]
     assert data["B"]["r_A"] == data["C"]["r_A"]
+
+
+CHECK_GROUPS = {"lemmas": ("lemma32", "lemma_refe")}
+
+
+@pytest.mark.parametrize("name", ("a2", "a3", "a3_rel", "bad_length1", "ex_4_5", "kronecker",
+                                  "s2_cyclic", "s3_cycle", "s4_final"))
+def test_single_theorem_matches_its_part_of_all(name, capsys):
+    # every fixture but ex_2_5, which is slow to knit
+    extra = ("--max-total-dim", "400") if name == "kronecker" else ()
+    every = run(capsys, "check", fixture_path(name), "--theorem", "all", "--format", "json",
+                *extra)
+    for theorem in ("A", "corollary", "prop33", "B", "C", "D", "lemmas"):
+        single = run(capsys, "check", fixture_path(name), "--theorem", theorem,
+                     "--format", "json", *extra)
+        if every[0] != 0:
+            assert single == every
+            continue
+        report = json.loads(every[1])
+        part = {key: report[key] for key in CHECK_GROUPS.get(theorem, (theorem,))}
+        refused = [v["inapplicable"] for v in part.values()
+                   if isinstance(v, dict) and "inapplicable" in v]
+        if refused:
+            assert single == (4, "", f"MethodInapplicable: {refused[0]}\n")
+        else:
+            assert single[0] == 0 and json.loads(single[1]) == part
 
 
 def test_check_json_deterministic(capsys):

@@ -6,7 +6,7 @@ from quivrad.quiver import classify, parse_presentation
 from quivrad.radical import canonical_r, nilpotency_index
 from quivrad import theorems as T
 from quivrad import ar_quiver
-from quivrad.rep import hom_space, socle, simple
+from quivrad.rep import ModuleMorphism, Representation, hom_space, socle, simple
 
 from conftest import load, pipeline
 
@@ -265,6 +265,24 @@ def test_lemma_refe_witness_search(s2_pipeline, a2_pipeline):
     a2, ar2, filt2 = a2_pipeline
     results2 = T.check_lemma_refe(a2, filt2)
     assert results2
+
+
+def test_witness_rank_test_reaches_past_basis_and_pairwise_sums():
+    # over one vertex, Hom(k, k^3) has basis e1, e2, e3; the composites in
+    # the target line are the multiples of e1 + e2 + e3, which is neither a
+    # basis element nor a pairwise sum or difference
+    pres = parse_presentation("vertex 1\n")
+    k, k3 = Representation(pres, {"1": 1}, {}), Representation(pres, {"1": 3}, {})
+    basis = list(hom_space(k, k3).basis)
+    assert len(basis) == 3
+    target = Subspace.from_vectors(3, [[1, 1, 1]])
+    pairs = [op(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]
+             for op in (ModuleMorphism.__add__, ModuleMorphism.__sub__)]
+    assert not any(target.contains_vector(phi.flatten()) for phi in basis + pairs)
+    assert T._composites_meet(basis, ModuleMorphism.identity(k), target, "post")
+    assert T._composites_meet(basis, ModuleMorphism.identity(k3), target, "pre")
+    assert not T._composites_meet(basis[:2], ModuleMorphism.identity(k), target, "post")
+    assert not T._composites_meet(basis, ModuleMorphism.zero(k, k), target, "post")
 
 
 def test_verification_failure_raises():
