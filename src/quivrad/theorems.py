@@ -481,18 +481,18 @@ def check_lemma_refe(pres: AlgebraPresentation, filt: RadicalFiltration) -> list
             for f in hs.basis:
                 if through_a.contains_vector(f.flatten()):
                     results.append({"a": a, "b": b, "case": "vacuous"})
-                else:
-                    if not _witness_exists(pres, filt, f, ib, ia, a, side="post"):
-                        raise InconsistencyError(
-                            f"no witness I_{b} -> I_{a} for a morphism P_{a} -> I_{b}")
+                elif _witness_exists(pres, filt, f, ib, ia, a, side="post"):
                     results.append({"a": a, "b": b, "case": "post-composition"})
+                else:
+                    raise InconsistencyError(
+                        f"no witness I_{b} -> I_{a} for a morphism P_{a} -> I_{b}")
                 if through_b.contains_vector(f.flatten()):
                     results.append({"a": a, "b": b, "case": "dual-vacuous"})
-                else:
-                    if not _witness_exists(pres, filt, f, pb, ip, b, side="pre"):
-                        raise InconsistencyError(
-                            f"no witness P_{b} -> P_{a} for a morphism P_{a} -> I_{b}")
+                elif _witness_exists(pres, filt, f, pb, ip, b, side="pre"):
                     results.append({"a": a, "b": b, "case": "pre-composition"})
+                else:
+                    raise InconsistencyError(
+                        f"no witness P_{b} -> P_{a} for a morphism P_{a} -> I_{b}")
     return results
 
 
