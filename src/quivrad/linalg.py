@@ -586,26 +586,3 @@ def algebra_radical(mult_table: Sequence[Sequence[Sequence]]) -> Subspace:
         gram.append(row)
     return RatMatrix(gram, cols=n).kernel()
 
-
-def minimal_polynomial(mat: RatMatrix) -> tuple:
-    """Monic minimal polynomial of a square matrix, coefficients low to high."""
-    if not mat.is_square():
-        raise ShapeError("minimal polynomial of non-square matrix")
-    n = mat.rows
-    if n == 0:
-        return (0, 1)  # convention: t
-    power = RatMatrix.identity(n)
-    flats = []
-    k = 0
-    while True:
-        flat = [x for row in power.data for x in row]
-        sys = RatMatrix._of(zip(*flats), len(flats)) if flats else _zeros(n * n, 0)
-        sol = sys.solve(flat)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [1]
-            return tuple(_norm(c) for c in coeffs)
-        flats.append(flat)
-        power = power @ mat
-        k += 1
-        if k > n + 1:
-            raise RuntimeError("minimal polynomial search exceeded dimension bound")

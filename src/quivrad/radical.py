@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product
 from typing import Dict, Optional, Sequence
 
 from .errors import InconsistencyError, MethodInapplicableError
@@ -90,7 +89,8 @@ class _HomTable(Mapping):
         return hs
 
     def __iter__(self):
-        return (key for key in product(range(len(self._reps)), repeat=2) if key in self)
+        n = len(self._reps)
+        return ((i, j) for i in range(n) for j in range(n) if (i, j) in self)
 
     def __len__(self) -> int:
         return sum(1 for _ in self)

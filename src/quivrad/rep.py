@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Dict, Optional, Sequence
 
 from .errors import ShapeError, SplitFieldNeededError
@@ -20,7 +19,7 @@ from .linalg import (
     _int_vector,
     _kernel_int,
     algebra_radical,
-    minimal_polynomial,
+    hstack,
 )
 from .quiver import AlgebraPresentation, Path
 
@@ -659,306 +658,45 @@ def minimal_presentation(M: Representation) -> ProjectivePresentation:
 
 # -- indecomposability, isomorphism, decomposition --------------------------
 
-def _total_matrix(f: ModuleMorphism) -> RatMatrix:
-    """Block-diagonal action of an endomorphism on the total space."""
-    n = f.source.total_dim()
-    data = [[0] * n for _ in range(n)]
-    pos = 0
-    for v in f.source.pres.quiver.vertices:
-        m = f.maps[v]
-        for i in range(m.rows):
-            for j in range(m.cols):
-                data[pos + i][pos + j] = m.data[i][j]
-        pos += m.rows
-    return RatMatrix._of(data, n)
+def _fitting_power(M: Representation) -> Optional[ModuleMorphism]:
+    """None when End(M) is local; otherwise an endomorphism f with
+    M = im f ⊕ ker f and both parts nonzero (Fitting's lemma).
 
-
-def _poly_divmod(a, b):
-    a = [Fraction(x) for x in a]
-    b = [Fraction(x) for x in b]
-    while a and not a[-1]:
-        a.pop()
-    while b and not b[-1]:
-        b.pop()
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    while len(r) >= len(b) and any(r):
-        shift = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[shift] = c
-        for i, bc in enumerate(b):
-            r[shift + i] -= c * bc
-        while r and not r[-1]:
-            r.pop()
-    return q, r
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_xgcd(a, b):
-    """(g, u, v) monic with u*a + v*b = g."""
-    r0, r1 = [Fraction(x) for x in a], [Fraction(x) for x in b]
-    u0, u1 = [Fraction(1)], [Fraction(0)]
-    v0, v1 = [Fraction(0)], [Fraction(1)]
-    while any(r1):
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, [x - y for x, y in _pad(u0, _poly_mul(q, u1))]
-        v0, v1 = v1, [x - y for x, y in _pad(v0, _poly_mul(q, v1))]
-    lead = r0[-1]
-    return ([x / lead for x in r0], [x / lead for x in u0], [x / lead for x in v0])
-
-
-def _pad(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return zip(a, b)
-
-
-def _int_primitive(poly):
-    """Integer, content-free version of a rational coefficient list."""
-    from math import gcd, lcm
-    den = 1
-    for c in poly:
-        den = lcm(den, Fraction(c).denominator)
-    ints = [int(Fraction(c) * den) for c in poly]
-    while ints and ints[-1] == 0:
-        ints.pop()
-    g = 0
-    for c in ints:
-        g = gcd(g, c)
-    if g > 1:
-        ints = [c // g for c in ints]
-    return ints
-
-
-def _divisors(n, cap):
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-            if len(out) > cap:
-                return None
-        d += 1
-    return sorted(out)
-
-
-def _kronecker_factor(poly, budget=20000):
-    """A nontrivial integer factor of an integer polynomial, or None.
-
-    Classical interpolation search: a degree-d factor is pinned by its values
-    at d+1 points, and those values divide the polynomial's values; the
-    search is exact and bounded, and gives up (None) past the budget.
+    f is a power of the first End-basis element that is neither nilpotent
+    nor invertible, squared until its rank stops falling: at most
+    ⌈log₂ dim M⌉ squarings.  Raises SplitFieldNeededError when End/rad has
+    dimension > 1 but no basis element qualifies.
     """
-    n = len(poly) - 1
-    if n < 2:
+    end = hom_space(M, M)
+    rad = end_radical(end)
+    if end.dim - rad.dim == 1:
         return None
-
-    def evaluate(p, x):
-        v = 0
-        for c in reversed(p):
-            v = v * x + c
-        return v
-
-    points = [0, 1, -1, 2, -2, 3, -3, 4, -4]
-    tried = 0
-    for d in range(1, n // 2 + 1):
-        xs = points[: d + 1]
-        values = []
-        for x in xs:
-            v = evaluate(poly, x)
-            if v == 0:
-                return [-x, 1]  # linear factor t - x
-            divs = _divisors(v, 64)
-            if divs is None:
-                return None
-            values.append([s * t for t in divs for s in (1, -1)])
-        choice = [0] * (d + 1)
+    n = M.total_dim()
+    for f in end.basis:
+        r = f.rank()
+        if r == n:
+            continue
         while True:
-            tried += 1
-            if tried > budget:
-                return None
-            ys = [values[i][choice[i]] for i in range(d + 1)]
-            cand = _lagrange(xs, ys)
-            if cand is not None and len(cand) == d + 1 and d >= 1:
-                q, r = _poly_divmod(poly, cand)
-                if not any(r) and all(Fraction(c).denominator == 1 for c in q):
-                    return cand
-            k = 0
-            while k <= d and choice[k] == len(values[k]) - 1:
-                choice[k] = 0
-                k += 1
-            if k > d:
+            sq = f @ f
+            r_sq = sq.rank()
+            if r_sq == r:
                 break
-            choice[k] += 1
-    return None
-
-
-def _lagrange(xs, ys):
-    """Integer polynomial through the points, or None."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        num = [Fraction(ys[i])]
-        den = 1
-        for j in range(n):
-            if j == i:
-                continue
-            num = _poly_mul(num, [Fraction(-xs[j]), Fraction(1)])
-            den *= xs[i] - xs[j]
-        for k in range(len(num)):
-            coeffs[k] += num[k] / den
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    if not coeffs or len(coeffs) - 1 != n - 1:
-        return None
-    if any(c.denominator != 1 for c in coeffs):
-        return None
-    return [int(c) for c in coeffs]
-
-
-def _irreducible_factors(poly, budget=20000):
-    """Irreducible integer factors (no multiplicities tracked), or None."""
-    stack = [_int_primitive(poly)]
-    out = []
-    while stack:
-        p = stack.pop()
-        if len(p) <= 2:
-            out.append(p)
-            continue
-        f = _kronecker_factor(p, budget)
-        if f is None:
-            # either irreducible or the search gave up; divisibility settles it
-            out.append(p)
-            continue
-        q, r = _poly_divmod(p, f)
-        if any(r):
-            out.append(p)
-            continue
-        stack.append(_int_primitive(f))
-        stack.append(_int_primitive([c for c in q]))
-    return out
-
-
-def _coprime_split(poly):
-    """(m1, m2) monic coprime with m1*m2 ~ poly, both nontrivial; or None."""
-    mp = [Fraction(c) for c in poly]
-    deriv = [i * c for i, c in enumerate(mp)][1:]
-    g, _, _ = _poly_xgcd(mp, deriv) if any(deriv) else ([Fraction(1)], None, None)
-    squarefree, _ = _poly_divmod(mp, g)
-    factors = _irreducible_factors(squarefree)
-    distinct = []
-    for f in factors:
-        monic = [Fraction(c, f[-1]) for c in f]
-        if len(monic) >= 2 and monic not in distinct:
-            distinct.append(monic)
-    if len(distinct) < 2:
-        return None
-    # collect the full power of the first irreducible factor
-    m1 = distinct[0]
-    while True:
-        nxt = _poly_mul(m1, distinct[0])
-        _, r = _poly_divmod(mp, nxt)
-        if any(r):
-            break
-        m1 = nxt
-    m2, rem = _poly_divmod(mp, m1)
-    if any(rem):
-        return None
-    return m1, m2
-
-
-def _poly_eval_morphism(f: ModuleMorphism, coeffs) -> ModuleMorphism:
-    ident = ModuleMorphism.identity(f.source)
-    acc = ModuleMorphism.zero(f.source, f.source)
-    for c in reversed(list(coeffs)):
-        acc = acc @ f
-        if c:
-            acc = acc + ident.scaled(c)
-    return acc
-
-
-def _idempotent_candidates(end: HomSpace):
-    basis = end.basis
-    for b in basis:
-        yield b
-    n = len(basis)
-    for i in range(n):
-        for j in range(i + 1, n):
-            yield basis[i] + basis[j]
-            yield basis[i] - basis[j]
-    # deterministic pseudo-random small combinations
-    state = 123456789
-    for _ in range(40):
-        coeffs = []
-        for _ in range(n):
-            state = (1103515245 * state + 12345) % (1 << 31)
-            coeffs.append((state % 7) - 3)
-        if any(coeffs):
-            yield end.element(coeffs)
-
-
-def _find_split_idempotent(end: HomSpace) -> Optional[ModuleMorphism]:
-    """Nontrivial idempotent from a coprime split of some candidate's
-    minimal polynomial (the CRT projector), or None when no candidate splits
-    rationally."""
-    ident = ModuleMorphism.identity(end.source)
-    for cand in _idempotent_candidates(end):
-        if cand.is_zero():
-            continue
-        if ((cand @ cand) - cand).is_zero():
-            # an idempotent other than 0 and 1 has minimal polynomial t² − t,
-            # and the CRT projector of that split is the idempotent itself
-            if not (cand - ident).is_zero():
-                return cand
-            continue
-        mp = list(minimal_polynomial(_total_matrix(cand)))
-        split = _coprime_split(mp)
-        if split is None:
-            continue
-        m1, m2 = split
-        g, u, v = _poly_xgcd(m1, m2)
-        if len(g) != 1:
-            continue
-        e = _poly_eval_morphism(cand, _poly_mul(v, m2))  # = 1 mod m1, 0 mod m2
-        if e.is_zero() or (e - ident).is_zero():
-            continue
-        if not ((e @ e) - e).is_zero():
-            continue
-        return e
-    return None
+            f, r = sq, r_sq
+        if r:
+            return f
+    raise SplitFieldNeededError(
+        f"End/rad has dimension {end.dim - rad.dim} with no rational idempotent")
 
 
 def is_indecomposable(M: Representation) -> bool:
     """True iff End(M) is local: dim End - dim rad End = 1.
 
     Raises SplitFieldNeededError when End/rad has dimension > 1 but no
-    splitting idempotent is detectable over the rationals.
+    End-basis element splits M (see ``_fitting_power``).
     """
     if M.is_zero():
         raise ValueError("zero module")
-    end = hom_space(M, M)
-    rad = end_radical(end)
-    if end.dim - rad.dim == 1:
-        return True
-    if _find_split_idempotent(end) is not None:
-        return False
-    raise SplitFieldNeededError(
-        f"End/rad has dimension {end.dim - rad.dim} with no rational idempotent")
+    return _fitting_power(M) is None
 
 
 def decompose(M: Representation, with_inclusions: bool = False) -> list:
@@ -969,17 +707,12 @@ def decompose(M: Representation, with_inclusions: bool = False) -> list:
     """
     if M.is_zero():
         return []
-    end = hom_space(M, M)
-    rad = end_radical(end)
-    if end.dim - rad.dim == 1:
+    f = _fitting_power(M)
+    if f is None:
         return [(M, ModuleMorphism.identity(M))] if with_inclusions else [M]
-    e = _find_split_idempotent(end)
-    if e is None:
-        raise SplitFieldNeededError(
-            f"End/rad has dimension {end.dim - rad.dim} with no rational idempotent")
     quiver = M.pres.quiver
-    im_spaces = {v: e.maps[v].image() for v in quiver.vertices}
-    ker_spaces = {v: e.maps[v].kernel() for v in quiver.vertices}
+    im_spaces = {v: f.maps[v].image() for v in quiver.vertices}
+    ker_spaces = {v: f.maps[v].kernel() for v in quiver.vertices}
     parts = (subrepresentation(M, im_spaces), subrepresentation(M, ker_spaces))
     if not with_inclusions:
         return [s for part, _ in parts for s in decompose(part)]
@@ -987,36 +720,56 @@ def decompose(M: Representation, with_inclusions: bool = False) -> list:
             for s, inner in decompose(part, True)]
 
 
+def _basis_isomorphism(M: Representation, N: Representation) -> Optional[ModuleMorphism]:
+    """An invertible basis element of Hom(M, N), or None."""
+    if M.dim_vector() != N.dim_vector():
+        return None
+    return next((b for b in hom_space(M, N).basis if b.is_invertible()), None)
+
+
 def find_isomorphism(M: Representation, N: Representation) -> Optional[ModuleMorphism]:
     """An isomorphism M -> N, or None when the modules are not isomorphic.
 
-    Fast paths: dimension vectors, then single basis morphisms (complete for
-    indecomposables).  Fallback: the generic-combination determinant over a
-    grid large enough that a nonzero determinant polynomial cannot vanish
-    everywhere on it, so exhausting the grid certifies non-isomorphism.
+    First an invertible basis element of Hom(M, N).  That test is complete
+    when M or N is indecomposable: the non-isomorphisms then form a proper
+    subspace of Hom(M, N), which cannot hold a basis.  Otherwise both
+    modules are decomposed, their summands are matched by the same test, and
+    the isomorphism is (⊕ ι'_σ(i) ∘ u_i) ∘ (⊕ ι_i)⁻¹ for the summand
+    inclusions ι, ι', the matching σ and the summand isomorphisms u_i.
     """
-    if M.pres is not N.pres:
-        return None
-    if M.dim_vector() != N.dim_vector():
+    if M.pres is not N.pres or M.dim_vector() != N.dim_vector():
         return None
     if M.is_zero():
         return ModuleMorphism.zero(M, N)
     hom = hom_space(M, N)
-    if hom.dim == 0:
-        return None
     for b in hom.basis:
         if b.is_invertible():
             return b
-    if hom.dim == 1:
+    if hom.dim <= 1:
         return None
-    degree = M.total_dim()
-    for coeffs in product(range(degree + 1), repeat=hom.dim):
-        if not any(coeffs):
-            continue
-        cand = hom.element(coeffs)
-        if cand.is_invertible():
-            return cand
-    return None
+    parts = decompose(M, True)
+    if len(parts) == 1:
+        return None
+    unmatched = decompose(N, True)
+    if len(unmatched) != len(parts):
+        return None
+    images = []
+    for summand, _ in parts:
+        for k, (other, incl) in enumerate(unmatched):
+            u = _basis_isomorphism(summand, other)
+            if u is not None:
+                images.append(incl @ u)
+                del unmatched[k]
+                break
+        else:
+            return None
+    vertices = M.pres.quiver.vertices
+    total = direct_sum([summand for summand, _ in parts])
+    into_m = ModuleMorphism(total, M, {v: hstack([i.maps[v] for _, i in parts])
+                                       for v in vertices}, check=False)
+    into_n = ModuleMorphism(total, N, {v: hstack([g.maps[v] for g in images])
+                                       for v in vertices}, check=False)
+    return into_n @ into_m.inverse()
 
 
 def are_isomorphic(M: Representation, N: Representation) -> bool:

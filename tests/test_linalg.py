@@ -9,7 +9,6 @@ from quivrad.linalg import (
     Subspace,
     algebra_radical,
     hstack,
-    minimal_polynomial,
     vstack,
 )
 
@@ -207,12 +206,6 @@ def test_algebra_radical_rejects_non_associative():
     ]
     with pytest.raises(ValueError):
         algebra_radical(table)
-
-
-def test_minimal_polynomial():
-    m = RatMatrix([[0, 1], [0, 0]])
-    assert minimal_polynomial(m) == (0, 0, 1)  # t^2
-    assert minimal_polynomial(RatMatrix.identity(3)) == (-1, 1)  # t - 1
 
 
 def _table_mult(table, x, y):

@@ -14,24 +14,9 @@ from quivrad.linalg import (
     Subspace,
     _echelon_int,
     _kernel_int,
-    minimal_polynomial,
 )
-from quivrad.rep import (
-    HomSpace,
-    Representation,
-    _coprime_split,
-    _find_split_idempotent,
-    _idempotent_candidates,
-    _poly_eval_morphism,
-    _poly_mul,
-    _poly_xgcd,
-    _total_matrix,
-    direct_sum,
-    hom_space,
-    projective,
-    simple,
-)
-from conftest import load, pipeline
+from quivrad.rep import hom_space
+from conftest import pipeline
 
 
 # -- dense references ---------------------------------------------------------
@@ -301,70 +286,3 @@ def test_hom_space_matches_dense_kernel():
                         rows.append(_int_row(row))
             assert hs.space.basis == dense_kernel_space(rows, pos)
 
-
-# -- the idempotent shortcut --------------------------------------------------
-
-def crt_projector(cand):
-    """The projector the coprime split of cand's minimal polynomial gives."""
-    mp = list(minimal_polynomial(_total_matrix(cand)))
-    split = _coprime_split(mp)
-    if split is None:
-        return None
-    m1, m2 = split
-    g, _, v = _poly_xgcd(m1, m2)
-    if len(g) != 1:
-        return None
-    return _poly_eval_morphism(cand, _poly_mul(v, m2))
-
-
-def crt_only_split_idempotent(end: HomSpace):
-    """The idempotent search with no shortcut: every candidate goes through CRT."""
-    from quivrad.rep import ModuleMorphism
-    ident = ModuleMorphism.identity(end.source)
-    for cand in _idempotent_candidates(end):
-        if cand.is_zero():
-            continue
-        e = crt_projector(cand)
-        if e is None or e.is_zero() or (e - ident).is_zero():
-            continue
-        if ((e @ e) - e).is_zero():
-            return e
-    return None
-
-
-def _decomposable_modules():
-    s2 = load("s2_cyclic")
-    kron = load("kronecker")
-    mods = [
-        direct_sum([simple(s2, "1"), projective(s2, "1")]),
-        direct_sum([projective(s2, "1"), projective(s2, "2")]),
-        direct_sum([simple(s2, "2"), simple(s2, "2")]),
-        direct_sum([Representation(kron, {"1": 1, "2": 1},
-                                   {"a": RatMatrix([[1]]), "b": RatMatrix([[lam]])})
-                    for lam in (0, 1, 5)]),
-    ]
-    _, ar, _ = pipeline("s2_cyclic")
-    rng = random.Random(8)
-    for _ in range(3):
-        mods.append(direct_sum([ar.nodes[rng.randrange(ar.node_count())].rep
-                                for _ in range(3)]))
-    return mods
-
-
-def test_idempotent_shortcut_returns_the_crt_projector():
-    seen_idempotent = 0
-    for M in _decomposable_modules():
-        end = hom_space(M, M)
-        got = _find_split_idempotent(end)
-        want = crt_only_split_idempotent(end)
-        assert got is not None and want is not None
-        assert got.maps == want.maps
-        for cand in _idempotent_candidates(end):
-            if cand.is_zero() or not ((cand @ cand) - cand).is_zero():
-                continue
-            e = crt_projector(cand)
-            if e is None:  # cand is the identity
-                continue
-            seen_idempotent += 1
-            assert e.maps == cand.maps
-    assert seen_idempotent > 0

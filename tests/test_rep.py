@@ -7,6 +7,7 @@ from quivrad.errors import ShapeError
 from quivrad.linalg import RatMatrix
 from quivrad import rep as R
 from quivrad.rep import (
+    HomSpace,
     ModuleMorphism,
     Representation,
     are_isomorphic,
@@ -27,7 +28,7 @@ from quivrad.rep import (
     top,
 )
 
-from conftest import load
+from conftest import load, pipeline
 
 
 @pytest.fixture(scope="module")
@@ -190,7 +191,7 @@ def test_find_isomorphism_returns_an_invertible_hom_element(s2):
     _assert_isomorphism_iff(P1, twisted, True)
     _assert_isomorphism_iff(S1, S2, False)
     # no single basis morphism of End(S1+S1) or Hom(S1+S2, S2+S1) is
-    # invertible, so these isomorphisms come from the grid fallback
+    # invertible, so these isomorphisms are assembled from matched summands
     S11 = direct_sum([S1, S1])
     assert not any(b.is_invertible() for b in hom_space(S11, S11).basis)
     _assert_isomorphism_iff(S11, S11, True)
@@ -207,12 +208,54 @@ def test_find_isomorphism_refuses_equal_dimension_vectors():
     semisimple = direct_sum([S1, S2])
     assert semisimple.dim_vector() == P1.dim_vector()
     _assert_isomorphism_iff(semisimple, P1, False)
-    # a three-dimensional Hom space: the whole grid is searched and refused
+    # a three-dimensional Hom space with no invertible basis element: the
+    # decompositions have two and three summands
     left, right = direct_sum([P1, S2]), direct_sum([S1, S2, S2])
     assert left.dim_vector() == right.dim_vector()
     assert hom_space(left, right).dim == 3
     _assert_isomorphism_iff(left, right, False)
     _assert_isomorphism_iff(P1, projective(load("a2"), "1"), False)  # other presentation
+
+
+def _count_element_calls(monkeypatch):
+    calls = []
+    original = HomSpace.element
+
+    def counted(self, coords):
+        calls.append(coords)
+        return original(self, coords)
+
+    monkeypatch.setattr(HomSpace, "element", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,dim_vector", [
+    ("s2_cyclic", (2, 2, 1)), ("s3_cycle", (2, 1, 1, 1)), ("s3_cycle", (2, 1, 2, 1)),
+])
+def test_find_isomorphism_refuses_distinct_nodes_without_combinations(
+        name, dim_vector, monkeypatch):
+    # two non-isomorphic indecomposable nodes with a two-dimensional Hom
+    # space: the basis test is complete, and no combination is formed
+    _, ar, _ = pipeline(name)
+    nodes = [n.rep for n in ar.nodes if n.rep.dim_vector() == dim_vector]
+    calls = _count_element_calls(monkeypatch)
+    pairs = [(M, N) for M in nodes for N in nodes if M is not N
+             and hom_space(M, N).dim == 2]
+    assert pairs
+    for M, N in pairs:
+        assert find_isomorphism(M, N) is None
+    assert calls == []
+
+
+def test_find_isomorphism_of_decomposables_forms_no_combinations(monkeypatch):
+    a2 = load("a2")
+    S1, S2, P1 = simple(a2, "1"), simple(a2, "2"), projective(a2, "1")
+    left, right = direct_sum([P1, S2]), direct_sum([S1, S2, S2])
+    calls = _count_element_calls(monkeypatch)
+    assert find_isomorphism(left, right) is None
+    S12, S21 = direct_sum([S1, S2]), direct_sum([S2, S1])
+    _assert_isomorphism_iff(S12, S21, True)
+    assert calls == []
 
 
 def test_unchecked_morphism_keeps_its_maps(s2):
@@ -288,26 +331,102 @@ def test_split_field_needed_is_reported():
 
 def test_split_across_number_fields_then_certification_fails():
     # the sum of two Kronecker modules over distinct quadratic fields splits
-    # at the top level (the minimal polynomial factors into coprime parts),
+    # at the top level (End has the idempotent 1 ⊕ 0 in its basis),
     # but each summand has a two-dimensional endomorphism field, so the full
     # decomposition still reports the missing splitting field
     from quivrad.errors import SplitFieldNeededError
-    from quivrad.rep import _find_split_idempotent, subrepresentation
+    from quivrad.rep import _fitting_power, subrepresentation
     kron = load("kronecker")
     M1 = Representation(kron, {"1": 2, "2": 2},
                         {"a": RatMatrix.identity(2), "b": RatMatrix([[0, -1], [1, 0]])})
     M2 = Representation(kron, {"1": 2, "2": 2},
                         {"a": RatMatrix.identity(2), "b": RatMatrix([[0, -2], [1, 0]])})
     total = direct_sum([M1, M2])
-    e = _find_split_idempotent(hom_space(total, total))
-    assert e is not None and ((e @ e) - e).is_zero()
-    image, _ = subrepresentation(total, {v: e.maps[v].image() for v in total.dims})
-    kernel, _ = subrepresentation(total, {v: e.maps[v].kernel() for v in total.dims})
+    f = _fitting_power(total)
+    assert f is not None and (f @ f).rank() == f.rank()
+    image, _ = subrepresentation(total, {v: f.maps[v].image() for v in total.dims})
+    kernel, _ = subrepresentation(total, {v: f.maps[v].kernel() for v in total.dims})
     assert image.dim_vector() == kernel.dim_vector() == (2, 2)
     matches = sorted([are_isomorphic(image, M1), are_isomorphic(kernel, M1)])
     assert matches == [False, True]
     with pytest.raises(SplitFieldNeededError):
         decompose(total)
+
+
+def _kronecker(kron, slopes, P=None):
+    """⊕ of the Kronecker modules (1, slope), conjugated by P at both vertices."""
+    n = len(slopes)
+    P = RatMatrix.identity(n) if P is None else RatMatrix(P)
+    diag = RatMatrix([[lam if i == j else 0 for j in range(n)] for i, lam in enumerate(slopes)])
+    return Representation(kron, {"1": n, "2": n},
+                          {"a": RatMatrix.identity(n), "b": P @ diag @ P.inverse()})
+
+
+def _decomposable_modules():
+    s2, kron = load("s2_cyclic"), load("kronecker")
+    mods = [
+        direct_sum([simple(s2, "1"), projective(s2, "1")]),
+        direct_sum([projective(s2, "1"), projective(s2, "2")]),
+        direct_sum([simple(s2, "2"), simple(s2, "2")]),
+        _kronecker(kron, (0, 1, 5)),
+        _kronecker(kron, (0, 1), P=((1, 0), (1, 1))),
+    ]
+    _, ar, _ = pipeline("s2_cyclic")
+    rng = random.Random(8)
+    for _ in range(3):
+        mods.append(direct_sum([ar.nodes[rng.randrange(ar.node_count())].rep
+                                for _ in range(3)]))
+    return mods
+
+
+def test_fitting_split_is_an_internal_direct_sum():
+    from quivrad.rep import _fitting_power
+    not_idempotent = 0
+    for M in _decomposable_modules():
+        f = _fitting_power(M)
+        image = {v: f.maps[v].image() for v in M.dims}
+        kernel = {v: f.maps[v].kernel() for v in M.dims}
+        for v in M.dims:
+            assert image[v].dim + kernel[v].dim == M.dims[v]
+            assert (image[v] + kernel[v]).dim == M.dims[v]
+        assert 0 < sum(s.dim for s in image.values()) < M.total_dim()
+        not_idempotent += not ((f @ f) - f).is_zero()
+        pairs = decompose(M, True)
+        assert len(pairs) > 1
+        for summand, incl in pairs:
+            assert is_indecomposable(summand)
+            ModuleMorphism(summand, M, incl.maps)  # intertwines
+        for v in M.dims:
+            cols = [col for _, incl in pairs for col in zip(*incl.maps[v].data)]
+            assert len(cols) == M.dims[v]
+            assert not cols or RatMatrix(cols, cols=M.dims[v]).rank() == M.dims[v]
+    # the sheared Kronecker pair splits through c with c² = -c
+    assert not_idempotent > 0
+
+
+def test_split_needs_a_basis_element_that_is_neither_nilpotent_nor_invertible():
+    # K_0 ⊕ K_1 conjugated by [[1, 1], [1, 2]] has the End basis {1, c} with
+    # c of eigenvalues 1 and 2: both basis elements are invertible, so no
+    # basis element splits it, and the decomposition is refused
+    from quivrad.errors import SplitFieldNeededError
+    kron = load("kronecker")
+    M = _kronecker(kron, (0, 1), P=((1, 1), (1, 2)))
+    one, c = hom_space(M, M).basis
+    ident = ModuleMorphism.identity(M)
+    assert one.maps == ident.maps and c.is_invertible()
+    assert ((c - ident) @ (c - ident.scaled(2))).is_zero()
+    with pytest.raises(SplitFieldNeededError):
+        decompose(M)
+    with pytest.raises(SplitFieldNeededError):
+        is_indecomposable(M)
+    # M is isomorphic to K_0 ⊕ K_1, but no basis element of the Hom space is
+    # invertible, and matching summands needs M decomposed
+    plain = _kronecker(kron, (0, 1))
+    assert not any(b.is_invertible() for b in hom_space(M, plain).basis)
+    with pytest.raises(SplitFieldNeededError):
+        find_isomorphism(M, plain)
+    with pytest.raises(SplitFieldNeededError):
+        find_isomorphism(plain, M)
 
 
 def test_decompose_splits_rational_eigenvalue_family():
