@@ -1,9 +1,9 @@
 """Digest of the CLI output on every fixture in tests/data.
 
-Runs ``ar --json``, ``index --format json``,
-``check --theorem all --format json`` and the text-format ``check`` on each
-``tests/data/*.quiver``, one fresh interpreter per call, and prints one line
-per call:
+Runs ``validate --format json``, ``ar --json``, ``ar --dot``,
+``index --format json``, ``check --theorem all --format json`` and the
+text-format ``check`` on each ``tests/data/*.quiver``, one fresh interpreter
+per call, and prints one line per call:
 
     <fixture> <command> exit=<code> sha256=<hex digest of stdout> err=<hex digest of stderr>
 
@@ -11,8 +11,9 @@ Two checkouts produce identical output exactly when every call gives the
 same exit code and byte-identical stdout and stderr, so diffing the output
 of two runs checks that a change left the CLI's results alone, its refusal
 and error messages included.  The Kronecker fixture is
-representation-infinite and runs at ``--max-total-dim 400``: at the default
-guard its refusal takes over ten minutes.
+representation-infinite and its knitting commands run at
+``--max-total-dim 400``: at the default guard its refusal takes over ten
+minutes.  ``validate`` knits nothing and takes no guard options.
 
 Usage, from anywhere:
 
@@ -27,7 +28,7 @@ prints nothing exactly when every result is unchanged.
 
 It imports quivrad from the ``src/`` directory of the checkout that holds
 this script, and uses only the standard library.  The whole run takes about
-20 seconds on a 2-core machine; ``tests/test_fixture_digest.py`` runs it.
+30 seconds on a 2-core machine; ``tests/test_fixture_digest.py`` runs it.
 """
 from __future__ import annotations
 
@@ -40,7 +41,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 COMMANDS = (
+    ("validate", ["validate", "--format", "json"]),
     ("ar", ["ar", "--json"]),
+    ("ar-dot", ["ar", "--dot"]),
     ("index", ["index", "--format", "json"]),
     ("check", ["check", "--theorem", "all", "--format", "json"]),
     ("check-text", ["check"]),
@@ -55,7 +58,8 @@ def digest(fixture: Path, argv: list) -> tuple:
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    args = [argv[0], str(fixture)] + argv[1:] + EXTRA_ARGS.get(fixture.name, [])
+    extra = [] if argv[0] == "validate" else EXTRA_ARGS.get(fixture.name, [])
+    args = [argv[0], str(fixture)] + argv[1:] + extra
     proc = subprocess.run([sys.executable, "-c", RUNNER] + args, cwd=ROOT, env=env,
                           capture_output=True, check=False)
     return (proc.returncode, hashlib.sha256(proc.stdout).hexdigest(),
