@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -145,6 +146,26 @@ def test_path_basis_dims_sum_to_algebra_dim():
         total = sum(len(path_basis(pres, i, j))
                     for i in pres.quiver.vertices for j in pres.quiver.vertices)
         assert total == report.algebra_dim
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a3_rel", "ex_2_5", "ex_4_5", "kronecker",
+                                  "s2_cyclic", "s3_cycle", "s4_final"])
+def test_registered_paths_minus_their_coordinates_lie_in_the_relations(name):
+    """p − Σ c_k b_k, for the coordinates c of p over the basis paths b,
+    reduces to zero against the echelonized relation multiples."""
+    model = load(name).model()
+    for pair, paths in model.pair_paths.items():
+        elim = model.elims.get(pair)
+        for p in paths:
+            vec = {model.path_index[p.key()]: Fraction(1)}
+            for c, b in zip(model.reduce_path(p), model.basis(*pair)):
+                k = model.path_index[b.key()]
+                vec[k] = vec.get(k, 0) - c
+            den = 1
+            for x in vec.values():
+                den = den * x.denominator // gcd(den, x.denominator)
+            ivec = {k: int(x * den) for k, x in vec.items() if x}
+            assert (elim.reduce_int(ivec) if elim else ivec) == {}, (name, str(p))
 
 
 def test_sinks_and_sources():

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -29,6 +30,7 @@ from quivrad.rep import (
 )
 
 from conftest import load, pipeline
+from randgen import random_finite_monomial
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +146,50 @@ def test_minimal_presentation_of_s1(s2):
     K, _ = R.kernel_submodule(mp.epi)
     for v in s2.quiver.vertices:
         assert mp.f1.maps[v].image().dim == K.dims[v]
+
+
+def _assert_minimal_cover(epi, summands, M):
+    """epi: ⊕ P_a -> M is onto, has one summand P_a per top basis vector at
+    a, and its kernel lies in the radical of its source."""
+    P = epi.source
+    assert Counter(summands) == Counter({a: d for a, d in top(M)[0].dims.items() if d})
+    assert epi.is_epi()
+    _, rad_incl = radical_submodule(P)
+    for v in M.pres.quiver.vertices:
+        assert rad_incl.maps[v].image().contains(epi.maps[v].kernel())
+
+
+def _assert_minimal_presentation(M):
+    pp = minimal_presentation(M)
+    _assert_minimal_cover(pp.epi, pp.p0_summands, M)
+    K, _ = R.kernel_submodule(pp.epi)
+    if K.is_zero():
+        assert pp.p1.is_zero() and pp.p1_summands == ()
+        return
+    for v in M.pres.quiver.vertices:
+        assert pp.f1.maps[v].image() == pp.epi.maps[v].kernel()
+    # one step down: f1, read in the kernel's basis, is a minimal cover of it
+    maps = {}
+    for v in M.pres.quiver.vertices:
+        space = pp.epi.maps[v].kernel()
+        cols = [space.coords(col) for col in zip(*pp.f1.maps[v].data)]
+        maps[v] = RatMatrix(cols, cols=K.dims[v]).transpose() if cols else \
+            RatMatrix.zeros(K.dims[v], pp.p1.dims[v])
+    _assert_minimal_cover(R.ModuleMorphism(pp.p1, K, maps), pp.p1_summands, K)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a3_rel", "ex_4_5", "s2_cyclic",
+                                  "s3_cycle", "s4_final"])
+def test_minimal_presentation_of_every_node_is_minimal(name):
+    _, ar, _ = pipeline(name)
+    for M in ar.reps:
+        _assert_minimal_presentation(M)
+
+
+def test_minimal_presentation_of_random_monomial_nodes_is_minimal():
+    for _, _, ar in random_finite_monomial(20):
+        for M in ar.reps:
+            _assert_minimal_presentation(M)
 
 
 def test_projective_cover_of_zero_fails(s2):
