@@ -34,7 +34,6 @@ from .rep import (
     ModuleMorphism,
     ProjectivePresentation,
     Representation,
-    are_isomorphic,
     decompose,
     end_radical,
     find_isomorphism,
@@ -395,10 +394,15 @@ class _Knitter:
         # node -> its right almost split map, one (k, node k -> node) per summand
         self.pieces: Dict[int, list] = {}
 
-    def find_iso(self, rep: Representation) -> Optional[int]:
-        for idx in self.buckets.get(rep.dim_vector(), ()):
-            if are_isomorphic(rep, self.nodes[idx].rep):
-                return idx
+    def _match(self, rep: Representation) -> Optional[tuple]:
+        """(k, iso: node k -> rep) for the node k isomorphic to rep, or None.
+
+        Nodes and rep are indecomposable, so the basis test of
+        ``find_isomorphism`` decides."""
+        for k in self.buckets.get(rep.dim_vector(), ()):
+            iso = find_isomorphism(self.nodes[k].rep, rep)
+            if iso is not None:
+                return k, iso
         return None
 
     def add(self, rep: Representation, root: str, power: int) -> int:
@@ -428,11 +432,11 @@ class _Knitter:
 
     def _piece(self, summand: Representation, g: ModuleMorphism) -> tuple:
         """(k, g read on node k) for the node k isomorphic to summand, added if new."""
-        for k in self.buckets.get(summand.dim_vector(), ()):
-            iso = find_isomorphism(self.nodes[k].rep, summand)
-            if iso is not None:
-                return k, g @ iso
-        return self._add_fresh(summand), g
+        found = self._match(summand)
+        if found is None:
+            return self._add_fresh(summand), g
+        k, iso = found
+        return k, g @ iso
 
     def _expand_orbit(self, idx: int) -> None:
         """Walk τ in both directions; cheap, and where the guards trip first.
@@ -456,9 +460,9 @@ class _Knitter:
 
     def _orbit_node(self, rep: Representation, node: ARNode, step: int) -> int:
         """The node isomorphic to rep, a τ^(-step) of node, added to its orbit if new."""
-        found = self.find_iso(rep)
+        found = self._match(rep)
         if found is not None:
-            return found
+            return found[0]
         return self.add(rep, node.orbit_root, node.orbit_power + step)
 
     def _expand_mesh(self, idx: int) -> None:
@@ -474,7 +478,7 @@ class _Knitter:
         pres = self.pres
         for a in pres.quiver.vertices:
             P = projective(pres, a)
-            if self.find_iso(P) is None:
+            if self._match(P) is None:
                 self.add(P, f"P_{a}", 0)
         oi = mi = 0
         while True:

@@ -53,10 +53,11 @@ class _CliFailure(Exception):
 
 
 def _emit(text: str, path: str | None) -> None:
+    """Write text, ending in a newline, to stdout (path None or "-") or to path."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

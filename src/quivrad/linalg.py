@@ -321,30 +321,6 @@ class RatMatrix:
         _, piv = _echelon_sparse(_sparse_int_rows(self.data), reduced=False)
         return len(piv)
 
-    def det(self):
-        if not self.is_square():
-            raise ShapeError("det of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        work = [[Fraction(x) for x in row] for row in self.data]
-        sign = 1
-        det = Fraction(1)
-        for c in range(n):
-            pr = next((i for i in range(c, n) if work[i][c]), None)
-            if pr is None:
-                return 0
-            if pr != c:
-                work[c], work[pr] = work[pr], work[c]
-                sign = -sign
-            piv = work[c][c]
-            det *= piv
-            for i in range(c + 1, n):
-                f = work[i][c] / piv
-                if f:
-                    work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-        return _norm(det * sign)
-
     def kernel(self) -> "Subspace":
         """Right kernel {x : Ax = 0} as a subspace of k^cols."""
         rows = _sparse_int_rows(self.data)

@@ -12,10 +12,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import NotAdmissibleError, ParseError
+from .linalg import _eliminate, _int_vector, _make_primitive
 
 DEFAULT_LENGTH_CAP = 64
 DEFAULT_PATH_CAP = 200_000
@@ -256,7 +256,10 @@ def _parse_relation_expr(text: str, quiver: Quiver, lineno: int, col0: int) -> R
         kind, val, col = tokens[i]
         coeff = Fraction(sign)
         if kind == "num":
-            coeff *= Fraction(val)
+            try:
+                coeff *= Fraction(val)
+            except ZeroDivisionError:
+                raise ParseError(f"coefficient {val} has denominator zero", lineno, col) from None
             i += 1
             if i >= len(tokens) or tokens[i][:2] != ("op", "*"):
                 raise ParseError("coefficient must be followed by '*'", lineno, col)
@@ -375,8 +378,12 @@ def parse_presentation(text: str) -> AlgebraPresentation:
 class _Elim:
     """Incremental integer echelon with pivot = highest column (longest path).
 
-    Fully reduced: no row contains another row's pivot column, so a vector is
-    in the span iff it reduces to the empty remainder.
+    Rows are primitive with a positive pivot and fully reduced: no row
+    contains another row's pivot column, so a vector is in the span iff it
+    reduces to the empty remainder, and a unit vector at a pivot p reduces
+    in one step, to −row/row[p] off the pivot.  Reduction and
+    back-substitution use linalg's integer steps ``_eliminate`` and
+    ``_make_primitive``.
     """
 
     __slots__ = ("rows",)
@@ -384,55 +391,18 @@ class _Elim:
     def __init__(self):
         self.rows: dict = {}  # pivot column -> {column: int}
 
-    @staticmethod
-    def _primitive(vec: dict) -> dict:
-        g = 0
-        for v in vec.values():
-            g = gcd(g, v)
-        if vec[max(vec)] < 0:
-            g = -g
-        if g not in (0, 1):
-            vec = {c: v // g for c, v in vec.items()}
-        return vec
-
     def reduce_int(self, vec: dict) -> dict:
-        """Primitive remainder of an integer vector modulo the row space."""
+        """Primitive remainder of an integer vector modulo the row space,
+        positive at its highest column."""
         vec = {c: v for c, v in vec.items() if v}
         while vec:
             pcols = [c for c in vec if c in self.rows]
             if not pcols:
                 break
             p = max(pcols)
-            row = self.rows[p]
-            a, b = row[p], vec[p]
-            g = gcd(a, b)
-            ka, kb = a // g, b // g
-            out = {c: v * ka for c, v in vec.items()}
-            for c, v in row.items():
-                nv = out.get(c, 0) - v * kb
-                if nv:
-                    out[c] = nv
-                elif c in out:
-                    del out[c]
-            vec = out
-        return self._primitive(vec) if vec else {}
-
-    def reduce_frac(self, vec: dict) -> dict:
-        """Rational remainder: the canonical residue supported on non-pivots."""
-        vec = {c: Fraction(v) for c, v in vec.items() if v}
-        while vec:
-            pcols = [c for c in vec if c in self.rows]
-            if not pcols:
-                break
-            p = max(pcols)
-            row = self.rows[p]
-            f = vec[p] / row[p]
-            for c, v in row.items():
-                nv = vec.get(c, Fraction(0)) - f * v
-                if nv:
-                    vec[c] = nv
-                elif c in vec:
-                    del vec[c]
+            _eliminate(vec, self.rows[p], p)
+        if vec:
+            _make_primitive(vec, max(vec))
         return vec
 
     def add(self, vec: dict) -> bool:
@@ -440,19 +410,10 @@ class _Elim:
         if not vec:
             return False
         p = max(vec)
-        for q, row in list(self.rows.items()):
+        for q, row in self.rows.items():
             if p in row:
-                a, b = vec[p], row[p]
-                g = gcd(a, b)
-                ka, kb = a // g, b // g
-                new = {c: v * ka for c, v in row.items()}
-                for c, v in vec.items():
-                    nv = new.get(c, 0) - v * kb
-                    if nv:
-                        new[c] = nv
-                    elif c in new:
-                        del new[c]
-                self.rows[q] = self._primitive(new)
+                _eliminate(row, vec, p)
+                _make_primitive(row, q)
         self.rows[p] = vec
         return True
 
@@ -494,6 +455,7 @@ class _QuotientModel:
         for rel in self.pres.relations:
             m = rel.max_term_length()
             src, tgt = rel.source, rel.target
+            coeffs, _ = _int_vector([c for c, _ in rel.terms])  # cleared to integers
             for lp in range(0, total - m + 1):
                 lq = total - m - lp
                 ps = self._by_len_end.get((lp, src), ())
@@ -502,23 +464,13 @@ class _QuotientModel:
                     continue
                 for p in ps:
                     for q in qs:
-                        terms = []
-                        for c, tpath in rel.terms:
-                            full = Path(self.pres.quiver, p.start,
-                                        p.arrows + tpath.arrows + q.arrows)
-                            terms.append((c, full))
-                        # clear rational coefficients to integers
-                        den = 1
-                        for c, _ in terms:
-                            den = den * c.denominator // gcd(den, c.denominator)
                         ivec: dict = {}
-                        for c, full in terms:
-                            idx = self.path_index.get(full.key())
-                            if idx is None:
-                                continue
-                            ivec[idx] = ivec.get(idx, 0) + int(c * den)
-                        ivec = {c: v for c, v in ivec.items() if v}
-                        if ivec:
+                        for c, (_, tpath) in zip(coeffs, rel.terms):
+                            key = (p.start, p.arrows + tpath.arrows + q.arrows)  # p·tpath·q
+                            idx = self.path_index.get(key)
+                            if idx is not None:
+                                ivec[idx] = ivec.get(idx, 0) + c
+                        if any(ivec.values()):
                             pair = (p.start, q.end)
                             self.elims.setdefault(pair, _Elim()).add(ivec)
 
@@ -632,16 +584,15 @@ class _QuotientModel:
             # an unregistered path has a dead prefix, hence zero class
             return coords
         elim = self.elims.get(pair)
-        if elim is None:
+        row = elim.rows.get(idx) if elim else None
+        if row is None:
             residue = {idx: Fraction(1)}
         else:
-            residue = elim.reduce_frac({idx: Fraction(1)})
+            residue = {c: Fraction(-x, row[idx]) for c, x in row.items() if c != idx}
         pos = {self.path_index[p.key()]: k for k, p in enumerate(basis)}
         for c, v in residue.items():
             if c not in pos:
-                if v:
-                    raise RuntimeError("path residue escaped the quotient basis")
-                continue
+                raise RuntimeError("path residue escaped the quotient basis")
             coords[pos[c]] = v
         return coords
 

@@ -1,7 +1,10 @@
 """Modules as quiver representations.
 
 Hom spaces, radical/top/socle, projective covers and minimal presentations,
-indecomposability and isomorphism over the rationals.  Matrix convention:
+indecomposability and isomorphism over the rationals.  A projective cover
+is read off the canonical echelon form of the radical: at each vertex its
+generators go to the unit vectors at the non-pivot positions, which lift a
+basis of the top.  Matrix convention:
 the matrix of an arrow maps the source component to the target component,
 so the composite along a traversal-ordered path (a1, a2, ...) is
 ``M_a2 @ M_a1`` and so on.
@@ -600,20 +603,17 @@ def sum_of_projectives_morphism(pres: AlgebraPresentation, summands: Sequence[st
 
 
 def _cover_data(M: Representation):
-    quiver = M.pres.quiver
-    topM, pi = top(M)
+    """(P0, epi, summands): one summand P_a per unit vector of M_a at a
+    non-pivot position of the canonical echelon form of rad M_a; those unit
+    vectors lift a basis of top(M)_a, and epi sends the generators to them."""
     summands = []
     images = []
-    for a in quiver.vertices:
-        for k in range(topM.dims[a]):
-            # lift the k-th quotient basis vector at a back to M_a
-            target = [0] * topM.dims[a]
-            target[k] = 1
-            lift = pi.maps[a].solve(target)
-            if lift is None:
-                raise RuntimeError("top projection is not surjective")
+    for a, rad in _radical_subspaces(M).items():
+        for c in rad.nonpivots():
+            unit = [0] * M.dims[a]
+            unit[c] = 1
             summands.append(a)
-            images.append(lift)
+            images.append(unit)
     if not summands:
         raise RuntimeError("nonzero module with zero top")
     epi = sum_of_projectives_morphism(M.pres, summands, M, images)

@@ -221,6 +221,32 @@ def test_output_file_writing(tmp_path, capsys):
     assert json.loads(target.read_text())["r_A"] == 2
 
 
+@pytest.mark.parametrize("command, options", [
+    ("validate", []), ("validate", ["--format", "json"]),
+    ("ar", []), ("ar", ["--json"]),
+    ("index", []), ("index", ["--format", "json"]),
+    ("check", []), ("check", ["--format", "json"]),
+])
+def test_output_file_holds_the_stdout_bytes(command, options, tmp_path, capsys):
+    code, out, _ = run(capsys, command, fixture_path("s2_cyclic"), *options)
+    assert code == 0 and out.endswith("\n")
+    target = tmp_path / "report"
+    to_file = options + [str(target)] if options == ["--json"] else options + ["-o", str(target)]
+    code, out_file, _ = run(capsys, command, fixture_path("s2_cyclic"), *to_file)
+    assert code == 0 and out_file == ""
+    assert target.read_bytes() == out.encode("utf-8")
+
+
+def test_zero_denominator_coefficient_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.quiver"
+    bad.write_text("vertex 1 2 3\narrow a 1 2\narrow b 2 3\nrelation 1/0*a*b\n")
+    for command in ("validate", "ar", "index", "check"):
+        code, out, err = run(capsys, command, str(bad))
+        assert code == 2 and out == ""
+        assert err == "invalid presentation: line 4, column 10: " \
+                      "coefficient 1/0 has denominator zero\n"
+
+
 def test_python_dash_m_runs_the_cli(capsys):
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=str(root / "src"))

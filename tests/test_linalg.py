@@ -81,12 +81,10 @@ def test_zero_dimensional_matrices():
     assert z.kernel().dim == 3  # no constraints
 
 
-def test_inverse_and_det():
+def test_inverse():
     m = RatMatrix([[2, 1], [1, 1]])
-    assert m.det() == 1
     inv = m.inverse()
     assert (m @ inv) == RatMatrix.identity(2)
-    assert RatMatrix([[1, 2], [2, 4]]).det() == 0
 
 
 def test_image_and_rref_canonical():
