@@ -605,7 +605,7 @@ def sum_of_projectives_morphism(pres: AlgebraPresentation, summands: Sequence[st
 def _cover_data(M: Representation):
     """(P0, epi, summands): one summand P_a per unit vector of M_a at a
     non-pivot position of the canonical echelon form of rad M_a; those unit
-    vectors lift a basis of top(M)_a, and epi sends the generators to them."""
+    vectors lift a basis of the top at a, and epi sends the generators to them."""
     summands = []
     images = []
     for a, rad in _radical_subspaces(M).items():
