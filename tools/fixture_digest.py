@@ -1,9 +1,10 @@
 """Digest of the CLI output on every fixture in tests/data.
 
-Runs ``validate --format json``, ``ar --json``, ``ar --dot``,
-``index --format json``, ``check --theorem all --format json`` and the
-text-format ``check`` on each ``tests/data/*.quiver``, one fresh interpreter
-per call, and prints one line per call:
+Runs ``validate --format json``, ``ar --json``, ``ar --dot``, the text
+``ar``, ``index --format json``, the text ``index``,
+``check --theorem all --format json`` and the text ``check`` on each
+``tests/data/*.quiver``, one fresh interpreter per call, and prints one line
+per call:
 
     <fixture> <command> exit=<code> sha256=<hex digest of stdout> err=<hex digest of stderr>
 
@@ -44,7 +45,9 @@ COMMANDS = (
     ("validate", ["validate", "--format", "json"]),
     ("ar", ["ar", "--json"]),
     ("ar-dot", ["ar", "--dot"]),
+    ("ar-text", ["ar"]),
     ("index", ["index", "--format", "json"]),
+    ("index-text", ["index"]),
     ("check", ["check", "--theorem", "all", "--format", "json"]),
     ("check-text", ["check"]),
 )
