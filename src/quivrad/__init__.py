@@ -13,7 +13,7 @@ from .errors import (
     ShapeError,
     SplitFieldNeededError,
 )
-from .linalg import RatMatrix, Subspace, algebra_radical
+from .linalg import RatMatrix, Subspace
 from .quiver import (
     AlgebraPresentation,
     Classification,

@@ -44,7 +44,6 @@ from .rep import (
     projective,
     quotient_representation,
     radical_submodule,
-    restrict_to_submodule,
     sum_of_projectives_morphism,
     zero_representation,
 )
@@ -150,49 +149,29 @@ def almost_split_middle(Z: Representation, tau_z: Representation,
                         with_map: bool = False):
     """Middle term of the almost split sequence 0 -> τZ -> E -> Z -> 0.
 
-    The extension class is a nonzero element of Ext¹(Z, τZ) annihilated by
-    the radical of End(Z); Ext¹ is presented on Hom(ΩZ, τZ) modulo the
-    restrictions from the cover, and E is the pushout cokernel.
-    ``presentation`` is as for ``transpose``.  With ``with_map`` the result
-    is the pair (E, E -> Z), the right almost split map.
+    Ext¹(Z, τZ) is presented on Hom(ΩZ, τZ) modulo the restrictions from the
+    cover, and E is the pushout cokernel of a nonzero class in its socle.
+    That socle is the same over End(Z) and over End(τZ) (Auslander-Reiten-
+    Smalø V.2), so the class is taken annihilated by rad End(τZ), which acts
+    by composition.  ``presentation`` is as for ``transpose``.  With
+    ``with_map`` the result is the pair (E, E -> Z), the right almost split
+    map.
     """
     pp = minimal_presentation(Z) if presentation is None else presentation
     K, incl = kernel_submodule(pp.epi)
     if K.is_zero():
         raise ValueError("projective module has no almost split sequence ending at it")
     hom_k = hom_space(K, tau_z)
+    if hom_k.dim == 0:
+        raise InconsistencyError("Ext group vanished for a non-projective module")
     hom_p0 = hom_space(pp.p0, tau_z)
     ambient = morphism_ambient(K, tau_z)
     factored = Subspace.from_vectors(ambient, [(h @ incl).flatten() for h in hom_p0.basis])
-    end_z = hom_space(Z, Z)
-    rad_z = end_radical(end_z)
-    # generator columns: summand i's generator sits at a running offset in (P0)_{a_i}
-    model = Z.pres.model()
-    offsets = []
-    run = {v: 0 for v in Z.pres.quiver.vertices}
-    for a in pp.p0_summands:
-        offsets.append(run[a])
-        for v in Z.pres.quiver.vertices:
-            run[v] += len(model.basis(a, v))
-    lifts = []
-    for coords in rad_z.basis:
-        phi = end_z.element(coords)
-        # lift phi through the cover: psi with epi ∘ psi = phi ∘ epi
-        images = []
-        for a, off in zip(pp.p0_summands, offsets):
-            eps_col = [row[off] for row in pp.epi.maps[a].data]
-            target_vec = phi.maps[a].apply(eps_col)
-            sol = pp.epi.maps[a].solve(target_vec)
-            if sol is None:
-                raise InconsistencyError("cover is not surjective")
-            images.append(sol)
-        psi = sum_of_projectives_morphism(Z.pres, pp.p0_summands, pp.p0, images)
-        lifts.append(restrict_to_submodule(psi, incl))
-    if hom_k.dim == 0:
-        raise InconsistencyError("Ext group vanished for a non-projective module")
+    end_tau = hom_space(tau_z, tau_z)
     rows = []
-    for phi_k in lifts:
-        cols = [factored.quotient_coords((b @ phi_k).flatten()) for b in hom_k.basis]
+    for coords in end_radical(end_tau).basis:
+        psi = end_tau.element(coords)
+        cols = [factored.quotient_coords((psi @ b).flatten()) for b in hom_k.basis]
         rows.extend(zip(*cols))
     sols = RatMatrix(rows, cols=hom_k.dim).kernel() if rows else Subspace.full(hom_k.dim)
     g = None

@@ -41,6 +41,8 @@ def _read_presentation(args):
             text = fh.read()
     except OSError as exc:
         raise _CliFailure(EXIT_IO, f"cannot read {args.file}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _CliFailure(EXIT_IO, f"cannot read {args.file}: {exc}")
     pres = parse_presentation(text)
     return pres, validate_admissible(pres, max_len=args.max_len)
 
@@ -59,8 +61,11 @@ def _emit(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliFailure(EXIT_IO, f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _limits(args) -> EnumerationLimits:

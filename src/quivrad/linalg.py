@@ -528,37 +528,3 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
-
-def algebra_radical(mult_table: Sequence[Sequence[Sequence]]) -> Subspace:
-    """Jacobson radical of a finite-dimensional associative algebra over Q.
-
-    ``mult_table[i][j]`` holds the coordinates of e_i·e_j over the basis.
-    In characteristic zero the radical is the kernel of the trace form
-    (x, y) -> trace(L_x L_y); the result lives in the algebra's coordinate
-    space.  Raises ValueError if the table is not associative.
-    """
-    n = len(mult_table)
-    table = [[[_norm(c) for c in mult_table[i][j]] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        if len(table[i]) != n or any(len(table[i][j]) != n for j in range(n)):
-            raise ShapeError("mult_table must be n x n x n")
-    # left-multiplication matrices: (L_i)[k][j] = coefficient of e_k in e_i e_j
-    L = [RatMatrix([[table[i][j][k] for j in range(n)] for k in range(n)], cols=n) for i in range(n)]
-    gram = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lhs = L[i] @ L[j]
-            rhs_rows = [[0] * n for _ in range(n)]
-            for m in range(n):
-                c = table[i][j][m]
-                if c:
-                    for k in range(n):
-                        for col in range(n):
-                            rhs_rows[k][col] += c * table[m][col][k]
-            if lhs != RatMatrix(rhs_rows, cols=n):
-                raise ValueError("multiplication table is not associative")
-            row.append(sum(lhs.data[k][k] for k in range(n)))
-        gram.append(row)
-    return RatMatrix(gram, cols=n).kernel()
-

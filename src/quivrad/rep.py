@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Dict, Optional, Sequence
 
 from .errors import ShapeError, SplitFieldNeededError
@@ -21,7 +22,6 @@ from .linalg import (
     Subspace,
     _int_vector,
     _kernel_int,
-    algebra_radical,
     hstack,
 )
 from .quiver import AlgebraPresentation, Path
@@ -367,27 +367,25 @@ def hom_space(M: Representation, N: Representation) -> HomSpace:
     return HomSpace(M, N, kernel)
 
 
-def mult_table(end: HomSpace) -> list:
-    """Structure constants of End(M): table[i][j] = coords of b_i ∘ b_j."""
-    n = end.dim
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            comp = end.basis[i] @ end.basis[j]
-            coords = end.coords(comp)
-            if coords is None:
-                raise RuntimeError("endomorphism composition escaped Hom space")
-            row.append(list(coords))
-        table.append(row)
-    return table
-
-
 def end_radical(end: HomSpace) -> Subspace:
-    """Radical of End(M) in End-basis coordinates."""
-    if end.dim == 0:
-        return Subspace.zero(0)
-    return algebra_radical(mult_table(end))
+    """Radical of End(M) in End-basis coordinates: the kernel of the trace
+    form (x, y) -> tr_M(x∘y).
+
+    That kernel is an ideal, and for x in it tr_M(x^k) = tr_M(x∘x^(k-1)) = 0
+    for every k ≥ 1 (End(M) holds the identity), so over Q every x in it is
+    nilpotent; conversely x∘y is nilpotent, of trace 0, for x in the radical.
+    """
+    M = end.source
+    swap = []  # tr(x∘y) pairs x_v[k][l] with y_v[l][k]
+    pos = 0
+    for v in M.pres.quiver.vertices:
+        d = M.dims[v]
+        swap.extend(pos + l * d + k for k in range(d) for l in range(d))
+        pos += d * d
+    rows = end.space.basis
+    swapped = [[y[p] for p in swap] for y in rows]
+    gram = [[sum(map(mul, x, y)) for y in swapped] for x in rows]
+    return RatMatrix._of(gram, len(rows)).kernel()
 
 
 # -- structural submodules --------------------------------------------------
@@ -624,24 +622,6 @@ def kernel_submodule(f: ModuleMorphism):
     """(ker f, inclusion) as a subrepresentation of the source."""
     spaces = {v: f.maps[v].kernel() for v in f.source.pres.quiver.vertices}
     return subrepresentation(f.source, spaces)
-
-
-def restrict_to_submodule(f: ModuleMorphism, incl: ModuleMorphism) -> ModuleMorphism:
-    """Corestriction f_K with incl ∘ f_K = f ∘ incl, for f preserving im(incl)."""
-    K = incl.source
-    maps = {}
-    for v in K.pres.quiver.vertices:
-        rhs = f.maps[v] @ incl.maps[v]
-        cols = []
-        for j in range(K.dims[v]):
-            col = [rhs.data[i][j] for i in range(rhs.rows)]
-            sol = incl.maps[v].solve(col)
-            if sol is None:
-                raise ValueError("morphism does not preserve the submodule")
-            cols.append(sol)
-        maps[v] = RatMatrix(zip(*cols), cols=K.dims[v]) if cols and incl.maps[v].cols else \
-            RatMatrix.zeros(K.dims[v], K.dims[v])
-    return ModuleMorphism(K, K, maps, check=False)
 
 
 def minimal_presentation(M: Representation) -> ProjectivePresentation:

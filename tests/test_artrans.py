@@ -11,10 +11,13 @@ from quivrad.artrans import (
     transpose,
 )
 from quivrad.errors import InconsistencyError, LimitsExceededError
+from quivrad.linalg import RatMatrix, Subspace
 from quivrad.rep import (
     ModuleMorphism,
     are_isomorphic,
+    hom_space,
     injective,
+    morphism_ambient,
     projective,
     radical_submodule,
     simple,
@@ -277,6 +280,35 @@ def test_almost_split_map_is_the_cokernel(s3_pipeline):
         assert g.is_epi()
         kernel = [middle.dims[v] - node.rep.dims[v] for v in pres.quiver.vertices]
         assert kernel == list(tau_rep.dim_vector())
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_almost_split_map_is_right_almost_split(name):
+    # π: E -> Z factors every map into Z that is not a split epimorphism:
+    # the maps from every other node and the radical endomorphisms, which are
+    # the trace-zero part of End(Z) since End(Z)/rad = Q; id_Z does not factor
+    pres, ar, _ = pipeline(name)
+    for j in ar.tau:
+        Z = ar.nodes[j].rep
+        E, pi = almost_split_middle(Z, ar.nodes[ar.tau[j]].rep, with_map=True)
+
+        def through_pi(X):
+            """π ∘ Hom(X, E), flattened like Hom(X, Z)."""
+            return Subspace.from_vectors(morphism_ambient(X, Z),
+                                         [(pi @ h).flatten() for h in hom_space(X, E).basis])
+
+        for k, node in enumerate(ar.nodes):
+            if k != j:
+                assert through_pi(node.rep).contains(hom_space(node.rep, Z).space)
+        end = hom_space(Z, Z)
+        traces = [sum(b.maps[v].data[i][i] for v in pres.quiver.vertices
+                      for i in range(Z.dims[v])) for b in end.basis]
+        trace_zero = RatMatrix([traces], cols=end.dim).kernel()
+        radical = Subspace.from_vectors(end.ambient, [end.element(c).flatten()
+                                                      for c in trace_zero.basis])
+        image = through_pi(Z)
+        assert image.contains(radical)
+        assert not image.contains_vector(ModuleMorphism.identity(Z).flatten())
 
 
 def test_pieces_map_into_their_node(s2_pipeline):

@@ -255,3 +255,33 @@ def test_python_dash_m_runs_the_cli(capsys):
     code, out, _ = run(capsys, "validate", str(root / "tests" / "data" / "a2.quiver"))
     assert proc.returncode == code == 0
     assert proc.stdout == out
+
+
+def _cli_process(*argv):
+    """Run ``python -m quivrad`` in a fresh process: (exit code, stdout, stderr)."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-m", "quivrad", *argv], cwd=root, env=env,
+                          capture_output=True, text=True, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("command, options", [
+    ("validate", ["-o"]), ("ar", ["--json"]), ("ar", ["--dot"]),
+])
+def test_unwritable_output_path_is_io_error(command, options, tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = _cli_process(command, fixture_path("a2"), *options, str(target))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"cannot write {target}: No such file or directory"]
+    assert not target.parent.exists()
+
+
+def test_non_utf8_input_is_io_error(tmp_path):
+    bad = tmp_path / "bad.quiver"
+    bad.write_bytes(b"vertex 1 2\narrow a 1 2\xff\n")
+    code, out, err = _cli_process("validate", str(bad))
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"cannot read {bad}: ")
+    assert "can't decode byte 0xff" in lines[0]

@@ -7,7 +7,6 @@ from quivrad.errors import ShapeError
 from quivrad.linalg import (
     RatMatrix,
     Subspace,
-    algebra_radical,
     hstack,
     vstack,
 )
@@ -126,124 +125,3 @@ def test_coords_membership():
         rebuilt = [x + c * y for x, y in zip(rebuilt, row)]
     assert rebuilt == [1, 2, 1]
     assert s.coords([0, 0, 1]) is None
-
-
-def test_algebra_radical_of_field_is_zero():
-    assert algebra_radical([[[1]]]).is_zero()
-
-
-def test_algebra_radical_of_dual_numbers():
-    # basis 1, t with t^2 = 0: radical is the t-line
-    table = [
-        [[1, 0], [0, 1]],
-        [[0, 1], [0, 0]],
-    ]
-    rad = algebra_radical(table)
-    assert rad.dim == 1
-    assert rad.contains_vector([0, 1])
-
-
-def _matrix_algebra_table(n):
-    # basis e_{ij} ordered row-major; e_{ij} e_{kl} = delta_jk e_{il}
-    dim = n * n
-    idx = lambda i, j: i * n + j
-    table = [[[0] * dim for _ in range(dim)] for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    out = [0] * dim
-                    if j == k:
-                        out[idx(i, l)] = 1
-                    table[idx(i, j)][idx(k, l)] = out
-    return table
-
-
-def test_full_matrix_algebra_is_semisimple():
-    table = _matrix_algebra_table(2)
-    assert algebra_radical(table).is_zero()
-    # independent oracle: the two-sided ideal generated by any basis element
-    # is everything, and the whole algebra is not nilpotent (it has a unit),
-    # so the largest nilpotent ideal is zero
-    n = 4
-    basis = range(n)
-
-    def mult(x, y):
-        out = [0] * n
-        for i, ci in enumerate(x):
-            if ci:
-                for j, cj in enumerate(y):
-                    if cj:
-                        for k, ck in enumerate(table[i][j]):
-                            out[k] += ci * cj * ck
-        return out
-
-    for g in basis:
-        gen = [1 if i == g else 0 for i in range(n)]
-        vectors = [gen]
-        changed = True
-        while changed:
-            changed = False
-            span = Subspace.from_vectors(n, vectors)
-            for b in basis:
-                e = [1 if i == b else 0 for i in range(n)]
-                for v in list(vectors):
-                    for prod in (mult(e, v), mult(v, e)):
-                        if not span.contains_vector(prod):
-                            vectors.append(prod)
-                            span = Subspace.from_vectors(n, vectors)
-                            changed = True
-        assert Subspace.from_vectors(n, vectors).dim == n
-
-
-def test_algebra_radical_rejects_non_associative():
-    # a*a = b, a*b = a, b*anything = 0: then (a*a)*a = 0 but a*(a*a) = a
-    table = [
-        [[0, 1], [1, 0]],
-        [[0, 0], [0, 0]],
-    ]
-    with pytest.raises(ValueError):
-        algebra_radical(table)
-
-
-def _table_mult(table, x, y):
-    n = len(table)
-    out = [0] * n
-    for i, ci in enumerate(x):
-        if ci:
-            for j, cj in enumerate(y):
-                if cj:
-                    for k, ck in enumerate(table[i][j]):
-                        out[k] += ci * cj * ck
-    return out
-
-
-@pytest.mark.parametrize("table", [
-    # dual numbers 1, t with t^2 = 0
-    [[[1, 0], [0, 1]], [[0, 1], [0, 0]]],
-    # path algebra of a single arrow: e1, e2, a with a = a e1 = e2 a
-    [
-        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
-        [[0, 0, 0], [0, 1, 0], [0, 0, 1]],
-        [[0, 0, 1], [0, 0, 0], [0, 0, 0]],
-    ],
-])
-def test_radical_is_nilpotent_ideal(table):
-    n = len(table)
-    rad = algebra_radical(table)
-    basis = [list(row) for row in rad.basis]
-    units = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for r in basis:
-        for e in units:
-            assert rad.contains_vector(_table_mult(table, r, e))
-            assert rad.contains_vector(_table_mult(table, e, r))
-    # nilpotency: powers of the radical span shrink to zero within dim steps
-    current = basis
-    for _ in range(n + 1):
-        if not current:
-            break
-        current = [v for v in
-                   (_table_mult(table, x, y) for x in current for y in basis)
-                   if any(v)]
-        current = [list(r) for r in Subspace.from_vectors(n, current).basis]
-    assert not current

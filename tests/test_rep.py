@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 
 from quivrad.errors import ShapeError
-from quivrad.linalg import RatMatrix
+from quivrad.linalg import RatMatrix, Subspace
 from quivrad import rep as R
 from quivrad.rep import (
     HomSpace,
@@ -100,9 +100,105 @@ def test_hom_basis_intertwines_exactly(s2):
         assert f._intertwines()
 
 
+def _end_product(end, x, y) -> list:
+    """End-basis coordinates of x∘y, for x and y in End-basis coordinates."""
+    return list(end.coords(end.element(x) @ end.element(y)))
+
+
+def _end_of_sum(modules):
+    M = direct_sum(modules)
+    return hom_space(M, M)
+
+
+def test_end_radical_of_a_simple_is_zero(s2):
+    # End(S_a) is the field Q
+    for a in s2.quiver.vertices:
+        end = hom_space(simple(s2, a), simple(s2, a))
+        assert end.dim == 1 and end_radical(end).is_zero()
+
+
 def test_end_radical_of_local_end(s2):
-    end = hom_space(projective(s2, "1"), projective(s2, "1"))
-    assert end_radical(end).dim == 1
+    # End(P_1) on s2 is Q[t]/(t²): the radical is a line spanned by t, t∘t = 0
+    P1 = projective(s2, "1")
+    end = hom_space(P1, P1)
+    rad = end_radical(end)
+    assert end.dim == 2 and rad.dim == 1
+    assert not any(_end_product(end, rad.basis[0], rad.basis[0]))
+    assert not rad.contains_vector(end.coords(ModuleMorphism.identity(P1)))
+
+
+def test_end_radical_of_a_full_matrix_algebra_is_zero(s2):
+    # End(S ⊕ S) is M_2(Q)
+    end = _end_of_sum([simple(s2, "1")] * 2)
+    assert end.dim == 4
+    assert end_radical(end).is_zero()
+    # independent oracle: the two-sided ideal generated by any basis element
+    # is everything, and the whole algebra is not nilpotent (it has a unit),
+    # so the largest nilpotent ideal is zero
+    n = end.dim
+    units = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for gen in units:
+        vectors = [gen]
+        changed = True
+        while changed:
+            changed = False
+            span = Subspace.from_vectors(n, vectors)
+            for e in units:
+                for v in list(vectors):
+                    for prod in (_end_product(end, e, v), _end_product(end, v, e)):
+                        if not span.contains_vector(prod):
+                            vectors.append(prod)
+                            span = Subspace.from_vectors(n, vectors)
+                            changed = True
+        assert Subspace.from_vectors(n, vectors).dim == n
+
+
+@pytest.mark.parametrize("name, vertices, rad_dim", [
+    ("s2_cyclic", ("1",), 1),  # End(P_1) is the dual numbers
+    ("a2", ("1", "2"), 1),  # End(P_1 ⊕ P_2) is the path algebra of an arrow
+], ids=["dual_numbers", "arrow"])
+def test_end_radical_is_nilpotent_ideal(name, vertices, rad_dim):
+    pres = load(name)
+    end = _end_of_sum([projective(pres, a) for a in vertices])
+    n = end.dim
+    rad = end_radical(end)
+    assert rad.dim == rad_dim
+    basis = [list(row) for row in rad.basis]
+    units = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for r in basis:
+        for e in units:
+            assert rad.contains_vector(_end_product(end, r, e))
+            assert rad.contains_vector(_end_product(end, e, r))
+    # nilpotency: powers of the radical span shrink to zero within dim steps
+    current = basis
+    for _ in range(n + 1):
+        if not current:
+            break
+        current = [v for v in (_end_product(end, x, y) for x in current for y in basis)
+                   if any(v)]
+        current = [list(r) for r in Subspace.from_vectors(n, current).basis]
+    assert not current
+
+
+@pytest.mark.parametrize("name, picks", [
+    ("a3", ((0, 1), (2, 2), (4, 1))),
+    ("s2_cyclic", ((1, 2), (4, 1), (7, 1))),
+    ("s3_cycle", ((2, 2), (5, 2))),
+    ("ex_4_5", ((0, 1), (3, 3))),
+])
+def test_end_radical_of_a_direct_sum_of_nodes(name, picks):
+    # distinct nodes X_i are pairwise non-isomorphic with End/rad = Q, so
+    # End(⊕ X_i^m_i) / rad is ∏ M_m_i(Q), of dimension Σ m_i²
+    pres, ar, _ = pipeline(name)
+    end = _end_of_sum([ar.nodes[k].rep for k, m in picks for _ in range(m)])
+    rad = end_radical(end)
+    assert end.dim - rad.dim == sum(m * m for _, m in picks)
+    M = end.source
+    for coords in rad.basis:
+        f, exponent = end.element(coords), 1
+        while exponent < M.total_dim():
+            f, exponent = f @ f, 2 * exponent
+        assert f.is_zero()
 
 
 def test_radical_top_socle(s2):
