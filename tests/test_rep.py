@@ -118,6 +118,11 @@ def test_end_radical_of_a_simple_is_zero(s2):
 
 
 def test_end_radical_of_local_end(s2):
+    end = hom_space(projective(s2, "1"), projective(s2, "1"))
+    assert end_radical(end).dim == 1
+
+
+def test_end_radical_of_dual_numbers(s2):
     # End(P_1) on s2 is Q[t]/(t²): the radical is a line spanned by t, t∘t = 0
     P1 = projective(s2, "1")
     end = hom_space(P1, P1)
