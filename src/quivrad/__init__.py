@@ -62,7 +62,6 @@ from .radical import (
     canonical_r,
     morphism_length,
     nilpotency_index,
-    radical_filtration,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,9 @@ is complete.  Guard limits turn a runaway enumeration into an error.
 The knitting keeps the right almost split map into every node (rad P ↪ P,
 or the end of the almost split sequence), one piece per indecomposable
 summand read on the node isomorphic to it; the AR arrows are the summand
-multiplicities, and the radical filtration composes with the pieces.
+multiplicities.  After the walk it matches P_a, I_a and S_a to their nodes
+by the same isomorphism search, and the radical filtration is built from
+the nodes, the pieces and that table alone.
 """
 from __future__ import annotations
 
@@ -38,12 +40,14 @@ from .rep import (
     end_radical,
     find_isomorphism,
     hom_space,
+    injective,
     kernel_submodule,
     minimal_presentation,
     morphism_ambient,
     projective,
     quotient_representation,
     radical_submodule,
+    simple,
     sum_of_projectives_morphism,
     zero_representation,
 )
@@ -225,25 +229,6 @@ def right_almost_split_summands(Y: Representation, tau_y: Optional[Representatio
     return [(Z, into @ incl) for Z, incl in decompose(source, True)]
 
 
-def node_pieces(reps: List[Representation], j: int) -> list:
-    """(k, g: reps[k] -> reps[j]) for each summand of the minimal right almost
-    split map into reps[j], read on the first node isomorphic to it."""
-    Y = reps[j]
-    pp = minimal_presentation(Y)
-    out = []
-    for Z, g in right_almost_split_summands(Y, ar_translate(Y, pp), pp):
-        for k, node in enumerate(reps):
-            iso = find_isomorphism(node, Z)
-            if iso is not None:
-                out.append((k, g @ iso))
-                break
-        else:
-            raise InconsistencyError(
-                f"a summand of the right almost split map into node {j} is no node; "
-                "node list is not a complete set of indecomposables")
-    return out
-
-
 @dataclass
 class ARNode:
     index: int
@@ -277,7 +262,6 @@ class ARQuiver:
         self.tau = tau                       # non-projective node -> its translate
         self.tau_inverse = tau_inverse       # non-injective node -> its inverse translate
         self.filtration = filtration
-        self._alias_map = filtration.aliases
 
     @property
     def reps(self) -> list:
@@ -285,24 +269,6 @@ class ARQuiver:
 
     def node_count(self) -> int:
         return len(self.nodes)
-
-    def find(self, alias: str) -> Optional[ARNode]:
-        idx = self._alias_map.get(alias)
-        if idx is None:
-            for n in self.nodes:
-                if n.label == alias:
-                    return n
-            return None
-        return self.nodes[idx]
-
-    def projective_index(self, a: str) -> int:
-        return self.filtration.projective_index(a)
-
-    def injective_index(self, a: str) -> int:
-        return self.filtration.injective_index(a)
-
-    def simple_index(self, a: str) -> int:
-        return self.filtration.simple_index(a)
 
     def arrows(self) -> list:
         """(source index, target index, dim Irr) for every AR-quiver arrow.
@@ -470,22 +436,32 @@ class _Knitter:
             mi += 1
         return self
 
+    def alias_table(self) -> Dict[str, int]:
+        """``P_a``/``I_a``/``S_a`` -> the node isomorphic to it.
 
-def _enumerate_nodes(pres: AlgebraPresentation, limits: EnumerationLimits) -> _Knitter:
-    return _Knitter(pres, limits).run()
+        Keys run over the vertices in order, P before I before S; a module
+        with no isomorphic node gets no key.
+        """
+        table: Dict[str, int] = {}
+        for a in self.pres.quiver.vertices:
+            for tag, build in (("P", projective), ("I", injective), ("S", simple)):
+                found = self._match(build(self.pres, a))
+                if found is not None:
+                    table[f"{tag}_{a}"] = found[0]
+        return table
 
 
 def enumerate_indecomposables(pres: AlgebraPresentation,
                               limits: EnumerationLimits | None = None) -> list:
     """All indecomposables, by knitting closure from the projectives."""
-    return [n.rep for n in _enumerate_nodes(pres, limits or EnumerationLimits()).nodes]
+    return [n.rep for n in _Knitter(pres, limits or EnumerationLimits()).run().nodes]
 
 
 def ar_quiver(pres: AlgebraPresentation,
               limits: EnumerationLimits | None = None) -> ARQuiver:
-    knit = _enumerate_nodes(pres, limits or EnumerationLimits())
-    nodes = knit.nodes
-    filt = RadicalFiltration(pres, [n.rep for n in nodes], knit.pieces)
-    for key, idx in filt.aliases.items():
-        nodes[idx].aliases += (key,)
-    return ARQuiver(pres, nodes, knit.tau, knit.tau_inverse, filt)
+    knit = _Knitter(pres, limits or EnumerationLimits()).run()
+    aliases = knit.alias_table()
+    for key, idx in aliases.items():
+        knit.nodes[idx].aliases += (key,)
+    filt = RadicalFiltration(pres, [n.rep for n in knit.nodes], knit.pieces, aliases)
+    return ARQuiver(pres, knit.nodes, knit.tau, knit.tau_inverse, filt)

@@ -93,6 +93,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ar(args) -> int:
+    if args.output is not None and (args.dot is not None or args.json is not None):
+        raise _CliFailure(EXIT_INVALID, "-o/--output is for the text summary; "
+                                        "give the DOT or JSON path to --dot or --json")
     pres, _ = _read_presentation(args)
     ar = ar_quiver(pres, _limits(args))
     wrote = False

@@ -248,10 +248,6 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return _identity(n)
 
-    @classmethod
-    def column(cls, entries: Sequence) -> "RatMatrix":
-        return cls([[e] for e in entries], cols=1)
-
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -312,11 +308,6 @@ class RatMatrix:
             raise ShapeError("apply: length mismatch")
         return [sum(a * b for a, b in zip(row, vec)) for row in self.data]
 
-    def rref(self):
-        """Canonical reduced echelon form over the integers: (matrix, pivots)."""
-        red, piv = _echelon_int(_sparse_int_rows(self.data), self.cols, reduced=True)
-        return RatMatrix._of(red, self.cols), tuple(piv)
-
     def rank(self) -> int:
         _, piv = _echelon_sparse(_sparse_int_rows(self.data), reduced=False)
         return len(piv)
@@ -330,20 +321,6 @@ class RatMatrix:
         """Column space as a subspace of k^rows."""
         cols = list(zip(*self.data)) if self.data else []
         return Subspace.from_vectors(self.rows, cols)
-
-    def solve(self, rhs: Sequence):
-        """One exact solution of Ax = rhs, or None when inconsistent."""
-        if len(rhs) != self.rows:
-            raise ShapeError("solve: rhs length mismatch")
-        n = self.cols
-        aug = _sparse_int_rows(list(row) + [b] for row, b in zip(self.data, rhs))
-        red, piv = _echelon_sparse(aug, reduced=True)
-        if n in piv:
-            return None
-        sol = [0] * n
-        for row, p in zip(red, piv):
-            sol[p] = _ratio(row.get(n, 0), row[p])
-        return tuple(sol)
 
     def inverse(self) -> "RatMatrix":
         if not self.is_square():
@@ -376,17 +353,6 @@ def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
         raise ShapeError("hstack: row mismatch")
     data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
     return RatMatrix._of(data, sum(m.cols for m in mats))
-
-
-def vstack(mats: Sequence[RatMatrix]) -> RatMatrix:
-    mats = list(mats)
-    if not mats:
-        raise ShapeError("vstack of nothing")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ShapeError("vstack: column mismatch")
-    data = [row for m in mats for row in m.data]
-    return RatMatrix._of(data, cols)
 
 
 class Subspace:
@@ -491,26 +457,10 @@ class Subspace:
     def contains_vector(self, vec: Sequence) -> bool:
         return self.coords(vec) is not None
 
-    def contains(self, other: "Subspace") -> bool:
-        if self.ambient != other.ambient:
-            raise ShapeError("ambient mismatch")
-        return all(self.contains_vector(row) for row in other.basis)
-
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ShapeError("ambient mismatch")
         return Subspace._from_int_vectors(self.ambient, list(self.basis) + list(other.basis))
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: echelonize [A|A; B|0]; rows with zero left half give A∩B."""
-        if self.ambient != other.ambient:
-            raise ShapeError("ambient mismatch")
-        n = self.ambient
-        block = [list(r) + list(r) for r in self.basis]
-        block += [list(r) + [0] * n for r in other.basis]
-        red, _ = _echelon_sparse(block, reduced=False)
-        inter = [{c - n: x for c, x in row.items()} for row in red if min(row) >= n]
-        return Subspace._from_int_vectors(n, inter)
 
     def nonpivots(self) -> tuple:
         pset = set(self.pivots)

@@ -202,7 +202,7 @@ class AlgebraPresentation:
     def __init__(self, quiver: Quiver, relations: Sequence[Relation]):
         self.quiver = quiver
         self.relations = tuple(relations)
-        self._models: dict = {}
+        self._model: Optional[_QuotientModel] = None
         self._opposite: Optional[AlgebraPresentation] = None
         self._cache: dict = {}
 
@@ -220,10 +220,23 @@ class AlgebraPresentation:
             self._opposite = op
         return self._opposite
 
-    def model(self, max_len: int = DEFAULT_LENGTH_CAP) -> "_QuotientModel":
-        if max_len not in self._models:
-            self._models[max_len] = _QuotientModel(self, max_len)
-        return self._models[max_len]
+    def model(self, max_len: Optional[int] = None) -> "_QuotientModel":
+        """The path-class model, built once; ``max_len`` only certifies it.
+
+        A cap raises NotAdmissibleError when paths of that length survive.
+        With no cap, a model built before is returned as it is, and a new one
+        is built at the cap of the opposite side's model, else at
+        DEFAULT_LENGTH_CAP.
+        """
+        model = self._model
+        if model is None:
+            if max_len is None:
+                twin = self._opposite._model if self._opposite is not None else None
+                max_len = twin.max_len if twin is not None else DEFAULT_LENGTH_CAP
+            model = self._model = _QuotientModel(self, max_len)
+        elif max_len is not None and model.stop_len > max_len:
+            raise _survivors(max_len)
+        return model
 
     def __repr__(self):
         return f"AlgebraPresentation({self.quiver!r}, {len(self.relations)} relations)"
@@ -422,8 +435,18 @@ class _Elim:
         return set(self.rows)
 
 
+def _survivors(max_len: int) -> NotAdmissibleError:
+    return NotAdmissibleError(
+        f"paths of length {max_len} still survive: ideal not "
+        f"certified admissible within the cap (possibly infinite-dimensional)")
+
+
 class _QuotientModel:
-    """Path classes of kQ/I by bounded enumeration and echelonized multiples."""
+    """Path classes of kQ/I by bounded enumeration and echelonized multiples.
+
+    ``stop_len`` is the first length at which no path survives; a cap at or
+    above it certifies the model.
+    """
 
     def __init__(self, pres: AlgebraPresentation, max_len: int = DEFAULT_LENGTH_CAP,
                  max_paths: int = DEFAULT_PATH_CAP):
@@ -437,6 +460,7 @@ class _QuotientModel:
         self._by_len_start: dict = {}
         self._alive_by_len: dict = {}
         self.nilpotency_degree = None
+        self.stop_len = None
         self._basis: dict = {}
         self._build()
 
@@ -501,9 +525,7 @@ class _QuotientModel:
         while True:
             length += 1
             if length > self.max_len:
-                raise NotAdmissibleError(
-                    f"paths of length {self.max_len} still survive: ideal not "
-                    f"certified admissible within the cap (possibly infinite-dimensional)")
+                raise _survivors(self.max_len)
             new = []
             for p in frontier:
                 for a in self.pres.quiver.out_arrows(p.end):
@@ -516,6 +538,7 @@ class _QuotientModel:
             alive = [p for p in new if self._class_nonzero(p)]
             self._alive_by_len[length] = alive
             if not alive:
+                self.stop_len = length
                 for extra in range(length + 1, length + spread + 1):
                     self._generate_multiples(extra)
                 break
@@ -626,7 +649,7 @@ def validate_admissible(pres: AlgebraPresentation, max_len: int = DEFAULT_LENGTH
 
 
 def path_basis(pres: AlgebraPresentation, i: str, j: str,
-               max_len: int = DEFAULT_LENGTH_CAP) -> list:
+               max_len: Optional[int] = None) -> list:
     """Basis of paths i -> j modulo the ideal (standard monomials)."""
     return pres.model(max_len).basis(str(i), str(j))
 

@@ -4,7 +4,9 @@ Every node Y carries the pieces g_k : Z_k -> Y of its minimal right almost
 split map (rad Y ↪ Y for a projective Y, else the end of the almost split
 sequence ending at Y), one per indecomposable summand, read on the node Z_k
 isomorphic to that summand; Z occurs dim Irr(Z, Y) times among the Z_k.
-Every radical map into Y factors through that map, so for each source node X
+The knitting in ``artrans`` is the one source of these pieces and of the
+``P_a``/``I_a``/``S_a`` node table.  Every radical map into Y factors
+through that map, so for each source node X
 
     R(X, Y) = Σ_k g_k ∘ Hom(X, Z_k),    R^{n+1}(X, Y) = Σ_k g_k ∘ R^n(X, Z_k),
 
@@ -30,39 +32,10 @@ from .quiver import (
     sinks_and_sources,
     zero_relation_vertices,
 )
-from .rep import (
-    HomSpace,
-    ModuleMorphism,
-    Representation,
-    are_isomorphic,
-    hom_space,
-    injective,
-    projective,
-    simple,
-)
+from .rep import HomSpace, ModuleMorphism, Representation, hom_space
 
 _INCOMPLETE = "node list is not a complete set of indecomposables"
 _OUTLIVED = f"radical filtration outlived its projective rows; {_INCOMPLETE}"
-
-
-def _alias_table(pres: AlgebraPresentation, reps: Sequence[Representation]) -> Dict[str, int]:
-    """``P_a``/``I_a``/``S_a`` -> index of the first node isomorphic to it.
-
-    Keys run over the vertices in order, P before I before S; a module with
-    no isomorphic node gets no key.
-    """
-    buckets: Dict[tuple, list] = {}
-    for i, r in enumerate(reps):
-        buckets.setdefault(r.dim_vector(), []).append(i)
-    table: Dict[str, int] = {}
-    for a in pres.quiver.vertices:
-        for tag, build in (("P", projective), ("I", injective), ("S", simple)):
-            target = build(pres, a)
-            for i in buckets.get(target.dim_vector(), ()):
-                if are_isomorphic(reps[i], target):
-                    table[f"{tag}_{a}"] = i
-                    break
-    return table
 
 
 class _HomTable(Mapping):
@@ -157,22 +130,22 @@ class _Row:
 class RadicalFiltration:
     """Descending chains R ⊇ R² ⊇ … for every ordered pair of nodes.
 
-    ``pieces`` maps each node to its right almost split map as
-    ``[(k, node_k -> node)]`` (the knitting keeps them); a node missing from
-    it gets its pieces from ``artrans.node_pieces`` when they are first
-    needed.  Layers are computed on demand; ``ensure_complete`` iterates
+    ``pieces`` maps every node to its right almost split map as
+    ``[(k, node_k -> node)]`` and ``aliases`` maps ``P_a``/``I_a``/``S_a`` to
+    the node isomorphic to it; the knitting builds both.  Layers are
+    computed on demand; ``ensure_complete`` iterates
     until every chain has reached zero, which must happen for
     representation-finite input (a row that stops shrinking while nonzero
     turns a non-terminating run into an error).
     """
 
     def __init__(self, pres: AlgebraPresentation, nodes: Sequence[Representation],
-                 pieces: Optional[Dict[int, list]] = None):
+                 pieces: Dict[int, list], aliases: Dict[str, int]):
         self.pres = pres
         self.reps = list(nodes)
         self.hom = _HomTable(self.reps)
-        self.aliases = _alias_table(pres, self.reps)
-        self._pieces: Dict[int, list] = dict(pieces or {})
+        self.aliases = aliases
+        self._pieces = pieces
         self._projective = sorted({i for key, i in self.aliases.items() if key[0] == "P"})
         self._rows: Dict[int, _Row] = {}
         self._depth = 0  # layers computed in every projective row; 0 before the first
@@ -205,11 +178,7 @@ class RadicalFiltration:
 
     def pieces(self, j: int) -> list:
         """(k, g: node_k -> node_j) per summand of the right almost split map into node j."""
-        got = self._pieces.get(j)
-        if got is None:
-            from .artrans import node_pieces  # deferred: artrans builds on this module
-            got = self._pieces[j] = node_pieces(self.reps, j)
-        return got
+        return self._pieces[j]
 
     # -- rows -----------------------------------------------------------------
 
@@ -318,24 +287,6 @@ class RadicalFiltration:
     def nilpotency_index(self) -> int:
         self.ensure_complete()
         return 1 + self.layers_computed()
-
-
-def radical_filtration(nodes, pres: AlgebraPresentation | None = None) -> RadicalFiltration:
-    """Build the filtration for a complete indecomposable list.
-
-    ``nodes`` is a sequence of representations or an AR quiver, whose own
-    filtration is returned; the chains are computed lazily and
-    ``ensure_complete`` drives them to zero.
-    """
-    from .artrans import ARQuiver  # deferred: artrans builds on this module
-    if isinstance(nodes, ARQuiver):
-        return nodes.filtration
-    reps = list(nodes)
-    if pres is None:
-        if not reps:
-            raise ValueError("cannot infer the presentation from an empty node list")
-        pres = reps[0].pres
-    return RadicalFiltration(pres, reps)
 
 
 def morphism_length(f: ModuleMorphism, filt: RadicalFiltration) -> int:

@@ -1,7 +1,7 @@
 import pytest
 from pathlib import Path
 
-from quivrad import ar_quiver, parse_presentation
+from quivrad import RadicalFiltration, ar_quiver, parse_presentation
 
 DATA = Path(__file__).parent / "data"
 
@@ -28,6 +28,18 @@ def pipeline(name: str):
         ar.filtration.ensure_complete()
         _PIPELINES[name] = (pres, ar, ar.filtration)
     return _PIPELINES[name]
+
+
+def relabelled_filtration(ar, order, aliases=None):
+    """A fresh filtration over the AR quiver's nodes listed in ``order`` (old
+    indices), with the knitted pieces and the alias table (or ``aliases``)
+    renumbered to match."""
+    new = {old: k for k, old in enumerate(order)}
+    filt = ar.filtration
+    pieces = {new[j]: [(new[k], g) for k, g in filt.pieces(j)] for j in order}
+    table = filt.aliases if aliases is None else aliases
+    return RadicalFiltration(ar.pres, [ar.nodes[i].rep for i in order], pieces,
+                             {key: new[i] for key, i in table.items()})
 
 
 @pytest.fixture(scope="session")

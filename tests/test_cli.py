@@ -90,6 +90,17 @@ def test_ar_summary_and_artifacts(tmp_path, capsys):
     assert len(data["nodes"]) == 3
 
 
+@pytest.mark.parametrize("options", (["--dot"], ["--json"], ["--dot", "--json", "-"]))
+def test_ar_output_option_with_dot_or_json_is_a_usage_error(options, tmp_path, capsys):
+    # -o names the text summary's path only; nothing is written or printed
+    target = tmp_path / "out"
+    code, out, err = run(capsys, "ar", fixture_path("a2"), *options, "-o", str(target))
+    assert (code, out) == (2, "")
+    assert err == ("-o/--output is for the text summary; "
+                   "give the DOT or JSON path to --dot or --json\n")
+    assert not target.exists()
+
+
 def test_ar_output_deterministic(capsys):
     code1, out1, _ = run(capsys, "ar", fixture_path("s3_cycle"), "--dot")
     code2, out2, _ = run(capsys, "ar", fixture_path("s3_cycle"), "--dot")
@@ -136,6 +147,25 @@ def test_max_len_is_honoured_by_every_command(command, capsys):
     code, out, err = run(capsys, command, fixture_path("s2_cyclic"), "--max-len", "3")
     assert (code, out) == (2, "")
     assert err.startswith("NotAdmissible: paths of length 3")
+
+
+def _path_quiver(tmp_path, n: int) -> str:
+    """A_n as a path v0 -> v1 -> ... -> v(n-1), with no relations."""
+    lines = [f"vertex v{i}" for i in range(n)]
+    lines += [f"arrow a{i} v{i} v{i + 1}" for i in range(n - 1)]
+    path = tmp_path / f"a{n}.quiver"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ("ar", "index", "check"))
+def test_max_len_above_the_default_reaches_the_knitting(command, tmp_path, capsys):
+    # A66 has a nonzero path of length 65: past the default cap of 64, within 100
+    code, out, err = run(capsys, command, _path_quiver(tmp_path, 66),
+                         "--max-len", "100", "--max-modules", "5")
+    assert (code, out) == (3, "")
+    assert err == ("enumeration guard hit after 5 modules (total dimension 381); "
+                   "presentation presumed representation-infinite within the given limits\n")
 
 
 @pytest.mark.parametrize("option,value,reached", (

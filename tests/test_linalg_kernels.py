@@ -181,8 +181,8 @@ def test_sparse_echelon_matches_dense_reference_on_rational_rows():
         ncols = len(rows[0])
         ref, ref_piv = dense_echelon(ints, ncols, reduced=True)
         assert _echelon_int(ints, ncols, reduced=True) == (ref, ref_piv)
-        red, piv = RatMatrix(rows).rref()
-        assert [list(r) for r in red.data] == ref and list(piv) == ref_piv
+        sub = Subspace.from_vectors(ncols, rows)
+        assert [list(r) for r in sub.basis] == ref and list(sub.pivots) == ref_piv
         assert RatMatrix(rows).rank() == len(ref_piv)
 
 
@@ -258,7 +258,7 @@ def test_trusted_constructor_results_keep_the_entry_invariant():
         square = a @ a.transpose()
         if square.is_invertible():
             _assert_trusted(square.inverse())
-            assert all(map(_normal, square.solve([1, 2, 3])))
+            _assert_trusted(square @ square.inverse())
 
 
 def test_hom_space_matches_dense_kernel():

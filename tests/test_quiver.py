@@ -14,6 +14,9 @@ from quivrad.quiver import (
     zero_relation_vertices,
 )
 
+from quivrad.artrans import ar_translate
+from quivrad.rep import projective, simple
+
 from conftest import load
 
 
@@ -242,3 +245,32 @@ def test_path_display_orders():
     p = Path(quiver, "1", ("alpha", "beta"))
     assert str(p) == "alpha*beta"      # traversal order
     assert p.rtl() == "beta*alpha"     # classical right-to-left notation
+
+
+def _path_quiver(n: int):
+    """A_n as a path v0 -> v1 -> ... -> v(n-1), with no relations."""
+    lines = [f"vertex v{i}" for i in range(n)]
+    lines += [f"arrow a{i} v{i} v{i + 1}" for i in range(n - 1)]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
+def test_a_cap_above_the_default_carries_to_modules_and_the_opposite_side():
+    # A66's longest path has length 65: the default cap refuses it, 100 certifies it,
+    # and the modules and the translate (built on the opposite side) use that model
+    pres = _path_quiver(66)
+    with pytest.raises(NotAdmissibleError, match="^paths of length 64 still survive"):
+        validate_admissible(pres)
+    assert validate_admissible(pres, 100).longest_path_length == 65
+    assert projective(pres, "v0").total_dim() == 66
+    assert ar_translate(simple(pres, "v1")) is not None
+    assert pres.opposite().model().max_len == 100
+
+
+def test_a_certified_model_still_refuses_a_smaller_cap():
+    pres = _path_quiver(66)
+    validate_admissible(pres, 66)
+    for cap in (64, 65):
+        with pytest.raises(NotAdmissibleError,
+                           match=f"^paths of length {cap} still survive: ideal not certified"):
+            validate_admissible(pres, cap)
+    assert validate_admissible(pres, 80).algebra_dim == 66 * 67 // 2

@@ -10,12 +10,11 @@ from quivrad.radical import (
     licensed_vertices,
     morphism_length,
     nilpotency_index,
-    radical_filtration,
 )
-from quivrad.rep import ModuleMorphism
-from quivrad import parse_presentation
+from quivrad.rep import ModuleMorphism, are_isomorphic, injective, projective, simple
+from quivrad import RadicalFiltration, parse_presentation
 
-from conftest import DATA, load, pipeline
+from conftest import DATA, load, pipeline, relabelled_filtration
 from randgen import random_finite_monomial
 
 
@@ -43,7 +42,7 @@ def test_layers_weakly_decrease(s3_pipeline):
             lower = filt.subspace(i, j, n + 1)
             if lower.is_zero():
                 break
-            assert upper.contains(lower)
+            assert upper + lower == upper
             n += 1
 
 
@@ -173,14 +172,6 @@ def test_report_invariant_enforced():
         NilpotencyReport("v-set", 3, {"1": 5}, ("1",), 2)
 
 
-def test_radical_filtration_accepts_ar_or_list(a2_pipeline):
-    pres, ar, filt = a2_pipeline
-    assert radical_filtration(ar) is filt
-    fresh = radical_filtration([n.rep for n in ar.nodes], pres)
-    fresh.ensure_complete()
-    assert fresh.nilpotency_index() == 2
-
-
 def test_length_additivity_on_canonical_composites(s2_pipeline):
     # composing the epi onto the simple with the mono into the injective adds lengths
     pres, ar, filt = s2_pipeline
@@ -239,37 +230,55 @@ REDUCTIONS = ("toupie", "one-per-relation", "zero-relations", "v-set")  # auto's
 
 @pytest.mark.parametrize("name", LIST_FIXTURES)
 def test_filtration_from_a_node_list_matches_the_ar_quiver(name):
+    # the knitted nodes in reverse order, pieces and aliases renumbered
     pres, ar, filt = pipeline(name)
-    fresh = radical_filtration([n.rep for n in ar.nodes], pres)
-    # one alias table: the AR quiver and its nodes read the filtration's
-    assert ar._alias_map is filt.aliases
-    assert fresh.aliases == filt.aliases
-    assert sum(len(n.aliases) for n in ar.nodes) == len(filt.aliases)
-    for key, idx in filt.aliases.items():
-        assert key in ar.nodes[idx].aliases
+    last = ar.node_count() - 1
+    fresh = relabelled_filtration(ar, range(last, -1, -1))
+    assert fresh.nilpotency_index() == filt.nilpotency_index()
     for a in pres.quiver.vertices:
-        assert fresh.projective_index(a) == filt.projective_index(a) == ar.projective_index(a)
-        assert fresh.injective_index(a) == filt.injective_index(a) == ar.injective_index(a)
-        assert fresh.simple_index(a) == filt.simple_index(a) == ar.simple_index(a)
+        assert fresh.projective_index(a) == last - filt.projective_index(a)
         assert canonical_r(pres, fresh, a) == canonical_r(pres, filt, a)
+    for i, j, m in ar.arrows():
+        assert fresh.dim_irr(last - i, last - j) == m
+
+
+@pytest.mark.parametrize("name", LIST_FIXTURES)
+def test_aliases_are_the_nodes_isomorphic_to_p_i_s(name):
+    # an exhaustive are_isomorphic scan over all nodes, independent of the
+    # knitter's dimension-vector buckets: each key names the one node
+    # isomorphic to its module, and the keys run P, I, S per vertex
+    pres, ar, filt = pipeline(name)
+    keys = []
+    for a in pres.quiver.vertices:
+        for tag, build in (("P", projective), ("I", injective), ("S", simple)):
+            module = build(pres, a)
+            hits = [i for i, node in enumerate(ar.nodes) if are_isomorphic(node.rep, module)]
+            assert hits == [filt.aliases[f"{tag}_{a}"]], (tag, a)
+            keys.append(f"{tag}_{a}")
+    assert list(filt.aliases) == keys
+    for node in ar.nodes:
+        assert node.aliases == tuple(k for k in keys if filt.aliases[k] == node.index)
 
 
 def test_missing_alias_names_the_key(a2_pipeline):
-    pres, ar, _ = a2_pipeline
-    p1 = ar.nodes[ar.projective_index("1")].rep
-    partial = radical_filtration([p1], pres)
-    assert partial.projective_index("1") == partial.injective_index("2") == 0
+    pres, ar, filt = a2_pipeline
+    partial = relabelled_filtration(ar, range(ar.node_count()),
+                                    {k: i for k, i in filt.aliases.items() if k != "S_2"})
+    assert partial.projective_index("1") == filt.projective_index("1")
     with pytest.raises(ValueError, match="S_2 is not among the filtration nodes"):
         partial.simple_index("2")
 
 
-def test_node_list_missing_a_summand_is_refused(s2_pipeline):
-    # drop a non-projective node that is a summand of the map into another
+def test_an_identity_piece_trips_the_termination_guard(s2_pipeline):
+    # id: P -> P among the pieces into a projective P puts all of Hom(P, P)
+    # into every layer, so the projective row never reaches zero
     pres, ar, filt = s2_pipeline
-    j, k = next((j, k) for j in sorted(ar.tau) for k, _ in filt.pieces(j) if k in ar.tau)
-    partial = radical_filtration([n.rep for n in ar.nodes if n.index != k], pres)
+    j = filt.projective_index(pres.quiver.vertices[0])
+    pieces = {i: list(filt.pieces(i)) for i in range(ar.node_count())}
+    pieces[j].append((j, ModuleMorphism.identity(ar.nodes[j].rep)))
+    bad = RadicalFiltration(pres, ar.reps, pieces, filt.aliases)
     with pytest.raises(InconsistencyError, match="not a complete set of indecomposables"):
-        partial.nilpotency_index()
+        bad.nilpotency_index()
 
 
 def _first_admitted(pres) -> str:

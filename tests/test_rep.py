@@ -257,7 +257,8 @@ def _assert_minimal_cover(epi, summands, M):
     assert epi.is_epi()
     _, rad_incl = radical_submodule(P)
     for v in M.pres.quiver.vertices:
-        assert rad_incl.maps[v].image().contains(epi.maps[v].kernel())
+        rad = rad_incl.maps[v].image()
+        assert rad + epi.maps[v].kernel() == rad
 
 
 def _assert_minimal_presentation(M):
