@@ -18,9 +18,11 @@ is complete.  Guard limits turn a runaway enumeration into an error.
 The knitting keeps the right almost split map into every node (rad P ↪ P,
 or the end of the almost split sequence), one piece per indecomposable
 summand read on the node isomorphic to it; the AR arrows are the summand
-multiplicities.  After the walk it matches P_a, I_a and S_a to their nodes
-by the same isomorphism search, and the radical filtration is built from
-the nodes, the pieces and that table alone.
+multiplicities.  Those summands and the translates are the only modules
+matched to nodes by an isomorphism search.  P_a, I_a and S_a are read off
+the walk: P_a is the seed added at a, I_a the node with no τ⁻¹ whose socle
+lies at a, S_a the one node with dimension vector e_a.  The radical
+filtration is built from the nodes, the pieces and that table alone.
 """
 from __future__ import annotations
 
@@ -40,14 +42,13 @@ from .rep import (
     end_radical,
     find_isomorphism,
     hom_space,
-    injective,
     kernel_submodule,
     minimal_presentation,
     morphism_ambient,
     projective,
     quotient_representation,
     radical_submodule,
-    simple,
+    socle,
     sum_of_projectives_morphism,
     zero_representation,
 )
@@ -149,17 +150,15 @@ def ar_translate_inverse(M: Representation) -> Optional[Representation]:
 
 
 def almost_split_middle(Z: Representation, tau_z: Representation,
-                        presentation: Optional[ProjectivePresentation] = None,
-                        with_map: bool = False):
-    """Middle term of the almost split sequence 0 -> τZ -> E -> Z -> 0.
+                        presentation: Optional[ProjectivePresentation] = None):
+    """(E, E -> Z) for the almost split sequence 0 -> τZ -> E -> Z -> 0.
 
     Ext¹(Z, τZ) is presented on Hom(ΩZ, τZ) modulo the restrictions from the
     cover, and E is the pushout cokernel of a nonzero class in its socle.
     That socle is the same over End(Z) and over End(τZ) (Auslander-Reiten-
     Smalø V.2), so the class is taken annihilated by rad End(τZ), which acts
-    by composition.  ``presentation`` is as for ``transpose``.  With
-    ``with_map`` the result is the pair (E, E -> Z), the right almost split
-    map.
+    by composition.  ``presentation`` is as for ``transpose``.  E -> Z is
+    the right almost split map.
     """
     pp = minimal_presentation(Z) if presentation is None else presentation
     K, incl = kernel_submodule(pp.epi)
@@ -198,8 +197,6 @@ def almost_split_middle(Z: Representation, tau_z: Representation,
             vecs.append(list(gv) + [-x for x in iv])
         spaces[v] = Subspace.from_vectors(total.dims[v], vecs)
     middle, _ = quotient_representation(total, spaces)
-    if not with_map:
-        return middle
     # E -> Z is induced by (0 | epi) on τZ ⊕ P0, read on the quotient's
     # basis: the unit vectors at the non-pivot positions
     maps = {}
@@ -223,7 +220,7 @@ def right_almost_split_summands(Y: Representation, tau_y: Optional[Representatio
     if tau_y is None:
         source, into = radical_submodule(Y)
     else:
-        source, into = almost_split_middle(Y, tau_y, presentation, with_map=True)
+        source, into = almost_split_middle(Y, tau_y, presentation)
     if source.is_zero():
         return []
     return [(Z, into @ incl) for Z, incl in decompose(source, True)]
@@ -342,6 +339,7 @@ class _Knitter:
     def _match(self, rep: Representation) -> Optional[tuple]:
         """(k, iso: node k -> rep) for the node k isomorphic to rep, or None.
 
+        Called only on translates and summands of right almost split maps.
         Nodes and rep are indecomposable, so the basis test of
         ``find_isomorphism`` decides."""
         for k in self.buckets.get(rep.dim_vector(), ()):
@@ -421,10 +419,8 @@ class _Knitter:
 
     def run(self):
         pres = self.pres
-        for a in pres.quiver.vertices:
-            P = projective(pres, a)
-            if self._match(P) is None:
-                self.add(P, f"P_{a}", 0)
+        for a in pres.quiver.vertices:  # P_a ≇ P_b: their tops differ
+            self.add(projective(pres, a), f"P_{a}", 0)
         oi = mi = 0
         while True:
             while oi < len(self.orbit_queue):
@@ -437,17 +433,23 @@ class _Knitter:
         return self
 
     def alias_table(self) -> Dict[str, int]:
-        """``P_a``/``I_a``/``S_a`` -> the node isomorphic to it.
+        """``P_a``/``I_a``/``S_a`` -> its node, read off the walk.
 
-        Keys run over the vertices in order, P before I before S; a module
-        with no isomorphic node gets no key.
+        P_a is the seed added at a (node i for the i-th vertex).  I_a is the
+        injective node, the one with no τ⁻¹, whose simple socle lies at a
+        (ARS IV.1).  S_a is the one node with dimension vector e_a.  Keys
+        run over the vertices in order, P before I before S; a module with
+        no node gets no key.
         """
+        vertices = self.pres.quiver.vertices
+        injective_at = {socle(self.nodes[k].rep)[0].dim_vector(): k
+                        for k in range(len(self.nodes)) if k not in self.tau_inverse}
         table: Dict[str, int] = {}
-        for a in self.pres.quiver.vertices:
-            for tag, build in (("P", projective), ("I", injective), ("S", simple)):
-                found = self._match(build(self.pres, a))
-                if found is not None:
-                    table[f"{tag}_{a}"] = found[0]
+        for i, a in enumerate(vertices):
+            e_a = tuple(int(v == a) for v in vertices)
+            found = (("P", i), ("I", injective_at.get(e_a)),
+                     ("S", self.buckets.get(e_a, [None])[0]))
+            table.update((f"{tag}_{a}", k) for tag, k in found if k is not None)
         return table
 
 

@@ -344,17 +344,6 @@ class RatMatrix:
         return f"RatMatrix({[list(r) for r in self.data]!r})"
 
 
-def hstack(mats: Sequence[RatMatrix]) -> RatMatrix:
-    mats = list(mats)
-    if not mats:
-        raise ShapeError("hstack of nothing")
-    rows = mats[0].rows
-    if any(m.rows != rows for m in mats):
-        raise ShapeError("hstack: row mismatch")
-    data = [sum((list(m.data[i]) for m in mats), []) for i in range(rows)]
-    return RatMatrix._of(data, sum(m.cols for m in mats))
-
-
 class Subspace:
     """Subspace of k^ambient in canonical form.
 

@@ -34,8 +34,9 @@ from .quiver import (
 )
 from .rep import HomSpace, ModuleMorphism, Representation, hom_space
 
-_INCOMPLETE = "node list is not a complete set of indecomposables"
-_OUTLIVED = f"radical filtration outlived its projective rows; {_INCOMPLETE}"
+_INCONSISTENT = ("the pieces are not the right almost split maps of a complete "
+                 "set of indecomposables")
+_OUTLIVED = f"radical filtration outlived its projective rows; {_INCONSISTENT}"
 
 
 class _HomTable(Mapping):
@@ -120,7 +121,7 @@ class _Row:
         live = [j for j, c in self.chains.items() if len(c) == n]
         if live and all(new.get(j) == self.chains[j][-1] for j in live):
             # the next layer is a function of this one, so the row never shrinks again
-            raise InconsistencyError(f"radical filtration failed to terminate; {_INCOMPLETE}")
+            raise InconsistencyError(f"radical filtration failed to terminate; {_INCONSISTENT}")
         for j, sub in new.items():
             self.chains[j].append(sub)
         self.depth += 1

@@ -22,7 +22,6 @@ from .linalg import (
     Subspace,
     _int_vector,
     _kernel_int,
-    hstack,
 )
 from .quiver import AlgebraPresentation, Path
 
@@ -700,22 +699,14 @@ def decompose(M: Representation, with_inclusions: bool = False) -> list:
             for s, inner in decompose(part, True)]
 
 
-def _basis_isomorphism(M: Representation, N: Representation) -> Optional[ModuleMorphism]:
-    """An invertible basis element of Hom(M, N), or None."""
-    if M.dim_vector() != N.dim_vector():
-        return None
-    return next((b for b in hom_space(M, N).basis if b.is_invertible()), None)
-
-
 def find_isomorphism(M: Representation, N: Representation) -> Optional[ModuleMorphism]:
     """An isomorphism M -> N, or None when the modules are not isomorphic.
 
-    First an invertible basis element of Hom(M, N).  That test is complete
-    when M or N is indecomposable: the non-isomorphisms then form a proper
-    subspace of Hom(M, N), which cannot hold a basis.  Otherwise both
-    modules are decomposed, their summands are matched by the same test, and
-    the isomorphism is (⊕ ι'_σ(i) ∘ u_i) ∘ (⊕ ι_i)⁻¹ for the summand
-    inclusions ι, ι', the matching σ and the summand isomorphisms u_i.
+    The isomorphism is an invertible basis element of Hom(M, N).  That test
+    is complete when M or N is indecomposable: the non-isomorphisms then
+    form a proper subspace of Hom(M, N), which cannot hold a basis.  When it
+    misses on a Hom space of dimension ≥ 2, one side must be certified
+    indecomposable; two decomposable modules raise ValueError.
     """
     if M.pres is not N.pres or M.dim_vector() != N.dim_vector():
         return None
@@ -725,31 +716,9 @@ def find_isomorphism(M: Representation, N: Representation) -> Optional[ModuleMor
     for b in hom.basis:
         if b.is_invertible():
             return b
-    if hom.dim <= 1:
+    if hom.dim <= 1 or is_indecomposable(M) or is_indecomposable(N):
         return None
-    parts = decompose(M, True)
-    if len(parts) == 1:
-        return None
-    unmatched = decompose(N, True)
-    if len(unmatched) != len(parts):
-        return None
-    images = []
-    for summand, _ in parts:
-        for k, (other, incl) in enumerate(unmatched):
-            u = _basis_isomorphism(summand, other)
-            if u is not None:
-                images.append(incl @ u)
-                del unmatched[k]
-                break
-        else:
-            return None
-    vertices = M.pres.quiver.vertices
-    total = direct_sum([summand for summand, _ in parts])
-    into_m = ModuleMorphism(total, M, {v: hstack([i.maps[v] for _, i in parts])
-                                       for v in vertices}, check=False)
-    into_n = ModuleMorphism(total, N, {v: hstack([g.maps[v] for g in images])
-                                       for v in vertices}, check=False)
-    return into_n @ into_m.inverse()
+    raise ValueError("isomorphism test needs an indecomposable side")
 
 
 def are_isomorphic(M: Representation, N: Representation) -> bool:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from quivrad import artrans
@@ -24,7 +26,7 @@ from quivrad.rep import (
 )
 
 from conftest import load, pipeline
-from randgen import random_finite_monomial
+from randgen import random_finite_monomial, random_nakayama
 
 # every representation-finite fixture but ex_2_5, which is slow to knit
 FINITE_FIXTURES = ("a2", "a3", "a3_rel", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final")
@@ -171,6 +173,38 @@ def test_enumerate_finds_translate_periodic_modules(s3_pipeline):
     assert len(in_projective_orbit) < ar.node_count()
 
 
+def _uniserial_dim_vectors(pres) -> Counter:
+    """Dimension vectors of the P_a / rad^k P_a (k ≥ 1) of a cyclic Nakayama
+    algebra, read off its zero-relations alone."""
+    vertices = pres.quiver.vertices
+    n = len(vertices)
+    zero = [(vertices.index(p.start), p.length) for rel in pres.relations for _, p in rel.terms]
+
+    def nonzero(i, m):
+        """Whether the path of length m from the i-th vertex avoids every relation."""
+        return not any((i + o) % n == s for s, length in zero for o in range(m - length + 1))
+
+    out = Counter()
+    for i in range(n):
+        dim_p = 1
+        while nonzero(i, dim_p):
+            dim_p += 1
+        for k in range(1, dim_p + 1):  # composition factors at i, i+1, ..., i+k-1
+            out[tuple(sum(1 for t in range(k) if (i + t) % n == v) for v in range(n))] += 1
+    return out
+
+
+def test_nakayama_nodes_are_the_uniserial_quotients_of_the_projectives():
+    # every indecomposable over a cyclic Nakayama algebra is some P_a / rad^k P_a
+    # and these are pairwise non-isomorphic, so there are Σ_a dim P_a nodes
+    for _, pres, ar in random_nakayama():
+        expected = _uniserial_dim_vectors(pres)
+        assert ar.node_count() == sum(projective(pres, a).total_dim()
+                                      for a in pres.quiver.vertices)
+        assert ar.node_count() == sum(expected.values())
+        assert Counter(n.rep.dim_vector() for n in ar.nodes) == expected
+
+
 def test_kronecker_exceeds_limits():
     kron = load("kronecker")
     with pytest.raises(LimitsExceededError):
@@ -263,7 +297,7 @@ def test_mesh_dimension_identity(s3_pipeline):
 
 def test_almost_split_middle_a2(a2):
     # 0 -> S_2 -> P_1 -> S_1 -> 0
-    middle = almost_split_middle(simple(a2, "1"), simple(a2, "2"))
+    middle, _ = almost_split_middle(simple(a2, "1"), simple(a2, "2"))
     assert are_isomorphic(middle, projective(a2, "1"))
 
 
@@ -274,8 +308,7 @@ def test_almost_split_map_is_the_cokernel(s3_pipeline):
         if node.index not in ar.tau:
             continue
         tau_rep = ar.nodes[ar.tau[node.index]].rep
-        middle, g = almost_split_middle(node.rep, tau_rep, with_map=True)
-        assert middle.same_data(almost_split_middle(node.rep, tau_rep))
+        middle, g = almost_split_middle(node.rep, tau_rep)
         ModuleMorphism(middle, node.rep, g.maps)  # intertwines, checked on construction
         assert g.is_epi()
         kernel = [middle.dims[v] - node.rep.dims[v] for v in pres.quiver.vertices]
@@ -290,7 +323,7 @@ def test_almost_split_map_is_right_almost_split(name):
     pres, ar, _ = pipeline(name)
     for j in ar.tau:
         Z = ar.nodes[j].rep
-        E, pi = almost_split_middle(Z, ar.nodes[ar.tau[j]].rep, with_map=True)
+        E, pi = almost_split_middle(Z, ar.nodes[ar.tau[j]].rep)
 
         def through_pi(X):
             """π ∘ Hom(X, E), flattened like Hom(X, Z)."""

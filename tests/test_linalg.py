@@ -7,7 +7,6 @@ from quivrad.errors import ShapeError
 from quivrad.linalg import (
     RatMatrix,
     Subspace,
-    hstack,
 )
 
 
@@ -69,7 +68,6 @@ def test_matmul_and_shapes():
     assert (a @ b).data == ((Fraction(5, 2), 2), (Fraction(11, 2), 4))
     with pytest.raises(ShapeError):
         a @ RatMatrix([[1, 2]])
-    assert hstack([a, b]).shape == (2, 4)
 
 
 def test_zero_dimensional_matrices():

@@ -1,5 +1,9 @@
+import functools
+
 import pytest
 
+from quivrad import artrans
+from quivrad import rep as R
 from quivrad.errors import InconsistencyError, MethodInapplicableError
 from quivrad.linalg import Subspace
 from quivrad.radical import (
@@ -15,7 +19,7 @@ from quivrad.rep import ModuleMorphism, are_isomorphic, injective, projective, s
 from quivrad import RadicalFiltration, parse_presentation
 
 from conftest import DATA, load, pipeline, relabelled_filtration
-from randgen import random_finite_monomial
+from randgen import random_finite_monomial, random_nakayama
 
 
 def test_a2_second_layer_vanishes(a2_pipeline):
@@ -242,12 +246,29 @@ def test_filtration_from_a_node_list_matches_the_ar_quiver(name):
         assert fresh.dim_irr(last - i, last - j) == m
 
 
-@pytest.mark.parametrize("name", LIST_FIXTURES)
+@functools.lru_cache(maxsize=None)
+def _samples(family: str) -> list:
+    draw = {"random": random_finite_monomial, "nakayama": random_nakayama}[family]
+    return [(pres, ar) for _, pres, ar in draw()]
+
+
+def _alias_input(name: str):
+    """(presentation, AR quiver) of a fixture, ``random<i>`` or ``nakayama<i>``."""
+    for family in ("random", "nakayama"):
+        if name.startswith(family):
+            return _samples(family)[int(name[len(family):])]
+    pres, ar, _ = pipeline(name)
+    return pres, ar
+
+
+@pytest.mark.parametrize("name", [*LIST_FIXTURES, "ex_2_5", *(f"random{i}" for i in range(20)),
+                                  *(f"nakayama{i}" for i in range(30))])
 def test_aliases_are_the_nodes_isomorphic_to_p_i_s(name):
     # an exhaustive are_isomorphic scan over all nodes, independent of the
-    # knitter's dimension-vector buckets: each key names the one node
-    # isomorphic to its module, and the keys run P, I, S per vertex
-    pres, ar, filt = pipeline(name)
+    # knitter's characterization of P_a, I_a and S_a: each key names the one
+    # node isomorphic to its module, and the keys run P, I, S per vertex
+    pres, ar = _alias_input(name)
+    filt = ar.filtration
     keys = []
     for a in pres.quiver.vertices:
         for tag, build in (("P", projective), ("I", injective), ("S", simple)):
@@ -258,6 +279,40 @@ def test_aliases_are_the_nodes_isomorphic_to_p_i_s(name):
     assert list(filt.aliases) == keys
     for node in ar.nodes:
         assert node.aliases == tuple(k for k in keys if filt.aliases[k] == node.index)
+
+
+@pytest.mark.parametrize("name", LIST_FIXTURES + ("ex_2_5",))
+def test_seeds_and_alias_table_need_no_isomorphism_search(name, monkeypatch):
+    # node i is the cached P at the i-th vertex, added without a match, and
+    # the alias table is read off the walk without a Hom space
+    pres = load(name)
+    matched = []
+    original_match = artrans._Knitter._match
+
+    def match(self, module):
+        matched.append(module)
+        return original_match(self, module)
+
+    monkeypatch.setattr(artrans._Knitter, "_match", match)
+    knit = artrans._Knitter(pres, artrans.EnumerationLimits()).run()
+    projectives = [projective(pres, a) for a in pres.quiver.vertices]
+    assert all(knit.nodes[i].rep is P for i, P in enumerate(projectives))
+    assert not any(module is P for module in matched for P in projectives)
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (artrans, R):
+        for fn in ("find_isomorphism", "hom_space"):
+            monkeypatch.setattr(module, fn, counted(getattr(module, fn)))
+    del matched[:]
+    table = knit.alias_table()
+    assert calls == [] and matched == []
+    assert table == pipeline(name)[2].aliases
 
 
 def test_missing_alias_names_the_key(a2_pipeline):
@@ -277,7 +332,8 @@ def test_an_identity_piece_trips_the_termination_guard(s2_pipeline):
     pieces = {i: list(filt.pieces(i)) for i in range(ar.node_count())}
     pieces[j].append((j, ModuleMorphism.identity(ar.nodes[j].rep)))
     bad = RadicalFiltration(pres, ar.reps, pieces, filt.aliases)
-    with pytest.raises(InconsistencyError, match="not a complete set of indecomposables"):
+    with pytest.raises(InconsistencyError,
+                       match="the pieces are not the right almost split maps of a complete"):
         bad.nilpotency_index()
 
 

@@ -338,14 +338,6 @@ def test_find_isomorphism_returns_an_invertible_hom_element(s2):
                              {name: m.scaled(1) for name, m in P1.matrices.items()})
     _assert_isomorphism_iff(P1, twisted, True)
     _assert_isomorphism_iff(S1, S2, False)
-    # no single basis morphism of End(S1+S1) or Hom(S1+S2, S2+S1) is
-    # invertible, so these isomorphisms are assembled from matched summands
-    S11 = direct_sum([S1, S1])
-    assert not any(b.is_invertible() for b in hom_space(S11, S11).basis)
-    _assert_isomorphism_iff(S11, S11, True)
-    S12, S21 = direct_sum([S1, S2]), direct_sum([S2, S1])
-    assert not any(b.is_invertible() for b in hom_space(S12, S21).basis)
-    _assert_isomorphism_iff(S12, S21, True)
     zero = R.zero_representation(s2)
     _assert_isomorphism_iff(zero, zero, True)
 
@@ -355,13 +347,7 @@ def test_find_isomorphism_refuses_equal_dimension_vectors():
     S1, S2, P1 = simple(a2, "1"), simple(a2, "2"), projective(a2, "1")
     semisimple = direct_sum([S1, S2])
     assert semisimple.dim_vector() == P1.dim_vector()
-    _assert_isomorphism_iff(semisimple, P1, False)
-    # a three-dimensional Hom space with no invertible basis element: the
-    # decompositions have two and three summands
-    left, right = direct_sum([P1, S2]), direct_sum([S1, S2, S2])
-    assert left.dim_vector() == right.dim_vector()
-    assert hom_space(left, right).dim == 3
-    _assert_isomorphism_iff(left, right, False)
+    _assert_isomorphism_iff(semisimple, P1, False)  # P1 is indecomposable
     _assert_isomorphism_iff(P1, projective(load("a2"), "1"), False)  # other presentation
 
 
@@ -395,14 +381,25 @@ def test_find_isomorphism_refuses_distinct_nodes_without_combinations(
     assert calls == []
 
 
-def test_find_isomorphism_of_decomposables_forms_no_combinations(monkeypatch):
+def test_find_isomorphism_needs_an_indecomposable_side(s2, monkeypatch):
+    # End(S1+S1) and Hom(S1+S2, S2+S1) hold isomorphisms, Hom(P1+S2,
+    # S1+S2+S2) does not; none has an invertible basis element and no side
+    # is indecomposable, so both tests refuse without forming combinations
     a2 = load("a2")
-    S1, S2, P1 = simple(a2, "1"), simple(a2, "2"), projective(a2, "1")
-    left, right = direct_sum([P1, S2]), direct_sum([S1, S2, S2])
+    S1, S2 = simple(s2, "1"), simple(s2, "2")
+    left = direct_sum([projective(a2, "1"), simple(a2, "2")])
+    right = direct_sum([simple(a2, "1"), simple(a2, "2"), simple(a2, "2")])
+    assert left.dim_vector() == right.dim_vector()
+    assert hom_space(left, right).dim == 3
+    pairs = [(direct_sum([S1, S1]), direct_sum([S1, S1])),
+             (direct_sum([S1, S2]), direct_sum([S2, S1])), (left, right)]
     calls = _count_element_calls(monkeypatch)
-    assert find_isomorphism(left, right) is None
-    S12, S21 = direct_sum([S1, S2]), direct_sum([S2, S1])
-    _assert_isomorphism_iff(S12, S21, True)
+    for M, N in pairs:
+        assert not any(b.is_invertible() for b in hom_space(M, N).basis)
+        with pytest.raises(ValueError, match="needs an indecomposable side"):
+            find_isomorphism(M, N)
+        with pytest.raises(ValueError, match="needs an indecomposable side"):
+            are_isomorphic(M, N)
     assert calls == []
 
 
@@ -568,7 +565,7 @@ def test_split_needs_a_basis_element_that_is_neither_nilpotent_nor_invertible():
     with pytest.raises(SplitFieldNeededError):
         is_indecomposable(M)
     # M is isomorphic to K_0 ⊕ K_1, but no basis element of the Hom space is
-    # invertible, and matching summands needs M decomposed
+    # invertible, and the test then needs M certified indecomposable or not
     plain = _kronecker(kron, (0, 1))
     assert not any(b.is_invertible() for b in hom_space(M, plain).basis)
     with pytest.raises(SplitFieldNeededError):
