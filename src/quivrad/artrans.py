@@ -18,11 +18,20 @@ is complete.  Guard limits turn a runaway enumeration into an error.
 The knitting keeps the right almost split map into every node (rad P ↪ P,
 or the end of the almost split sequence), one piece per indecomposable
 summand read on the node isomorphic to it; the AR arrows are the summand
-multiplicities.  Those summands and the translates are the only modules
-matched to nodes by an isomorphism search.  P_a, I_a and S_a are read off
-the walk: P_a is the seed added at a, I_a the node with no τ⁻¹ whose socle
-lies at a, S_a the one node with dimension vector e_a.  The radical
-filtration is built from the nodes, the pieces and that table alone.
+multiplicities.  The sequence 0 -> X -> E -> Z -> 0 ending at a
+non-projective node Z is built by one of two routes.  The cokernel route
+takes the pieces out of X = τZ into the projectives and into τ⁻¹W, for
+each non-injective predecessor W of X: together they form the left almost
+split map X -> E onto nodes already known, and Z is its cokernel, placed
+on the node by one isomorphism test.  It applies once those meshes are
+knit, and the mesh queue takes such ready nodes first.  When no pending
+node is ready, which happens on cycles of the AR quiver, the first one
+takes the Ext route: E comes from a class in the socle of Ext¹(Z, τZ) and
+is decomposed.  The translates and the summands of the Ext route are the
+only modules matched to nodes by an isomorphism search.  P_a, I_a and S_a
+are read off the walk: P_a is the seed added at a, I_a the node with no τ⁻¹
+whose socle lies at a, S_a the one node with dimension vector e_a.  The
+radical filtration is built from the nodes, the pieces and that table alone.
 """
 from __future__ import annotations
 
@@ -327,21 +336,26 @@ class _Knitter:
         self.tau_inverse: Dict[int, int] = {}
         self.total_dim = 0
         self.fresh = 0
-        # every new node waits in both queues: its τ-orbit step, then its mesh
+        # every new node waits in both queues: its τ-orbit step, then its
+        # mesh; the mesh queue holds the nodes whose mesh is still pending
         self.orbit_queue: List[int] = []
         self.mesh_queue: List[int] = []
         # minimal presentations of the non-projective nodes, kept from the
-        # τ step until the almost split middle term is built
+        # τ step until the mesh is built
         self.presentations: Dict[int, ProjectivePresentation] = {}
         # node -> its right almost split map, one (k, node k -> node) per summand
         self.pieces: Dict[int, list] = {}
+        # meshes built per route: projective, cokernel, extension
+        self.routes: Counter = Counter()
+        self.projectives = range(len(pres.quiver.vertices))  # node i: P at the i-th vertex
 
     def _match(self, rep: Representation) -> Optional[tuple]:
         """(k, iso: node k -> rep) for the node k isomorphic to rep, or None.
 
-        Called only on translates and summands of right almost split maps.
-        Nodes and rep are indecomposable, so the basis test of
-        ``find_isomorphism`` decides."""
+        Called only on translates and on the summands that ``decompose``
+        splits off rad P and the Ext route's middle terms.  Nodes and rep
+        are indecomposable, so the basis test of ``find_isomorphism``
+        decides."""
         for k in self.buckets.get(rep.dim_vector(), ()):
             iso = find_isomorphism(self.nodes[k].rep, rep)
             if iso is not None:
@@ -408,28 +422,101 @@ class _Knitter:
             return found[0]
         return self.add(rep, node.orbit_root, node.orbit_power + step)
 
+    def _mesh_ready(self, z: int) -> bool:
+        """Whether the cokernel route can build the mesh ending at the
+        non-projective node z: the pieces of every projective, of x = τz and
+        of τ⁻¹w for each non-injective w among x's pieces are known."""
+        x = self.tau[z]
+        if x not in self.pieces or any(p not in self.pieces for p in self.projectives):
+            return False
+        return all(self.tau_inverse[w] in self.pieces
+                   for w, _ in self.pieces[x] if w in self.tau_inverse)
+
+    def _next_mesh(self) -> int:
+        """Pop the first pending node whose mesh needs no Ext class (a
+        projective, or one ready for the cokernel route), else the first
+        pending node."""
+        for pos, z in enumerate(self.mesh_queue):
+            if z not in self.tau or self._mesh_ready(z):
+                return self.mesh_queue.pop(pos)
+        return self.mesh_queue.pop(0)
+
     def _expand_mesh(self, idx: int) -> None:
-        """The node's predecessors: the summands of the right almost split
-        map into it (rad P for a projective, else the almost split middle
-        term), kept as its pieces."""
-        X = self.nodes[idx].rep
+        """The node's predecessors, kept as its pieces: the summands of the
+        right almost split map into it.  A projective's map is rad P ↪ P; a
+        ready node's is the cokernel of the left almost split map out of its
+        translate; any other node's comes from an Ext class, its summands
+        matched to nodes or added."""
+        presentation = self.presentations.pop(idx, None)
+        if idx in self.tau and self._mesh_ready(idx):
+            self.routes["cokernel"] += 1
+            self.pieces[idx] = self._cokernel_pieces(idx)
+            return
         tau_rep = self.nodes[self.tau[idx]].rep if idx in self.tau else None
-        summands = right_almost_split_summands(X, tau_rep, self.presentations.pop(idx, None))
+        self.routes["projective" if tau_rep is None else "extension"] += 1
+        summands = right_almost_split_summands(self.nodes[idx].rep, tau_rep, presentation)
         self.pieces[idx] = [self._piece(summand, g) for summand, g in summands]
+
+    def _left_almost_split(self, x: int) -> list:
+        """(y, g: node x -> node y) for the irreducible maps out of the
+        non-injective node x, read off knitted pieces: those with source x
+        into τ⁻¹w, for each non-injective w among x's pieces, and into the
+        projectives.  Per target y they are a basis of Irr(x, y)."""
+        targets = dict.fromkeys(self.tau_inverse[w] for w, _ in self.pieces[x]
+                                if w in self.tau_inverse)
+        targets.update(dict.fromkeys(self.projectives))
+        return [(y, g) for y in targets for k, g in self.pieces[y] if k == x]
+
+    def _cokernel_pieces(self, z: int) -> list:
+        """The pieces of the non-projective node z from the almost split
+        sequence 0 -> X -> E -> Z -> 0 with X = τZ (ASS IV.4; ARS V.5).
+
+        f: X -> E, with the irreducible maps out of X as components, is left
+        minimal almost split, so Z is its cokernel, found on the node by one
+        isomorphism test.  Mesh additivity and that isomorphism certify that
+        f is mono with cokernel Z.
+        """
+        x = self.tau[z]
+        X, Z = self.nodes[x].rep, self.nodes[z].rep
+        components = self._left_almost_split(x)
+        targets = [self.nodes[y].rep for y, _ in components]
+        middle_dim = sum(Y.total_dim() for Y in targets)
+        if middle_dim != X.total_dim() + Z.total_dim():
+            raise InconsistencyError(
+                f"mesh at {self.nodes[z].label}: middle term of dimension {middle_dim}, "
+                f"but its ends have dimensions {X.total_dim()} and {Z.total_dim()}")
+        vertices = self.pres.quiver.vertices
+        image = {v: RatMatrix._of([row for _, g in components for row in g.maps[v].data],
+                                  X.dims[v]).image() for v in vertices}
+        C, proj = quotient_representation(_rep.direct_sum(targets), image)
+        iso = find_isomorphism(C, Z)
+        if iso is None:
+            raise InconsistencyError(f"mesh at {self.nodes[z].label}: the cokernel of "
+                                     "the left almost split map is not the node")
+        onto = iso @ proj
+        start = dict.fromkeys(vertices, 0)
+        pieces = []
+        for (y, _), Y in zip(components, targets):
+            maps = {}
+            for v in vertices:
+                lo, hi = start[v], start[v] + Y.dims[v]
+                maps[v] = RatMatrix._of([row[lo:hi] for row in onto.maps[v].data], hi - lo)
+                start[v] = hi
+            pieces.append((y, ModuleMorphism(Y, Z, maps, check=False)))
+        return pieces
 
     def run(self):
         pres = self.pres
         for a in pres.quiver.vertices:  # P_a ≇ P_b: their tops differ
             self.add(projective(pres, a), f"P_{a}", 0)
-        oi = mi = 0
+        oi = 0
         while True:
             while oi < len(self.orbit_queue):
                 self._expand_orbit(self.orbit_queue[oi])
                 oi += 1
-            if mi >= len(self.mesh_queue):
+            if not self.mesh_queue:
                 break
-            self._expand_mesh(self.mesh_queue[mi])
-            mi += 1
+            self._expand_mesh(self._next_mesh())
         return self
 
     def alias_table(self) -> Dict[str, int]:

@@ -12,6 +12,7 @@ from quivrad.artrans import (
     enumerate_indecomposables,
     transpose,
 )
+from quivrad.cli import main
 from quivrad.errors import InconsistencyError, LimitsExceededError
 from quivrad.linalg import RatMatrix, Subspace
 from quivrad.rep import (
@@ -25,7 +26,7 @@ from quivrad.rep import (
     simple,
 )
 
-from conftest import load, pipeline
+from conftest import fixture_path, load, pipeline
 from randgen import random_finite_monomial, random_nakayama
 
 # every representation-finite fixture but ex_2_5, which is slow to knit
@@ -127,20 +128,98 @@ def test_each_translate_link_is_derived_once(name, monkeypatch):
     assert len(calls) < 2 * ar.node_count()
 
 
-@pytest.mark.parametrize("name", ("a3", "s2_cyclic", "s3_cycle", "ex_4_5"))
+# inputs whose every mesh is knit by a cokernel: no cycle in the AR quiver
+# holds a mesh back
+NO_EXT_ROUTE = ("a2", "a3", "a3_rel", "s4_final", "ex_2_5", "random")
+
+
+def _presentations(name: str) -> list:
+    if name == "random":
+        return [pres for _, pres, _ in random_finite_monomial(20)]
+    return [load(name)]
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ("ex_2_5", "random"))
 def test_knitting_decomposes_each_right_almost_split_source_once(name, monkeypatch):
-    # successors need no decomposition of their own: a successor is a
-    # projective seed or the inverse translate of a predecessor
-    calls = []
-    real = artrans.decompose
+    # only rad P and the Ext route's middle term are decomposed; the cokernel
+    # route reads its summands off the nodes, and successors need no step of
+    # their own (a successor is a seed or the inverse translate of a predecessor)
+    calls = Counter()
 
-    def counted(*args):
-        calls.append(args[0])
-        return real(*args)
+    def counted(fn):
+        real = getattr(artrans, fn)
 
-    monkeypatch.setattr(artrans, "decompose", counted)
+        def wrapper(*args):
+            calls[fn] += 1
+            return real(*args)
+        return wrapper
+
+    for fn in ("decompose", "almost_split_middle"):
+        monkeypatch.setattr(artrans, fn, counted(fn))
+    for pres in _presentations(name):
+        calls.clear()
+        knit = artrans._Knitter(pres, EnumerationLimits()).run()
+        vertices = pres.quiver.vertices
+        with_radical = sum(1 for a in vertices if projective(pres, a).total_dim() > 1)
+        assert calls["decompose"] == with_radical + calls["almost_split_middle"]
+        assert calls["almost_split_middle"] == knit.routes["extension"]
+        assert knit.routes["projective"] == len(vertices)
+        assert sum(knit.routes.values()) == len(knit.nodes)
+        if name in NO_EXT_ROUTE:
+            assert knit.routes["extension"] == 0
+
+
+def _mutate_first_mesh(monkeypatch, mutate) -> list:
+    """Apply ``mutate`` to the first left almost split map the knitter reads
+    with two or more components; the list gets the label of the node whose
+    mesh that map builds."""
+    real = artrans._Knitter._left_almost_split
+    hit = []
+
+    def wrapped(self, x):
+        components = real(self, x)
+        if not hit and len(components) >= 2:
+            hit.append(self.nodes[self.tau_inverse[x]].label)
+            components = mutate(components)
+        return components
+
+    monkeypatch.setattr(artrans._Knitter, "_left_almost_split", wrapped)
+    return hit
+
+
+def test_cokernel_route_refuses_a_dropped_target(monkeypatch, capsys):
+    # the middle term loses a summand: mesh additivity fails
+    hit = _mutate_first_mesh(monkeypatch, lambda components: components[:-1])
+    with pytest.raises(InconsistencyError, match="middle term of dimension") as exc:
+        ar_quiver(load("a3"))
+    assert str(exc.value).startswith(f"mesh at {hit[0]}: ")
+    del hit[:]
+    assert main(["ar", fixture_path("a3")]) == 5
+    assert f"internal inconsistency: mesh at {hit[0]}: " in capsys.readouterr().err
+
+
+def test_cokernel_route_refuses_a_component_that_is_not_irreducible(monkeypatch):
+    # a zero component keeps the middle term, but f is no longer left almost
+    # split: its cokernel is not the node, so the isomorphism certificate fails
+    def zero_first(components):
+        (y, g), rest = components[0], components[1:]
+        return [(y, g - g)] + rest
+
+    hit = _mutate_first_mesh(monkeypatch, zero_first)
+    with pytest.raises(InconsistencyError,
+                       match="cokernel of the left almost split map is not the node") as exc:
+        ar_quiver(load("a3"))
+    assert str(exc.value).startswith(f"mesh at {hit[0]}: ")
+
+
+@pytest.mark.parametrize("name", ("a3", "ex_4_5"))
+def test_cokernel_route_accepts_any_basis_of_irr(name, monkeypatch):
+    # each component scaled by 2: still a basis of Irr(X, -) per target, so
+    # the route certifies it and knits the same AR quiver
+    hit = _mutate_first_mesh(monkeypatch, lambda components: [(y, g.scaled(2))
+                                                              for y, g in components])
     ar = ar_quiver(load(name))
-    assert len(calls) == sum(1 for j in range(ar.node_count()) if ar.filtration.pieces(j))
+    assert hit and ar.arrows() == pipeline(name)[1].arrows()
 
 
 def test_transpose_twice_is_identity_on_non_projectives(s3_pipeline):

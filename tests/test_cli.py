@@ -9,6 +9,7 @@ import pytest
 from quivrad.cli import main
 
 from conftest import fixture_path
+from randgen import random_nakayama
 
 
 def run(capsys, *argv):
@@ -315,3 +316,17 @@ def test_non_utf8_input_is_io_error(tmp_path):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"cannot read {bad}: ")
     assert "can't decode byte 0xff" in lines[0]
+
+
+def test_check_all_passes_on_the_nakayama_samples(capsys, tmp_path):
+    # cyclic Nakayama algebras knit some meshes by cokernels and the rest
+    # from Ext classes; every rule check runs to exit 0, and rules B, C and D
+    # agree with the direct index wherever they apply
+    for k, (text, _, _) in enumerate(random_nakayama()):
+        path = tmp_path / f"nakayama{k}.quiver"
+        path.write_text(text)
+        code, out, err = run(capsys, "check", str(path), "--theorem", "all", "--format", "json")
+        assert (code, err) == (0, ""), k
+        for rule in ("B", "C", "D"):
+            result = json.loads(out)[rule]
+            assert result.get("agrees_with_direct", True), (k, rule)

@@ -1,11 +1,12 @@
 """The sparse radical filtration against the dense all-pairs oracle."""
 import pytest
 
-from quivrad import ar_quiver
+from quivrad import ar_quiver, artrans
+from quivrad.radical import canonical_r
 
 from conftest import load, relabelled_filtration
 from dense_oracle import DenseFiltration
-from randgen import random_finite_monomial
+from randgen import random_finite_monomial, random_nakayama
 
 # every representation-finite fixture but ex_2_5, which is too slow for the oracle
 FIXTURES = ("a2", "a3", "a3_rel", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final")
@@ -59,3 +60,32 @@ def test_node_list_chains_match_the_dense_oracle(name):
 def test_random_monomial_chains_match_the_dense_oracle():
     for _, pres, ar in random_finite_monomial(20):
         _agrees_with_dense(ar.filtration, DenseFiltration(ar.reps), ar.arrows())
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("random", "nakayama"))
+def test_cokernel_and_ext_routes_knit_the_same_quiver(name, monkeypatch):
+    # the default knitting against one that builds every non-projective mesh
+    # from an Ext class; the Nakayama samples mix both routes by default
+    if name in ("random", "nakayama"):
+        draw = random_finite_monomial(20) if name == "random" else random_nakayama()
+        inputs = [(pres, ar) for _, pres, ar in draw]
+    else:
+        inputs = [(load(name), None)]
+    limits = artrans.EnumerationLimits(max_modules=400, max_total_dim=3000)
+    for pres, ar in inputs:
+        ar = ar or ar_quiver(pres, limits)
+        with monkeypatch.context() as patch:
+            patch.setattr(artrans._Knitter, "_mesh_ready", lambda self, z: False)
+            ext = ar_quiver(pres, limits)
+        assert ([(n.label, n.rep.dim_vector()) for n in ext.nodes]
+                == [(n.label, n.rep.dim_vector()) for n in ar.nodes])
+        assert ext.arrows() == ar.arrows()
+        # the oracle certifies the default route's chains; the Ext route's equal them
+        _agrees_with_dense(ar.filtration, DenseFiltration(ar.reps), ar.arrows())
+        depth = ar.filtration.layers_computed()
+        assert set(ext.filtration.hom_pairs()) == set(ar.filtration.hom_pairs())
+        for i, j in ar.filtration.hom_pairs():
+            for n in range(1, depth + 2):
+                assert ext.filtration.subspace(i, j, n) == ar.filtration.subspace(i, j, n)
+        for a in pres.quiver.vertices:
+            assert canonical_r(pres, ext.filtration, a) == canonical_r(pres, ar.filtration, a)

@@ -315,6 +315,20 @@ def test_seeds_and_alias_table_need_no_isomorphism_search(name, monkeypatch):
     assert table == pipeline(name)[2].aliases
 
 
+@pytest.mark.parametrize("name", [f"nakayama{i}" for i in range(30)])
+def test_licensed_methods_agree_with_direct_on_nakayama_samples(name):
+    # the cyclic samples knit by both routes; each reduction that applies
+    # computes r_A over its licensed vertices and must meet the direct index
+    pres, ar = _alias_input(name)
+    direct = nilpotency_index(pres, "direct", filt=ar.filtration).r_A
+    for method in REDUCTIONS:
+        try:
+            gate_method(pres, method)
+        except MethodInapplicableError:
+            continue
+        assert nilpotency_index(pres, method, filt=ar.filtration).r_A == direct, method
+
+
 def test_missing_alias_names_the_key(a2_pipeline):
     pres, ar, filt = a2_pipeline
     partial = relabelled_filtration(ar, range(ar.node_count()),
