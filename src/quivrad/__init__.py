@@ -53,7 +53,6 @@ from .artrans import (
     ar_quiver,
     ar_translate,
     ar_translate_inverse,
-    enumerate_indecomposables,
     transpose,
 )
 from .radical import (

@@ -4,16 +4,17 @@ The translate is computed from a minimal projective presentation: read the
 presentation as a matrix of path classes, transport it to the opposite
 presentation, take the cokernel there, dualize back.
 
-Enumeration is a knitting closure from the projectives: each node brings
-in its translates τ and τ⁻¹ and its predecessors, the summands of the right
-almost split map into it (rad P for a projective, else the almost split
-middle term).  Inverse-translate orbits of the projectives alone can miss
-translate-periodic modules (they exist for some bound quiver algebras), and
-the predecessors close that gap.  Successors need no step of their own: a
-successor Y of a node X is projective, so a seed, or τ⁻¹ of τY, and
-τY -> X is irreducible, so τY is a predecessor of X.  For a connected
-representation-finite algebra the AR quiver is connected, so this closure
-is complete.  Guard limits turn a runaway enumeration into an error.
+Enumeration is a knitting closure from the projectives, the seeds: each
+node brings in its translates, τ⁻¹ and, off the seeds, τ, and its
+predecessors, the summands of the right almost split map into it (rad P for
+a projective, else the almost split middle term).  Inverse-translate orbits
+of the projectives alone can miss translate-periodic modules (they exist for
+some bound quiver algebras), and the predecessors close that gap.
+Successors need no step of their own: a successor Y of a node X is
+projective, so a seed, or τ⁻¹ of τY, and τY -> X is irreducible, so τY is a
+predecessor of X.  For a connected representation-finite algebra the AR
+quiver is connected, so this closure is complete.  Guard limits turn a
+runaway enumeration into an error.
 
 The knitting keeps the right almost split map into every node (rad P ↪ P,
 or the end of the almost split sequence), one piece per indecomposable
@@ -27,11 +28,12 @@ on the node by one isomorphism test.  It applies once those meshes are
 knit, and the mesh queue takes such ready nodes first.  When no pending
 node is ready, which happens on cycles of the AR quiver, the first one
 takes the Ext route: E comes from a class in the socle of Ext¹(Z, τZ) and
-is decomposed.  The translates and the summands of the Ext route are the
-only modules matched to nodes by an isomorphism search.  P_a, I_a and S_a
-are read off the walk: P_a is the seed added at a, I_a the node with no τ⁻¹
-whose socle lies at a, S_a the one node with dimension vector e_a.  The
-radical filtration is built from the nodes, the pieces and that table alone.
+is decomposed.  The translates and the summands of rad P and of the Ext
+route are the only modules matched to nodes by an isomorphism search.
+P_a, I_a and S_a are read off the walk: P_a is the seed added at a, I_a the
+node with no τ⁻¹ whose socle lies at a, S_a the one node with dimension
+vector e_a.  The radical filtration is built from the nodes, the pieces and
+that table alone.
 """
 from __future__ import annotations
 
@@ -45,7 +47,6 @@ from .quiver import AlgebraPresentation, Path
 from . import rep as _rep
 from .rep import (
     ModuleMorphism,
-    ProjectivePresentation,
     Representation,
     decompose,
     end_radical,
@@ -91,18 +92,14 @@ def _reversed_class_coords(model_fwd, model_op, a: str, b: str, coeffs) -> list:
     return out
 
 
-def transpose(M: Representation,
-              presentation: Optional[ProjectivePresentation] = None) -> Representation:
-    """Transpose of M, a module over the opposite presentation.
-
-    Zero when M is projective.  ``presentation``, when given, must be
-    ``minimal_presentation(M)``; it saves computing it again.
-    """
+def transpose(M: Representation) -> Representation:
+    """Transpose of M, a module over the opposite presentation; zero when M
+    is projective."""
     if M.is_zero():
         raise ValueError("zero module has no transpose")
     pres = M.pres
     op = pres.opposite()
-    pp = minimal_presentation(M) if presentation is None else presentation
+    pp = minimal_presentation(M)
     if pp.p1.is_zero():
         return zero_representation(op)
     model = pres.model()
@@ -137,14 +134,9 @@ def transpose(M: Representation,
     return tr
 
 
-def ar_translate(M: Representation,
-                 presentation: Optional[ProjectivePresentation] = None
-                 ) -> Optional[Representation]:
-    """τM = D(Tr M); None iff M is projective.
-
-    ``presentation`` is as for ``transpose``.
-    """
-    tr = transpose(M, presentation)
+def ar_translate(M: Representation) -> Optional[Representation]:
+    """τM = D(Tr M); None iff M is projective."""
+    tr = transpose(M)
     if tr.is_zero():
         return None
     return tr.dual()
@@ -158,18 +150,16 @@ def ar_translate_inverse(M: Representation) -> Optional[Representation]:
     return tr
 
 
-def almost_split_middle(Z: Representation, tau_z: Representation,
-                        presentation: Optional[ProjectivePresentation] = None):
+def almost_split_middle(Z: Representation, tau_z: Representation):
     """(E, E -> Z) for the almost split sequence 0 -> τZ -> E -> Z -> 0.
 
     Ext¹(Z, τZ) is presented on Hom(ΩZ, τZ) modulo the restrictions from the
     cover, and E is the pushout cokernel of a nonzero class in its socle.
     That socle is the same over End(Z) and over End(τZ) (Auslander-Reiten-
     Smalø V.2), so the class is taken annihilated by rad End(τZ), which acts
-    by composition.  ``presentation`` is as for ``transpose``.  E -> Z is
-    the right almost split map.
+    by composition.  E -> Z is the right almost split map.
     """
-    pp = minimal_presentation(Z) if presentation is None else presentation
+    pp = minimal_presentation(Z)
     K, incl = kernel_submodule(pp.epi)
     if K.is_zero():
         raise ValueError("projective module has no almost split sequence ending at it")
@@ -214,25 +204,6 @@ def almost_split_middle(Z: Representation, tau_z: Representation,
         maps[v] = RatMatrix._of([[row[c] if c >= 0 else 0 for c in cols]
                                  for row in pp.epi.maps[v].data], len(cols))
     return middle, ModuleMorphism(middle, Z, maps, check=False)
-
-
-def right_almost_split_summands(Y: Representation, tau_y: Optional[Representation],
-                                presentation: Optional[ProjectivePresentation] = None
-                                ) -> list:
-    """(Z, g: Z -> Y) for each indecomposable summand Z of the source of the
-    minimal right almost split map into Y, g that map on the summand.
-
-    The map is rad Y ↪ Y when Y is projective (``tau_y`` None), else the end
-    of the almost split sequence ending at Y; ``presentation`` is as for
-    ``transpose``.  Each summand Z occurs dim Irr(Z, Y) times.
-    """
-    if tau_y is None:
-        source, into = radical_submodule(Y)
-    else:
-        source, into = almost_split_middle(Y, tau_y, presentation)
-    if source.is_zero():
-        return []
-    return [(Z, into @ incl) for Z, incl in decompose(source, True)]
 
 
 @dataclass
@@ -340,9 +311,6 @@ class _Knitter:
         # mesh; the mesh queue holds the nodes whose mesh is still pending
         self.orbit_queue: List[int] = []
         self.mesh_queue: List[int] = []
-        # minimal presentations of the non-projective nodes, kept from the
-        # τ step until the mesh is built
-        self.presentations: Dict[int, ProjectivePresentation] = {}
         # node -> its right almost split map, one (k, node k -> node) per summand
         self.pieces: Dict[int, list] = {}
         # meshes built per route: projective, cokernel, extension
@@ -401,19 +369,16 @@ class _Knitter:
         τ is a bijection from the non-projective to the non-injective
         indecomposables, so each link is derived once, from the end the walk
         reaches first: a side already linked from its other end is skipped.
+        τ is taken on no seed: every module is matched to the nodes before it
+        is added, so the seeds are the only projective nodes.
         """
         node = self.nodes[idx]
-        X = node.rep
         if idx not in self.tau_inverse:
-            nxt = ar_translate_inverse(X)
+            nxt = ar_translate_inverse(node.rep)
             if nxt is not None:
                 self.link_tau(self._orbit_node(nxt, node, 1), idx)
-        if idx not in self.tau:
-            pp = minimal_presentation(X)
-            prev = ar_translate(X, pp)
-            if prev is not None:
-                self.presentations[idx] = pp
-                self.link_tau(idx, self._orbit_node(prev, node, -1))
+        if idx not in self.tau and idx not in self.projectives:
+            self.link_tau(idx, self._orbit_node(ar_translate(node.rep), node, -1))
 
     def _orbit_node(self, rep: Representation, node: ARNode, step: int) -> int:
         """The node isomorphic to rep, a τ^(-step) of node, added to its orbit if new."""
@@ -437,25 +402,30 @@ class _Knitter:
         projective, or one ready for the cokernel route), else the first
         pending node."""
         for pos, z in enumerate(self.mesh_queue):
-            if z not in self.tau or self._mesh_ready(z):
+            if z in self.projectives or self._mesh_ready(z):
                 return self.mesh_queue.pop(pos)
         return self.mesh_queue.pop(0)
 
     def _expand_mesh(self, idx: int) -> None:
         """The node's predecessors, kept as its pieces: the summands of the
-        right almost split map into it.  A projective's map is rad P ↪ P; a
-        ready node's is the cokernel of the left almost split map out of its
-        translate; any other node's comes from an Ext class, its summands
-        matched to nodes or added."""
-        presentation = self.presentations.pop(idx, None)
-        if idx in self.tau and self._mesh_ready(idx):
+        right almost split map into it, each occurring dim Irr times.  A
+        projective's map is rad P ↪ P; a ready node's is the cokernel of the
+        left almost split map out of its translate; any other node's is the
+        end of the sequence from an Ext class.  The summands of the first
+        and the last are matched to nodes or added."""
+        Y = self.nodes[idx].rep
+        if idx in self.projectives:
+            self.routes["projective"] += 1
+            source, into = radical_submodule(Y)
+        elif self._mesh_ready(idx):
             self.routes["cokernel"] += 1
             self.pieces[idx] = self._cokernel_pieces(idx)
             return
-        tau_rep = self.nodes[self.tau[idx]].rep if idx in self.tau else None
-        self.routes["projective" if tau_rep is None else "extension"] += 1
-        summands = right_almost_split_summands(self.nodes[idx].rep, tau_rep, presentation)
-        self.pieces[idx] = [self._piece(summand, g) for summand, g in summands]
+        else:
+            self.routes["extension"] += 1
+            source, into = almost_split_middle(Y, self.nodes[self.tau[idx]].rep)
+        summands = [] if source.is_zero() else decompose(source)
+        self.pieces[idx] = [self._piece(Z, into @ incl) for Z, incl in summands]
 
     def _left_almost_split(self, x: int) -> list:
         """(y, g: node x -> node y) for the irreducible maps out of the
@@ -538,12 +508,6 @@ class _Knitter:
                      ("S", self.buckets.get(e_a, [None])[0]))
             table.update((f"{tag}_{a}", k) for tag, k in found if k is not None)
         return table
-
-
-def enumerate_indecomposables(pres: AlgebraPresentation,
-                              limits: EnumerationLimits | None = None) -> list:
-    """All indecomposables, by knitting closure from the projectives."""
-    return [n.rep for n in _Knitter(pres, limits or EnumerationLimits()).run().nodes]
 
 
 def ar_quiver(pres: AlgebraPresentation,

@@ -117,13 +117,13 @@ def cmd_index(args) -> int:
     pres, _ = _read_presentation(args)
     gate_method(pres, args.method)  # cheap preconditions before enumeration
     ar = ar_quiver(pres, _limits(args))
-    report = nilpotency_index(pres, args.method, filt=ar.filtration)
+    report = nilpotency_index(ar.filtration, args.method)
     payload = report.to_json_dict()
     verify = args.verify
     if verify is None:
         verify = len(pres.quiver.vertices) + len(pres.quiver.arrows) <= VERIFY_SIZE_THRESHOLD
     if verify and args.method != "direct":
-        direct = nilpotency_index(pres, "direct", filt=ar.filtration)
+        direct = nilpotency_index(ar.filtration, "direct")
         payload["direct_r_A"] = direct.r_A
         if direct.r_A != report.r_A:
             raise _CliFailure(
@@ -185,9 +185,9 @@ def cmd_check(args) -> int:
     pres, _ = _read_presentation(args)
     filt = ar_quiver(pres, _limits(args)).filtration
     if args.theorem == "all":
-        results = theorems.check_all(pres, filt)
+        results = theorems.check_all(filt)
     else:  # an inapplicable rule propagates: exit 4
-        results = {name: theorems.CHECKERS[name](pres, filt)
+        results = {name: theorems.CHECKERS[name](filt)
                    for name in theorems.GROUPS.get(args.theorem, (args.theorem,))}
     if args.format == "json":
         payload = {k: _findings_json(v) for k, v in results.items()}

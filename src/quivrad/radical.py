@@ -21,7 +21,7 @@ Hom bases, so membership and equality are exact.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Sequence
 
 from .errors import InconsistencyError, MethodInapplicableError
@@ -311,7 +311,7 @@ def morphism_length(f: ModuleMorphism, filt: RadicalFiltration) -> int:
             return n
 
 
-def canonical_r(pres: AlgebraPresentation, filt: RadicalFiltration, a: str) -> int:
+def canonical_r(filt: RadicalFiltration, a: str) -> int:
     """Radical length of the composite P_a -> S_a -> I_a (well defined)."""
     a = str(a)
     ip = filt.projective_index(a)
@@ -424,37 +424,25 @@ def choose_method(pres: AlgebraPresentation) -> str:
     return "direct"
 
 
-def nilpotency_index(pres: AlgebraPresentation, method: str = "direct",
-                     filt: RadicalFiltration | None = None,
-                     limits=None) -> NilpotencyReport:
-    """Nilpotency index of the radical of the module category.
+def nilpotency_index(filt: RadicalFiltration, method: str = "direct") -> NilpotencyReport:
+    """Nilpotency index of the radical of the module category of ``filt.pres``.
 
     ``direct`` iterates the filtration to zero; the reduction methods compute
     r over the vertex set their precondition licenses and return max r + 1.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    vertices = () if method in ("direct", "auto") else licensed_vertices(pres, method)
-    if filt is None:
-        from .artrans import ar_quiver  # deferred: artrans builds on this module
-        filt = ar_quiver(pres, limits).filtration
+    vertices = () if method in ("direct", "auto") else licensed_vertices(filt.pres, method)
 
     if method == "auto":
-        chosen = choose_method(pres)
-        report = nilpotency_index(pres, chosen, filt=filt)
-        return NilpotencyReport(
-            method="auto",
-            r_A=report.r_A,
-            per_vertex=report.per_vertex,
-            vertex_set=report.vertex_set,
-            layers_computed=report.layers_computed,
-            notes=(f"selected {chosen}",) + report.notes,
-        )
+        chosen = choose_method(filt.pres)
+        report = nilpotency_index(filt, chosen)
+        return replace(report, method="auto", notes=(f"selected {chosen}",) + report.notes)
 
     if method == "direct":
         r = filt.nilpotency_index()
         return NilpotencyReport("direct", r, {}, (), filt.layers_computed())
 
-    per = {a: canonical_r(pres, filt, a) for a in vertices}
+    per = {a: canonical_r(filt, a) for a in vertices}
     return NilpotencyReport(method, max(per.values()) + 1, per, vertices,
                             filt.layers_computed())

@@ -678,25 +678,21 @@ def is_indecomposable(M: Representation) -> bool:
     return _fitting_power(M) is None
 
 
-def decompose(M: Representation, with_inclusions: bool = False) -> list:
-    """Indecomposable direct summands (Krull-Schmidt list, deterministic order).
-
-    With ``with_inclusions`` each entry is a pair (summand, inclusion into
-    M), and M is the internal direct sum of the inclusions' images.
+def decompose(M: Representation) -> list:
+    """(summand, inclusion into M) for each indecomposable direct summand
+    (Krull-Schmidt list, deterministic order); M is the internal direct sum
+    of the inclusions' images.
     """
     if M.is_zero():
         return []
     f = _fitting_power(M)
     if f is None:
-        return [(M, ModuleMorphism.identity(M))] if with_inclusions else [M]
+        return [(M, ModuleMorphism.identity(M))]
     quiver = M.pres.quiver
     im_spaces = {v: f.maps[v].image() for v in quiver.vertices}
     ker_spaces = {v: f.maps[v].kernel() for v in quiver.vertices}
     parts = (subrepresentation(M, im_spaces), subrepresentation(M, ker_spaces))
-    if not with_inclusions:
-        return [s for part, _ in parts for s in decompose(part)]
-    return [(s, incl @ inner) for part, incl in parts
-            for s, inner in decompose(part, True)]
+    return [(s, incl @ inner) for part, incl in parts for s, inner in decompose(part)]
 
 
 def find_isomorphism(M: Representation, N: Representation) -> Optional[ModuleMorphism]:

@@ -35,6 +35,7 @@ from .rep import (
     find_isomorphism,
     hom_space,
     is_indecomposable,
+    morphism_ambient,
     morphism_from_projective,
     morphism_to_injective,
     simple,
@@ -104,12 +105,12 @@ def _conclude(proj_side: bool, inj_side: bool) -> str:
     return "none"
 
 
-def _compare_arrow(pres: AlgebraPresentation, filt: RadicalFiltration, a: str, b: str,
+def _compare_arrow(filt: RadicalFiltration, a: str, b: str,
                    rule: str, context: str, proj_holds, inj_holds) -> ComparisonFinding:
     """Arrow a -> b: r_b <= r_a when Irr(P_b, P_a) ≠ 0 and ``proj_holds(P_b, P_a)``,
     r_a <= r_b when Irr(I_b, I_a) ≠ 0 and ``inj_holds(I_b, I_a)`` (node indices)."""
     a, b = str(a), str(b)
-    arrow = _arrow_between(pres, a, b)
+    arrow = _arrow_between(filt.pres, a, b)
     pa, pb = filt.projective_index(a), filt.projective_index(b)
     ia, ib = filt.injective_index(a), filt.injective_index(b)
     irr_p = filt.dim_irr(pb, pa)
@@ -117,20 +118,19 @@ def _compare_arrow(pres: AlgebraPresentation, filt: RadicalFiltration, a: str, b
     proj_side = irr_p >= 1 and proj_holds(pb, pa)
     inj_side = irr_i >= 1 and inj_holds(ib, ia)
     relation = _conclude(proj_side, inj_side)
-    r_a = canonical_r(pres, filt, a)
-    r_b = canonical_r(pres, filt, b)
+    r_a = canonical_r(filt, a)
+    r_b = canonical_r(filt, b)
     _verify_relation(relation, r_a, r_b, f"{context} at arrow {arrow}")
     return ComparisonFinding(a, b, arrow, rule, irr_p, irr_i,
                              filt.hom[(pb, pb)].dim, filt.hom[(ia, ia)].dim,
                              proj_side, inj_side, relation, r_a, r_b)
 
 
-def check_corollary_irred(pres: AlgebraPresentation, filt: RadicalFiltration,
-                          a: str, b: str) -> ComparisonFinding:
+def check_corollary_irred(filt: RadicalFiltration, a: str, b: str) -> ComparisonFinding:
     """Arrow a -> b: an irreducible P_b -> P_a with trivial End(P_b) forces
     r_b <= r_a; dually an irreducible I_b -> I_a with trivial End(I_a)
     forces r_a <= r_b."""
-    return _compare_arrow(pres, filt, a, b, "corollary", "corollary",
+    return _compare_arrow(filt, a, b, "corollary", "corollary",
                           lambda pb, pa: filt.hom[(pb, pb)].dim == 1,
                           lambda ib, ia: filt.hom[(ia, ia)].dim == 1)
 
@@ -148,8 +148,7 @@ def _factorization_holds(filt: RadicalFiltration, src: int, dst: int, side: str)
     return span.dim == filt.hom[(src, dst)].dim
 
 
-def check_theorem_A(pres: AlgebraPresentation, filt: RadicalFiltration,
-                    a: str, b: str) -> ComparisonFinding:
+def check_theorem_A(filt: RadicalFiltration, a: str, b: str) -> ComparisonFinding:
     """Arrow a -> b: if every nonzero P_b -> P_a factors as (P_a -> P_a) ∘ f1
     with f1 irreducible, then r_b <= r_a; dual on injectives gives r_a <= r_b.
 
@@ -159,14 +158,15 @@ def check_theorem_A(pres: AlgebraPresentation, filt: RadicalFiltration,
     local: when dim Irr = 1 another one is u∘f1 (or f1∘u) with u invertible,
     and when dim Irr ≥ 2 no single one fills the Hom space.
     """
-    return _compare_arrow(pres, filt, a, b, "A", "factorization rule",
+    return _compare_arrow(filt, a, b, "A", "factorization rule",
                           lambda pb, pa: _factorization_holds(filt, pb, pa, "proj"),
                           lambda ib, ia: _factorization_holds(filt, ib, ia, "inj"))
 
 
-def check_prop_33(pres: AlgebraPresentation, filt: RadicalFiltration) -> list:
+def check_prop_33(filt: RadicalFiltration) -> list:
     """Monomial ideals: classify each arrow by membership of its endpoints in
     the zero-relation vertex set and assert the forced comparison."""
+    pres = filt.pres
     if not classify(pres).is_monomial:
         raise MethodInapplicableError("the zero-relation comparison needs a monomial ideal")
     r0 = set(zero_relation_vertices(pres))
@@ -182,8 +182,8 @@ def check_prop_33(pres: AlgebraPresentation, filt: RadicalFiltration) -> list:
             relation = "r_a==r_b"
         else:
             relation = "none"  # both involved: either order occurs
-        r_a = canonical_r(pres, filt, a)
-        r_b = canonical_r(pres, filt, b)
+        r_a = canonical_r(filt, a)
+        r_b = canonical_r(filt, b)
         _verify_relation(relation, r_a, r_b, f"zero-relation membership at arrow {arr.name}")
         findings.append(ComparisonFinding(
             a, b, arr.name, "prop33", 0, 0, 0, 0, a_in, b_in, relation, r_a, r_b))
@@ -228,31 +228,31 @@ class ReductionCheck:
         return out
 
 
-def check_theorem_B(pres: AlgebraPresentation, filt: RadicalFiltration) -> ReductionCheck:
+def check_theorem_B(filt: RadicalFiltration) -> ReductionCheck:
     """Monomial: r_A = max over zero-relation vertices of r_u + 1.
 
     When the ideal has no zero-relation vertices the bound degenerates; the
-    report then falls back to the middle-vertex rule and says so.
+    report then falls back to the middle-vertex rule and says so.  Either
+    way a value other than the direct index is an inconsistency.
     """
-    if not classify(pres).is_monomial:
+    if not classify(filt.pres).is_monomial:
         raise MethodInapplicableError("rule B needs a monomial ideal")
-    direct = nilpotency_index(pres, "direct", filt=filt)
-    r0 = zero_relation_vertices(pres)
-    if not r0:
-        fallback = nilpotency_index(pres, "v-set", filt=filt)
-        return ReductionCheck(fallback, direct.r_A, fallback.r_A == direct.r_A,
-                              fallback="no zero-relation vertices; middle-vertex rule used")
-    report = nilpotency_index(pres, "zero-relations", filt=filt)
-    agrees = report.r_A == direct.r_A
-    if not agrees:
+    direct = nilpotency_index(filt, "direct")
+    fallback = None
+    if zero_relation_vertices(filt.pres):
+        report = nilpotency_index(filt, "zero-relations")
+    else:
+        report = nilpotency_index(filt, "v-set")
+        fallback = "no zero-relation vertices; middle-vertex rule used"
+    if report.r_A != direct.r_A:
         raise InconsistencyError(
             f"rule B gave {report.r_A} but the direct index is {direct.r_A}")
-    return ReductionCheck(report, direct.r_A, agrees)
+    return ReductionCheck(report, direct.r_A, True, fallback=fallback)
 
 
-def _zero_relation_certificates(pres, filt) -> tuple:
+def _zero_relation_certificates(filt: RadicalFiltration) -> tuple:
     certs = []
-    for k, rel in enumerate(pres.relations):
+    for k, rel in enumerate(filt.pres.relations):
         if not rel.is_zero_relation():
             continue
         vertices = []
@@ -261,20 +261,20 @@ def _zero_relation_certificates(pres, filt) -> tuple:
                 vertices.append(v)
         if not vertices:
             continue
-        values = {v: canonical_r(pres, filt, v) for v in vertices}
+        values = {v: canonical_r(filt, v) for v in vertices}
         certs.append(RelationCertificate(
             k, str(rel), tuple(vertices), values,
             len(set(values.values())) == 1))
     return tuple(certs)
 
 
-def check_theorem_C(pres: AlgebraPresentation, filt: RadicalFiltration) -> ReductionCheck:
+def check_theorem_C(filt: RadicalFiltration) -> ReductionCheck:
     """Monomial, each involved vertex in exactly one zero-relation exactly
     once: one representative per relation determines r_A, and all vertices of
     one zero-relation share the same r."""
-    report = nilpotency_index(pres, "one-per-relation", filt=filt)  # gates preconditions
-    direct = nilpotency_index(pres, "direct", filt=filt)
-    certs = _zero_relation_certificates(pres, filt)
+    report = nilpotency_index(filt, "one-per-relation")  # gates preconditions
+    direct = nilpotency_index(filt, "direct")
+    certs = _zero_relation_certificates(filt)
     for cert in certs:
         if not cert.all_equal:
             raise InconsistencyError(
@@ -286,22 +286,21 @@ def check_theorem_C(pres: AlgebraPresentation, filt: RadicalFiltration) -> Reduc
     return ReductionCheck(report, direct.r_A, True, certs)
 
 
-def check_theorem_D(pres: AlgebraPresentation, filt: RadicalFiltration) -> ReductionCheck:
+def check_theorem_D(filt: RadicalFiltration) -> ReductionCheck:
     """Toupie with one zero-relation branch and a commutativity pair: all
     zero-relation vertices share one r, one representative gives r_A, and the
     per-branch equalities hold."""
-    cls = classify(pres)
-    shape = cls.toupie
+    shape = classify(filt.pres).toupie
     if shape is None or shape.grafo is None:
         raise MethodInapplicableError(
             "rule D needs the three-branch toupie with exactly one zero-relation "
             "branch and one commutativity pair")
-    report = nilpotency_index(pres, "toupie", filt=filt)
-    direct = nilpotency_index(pres, "direct", filt=filt)
+    report = nilpotency_index(filt, "toupie")
+    direct = nilpotency_index(filt, "direct")
     g = shape.grafo
     zero_branch = shape.branches[g.zero_branch]
     involved = [zero_branch.vertices[i - 1] for i in g.involved_vertices]
-    values = {v: canonical_r(pres, filt, v) for v in involved}
+    values = {v: canonical_r(filt, v) for v in involved}
     if len(set(values.values())) != 1:
         raise InconsistencyError(f"rule D: zero-relation vertices differ: {values}")
     certs = [RelationCertificate(0, "zero-relation branch", tuple(involved), values, True)]
@@ -309,13 +308,13 @@ def check_theorem_D(pres: AlgebraPresentation, filt: RadicalFiltration) -> Reduc
     rep_value = next(iter(values.values()))
     for bi in g.commutative_pair:
         branch = shape.branches[bi]
-        vals = {v: canonical_r(pres, filt, v) for v in branch.vertices}
+        vals = {v: canonical_r(filt, v) for v in branch.vertices}
         if len(set(vals.values())) > 1:
             raise InconsistencyError(f"branch {bi}: unequal r values {vals}")
         certs.append(RelationCertificate(bi, "commutative branch", tuple(branch.vertices),
                                          vals, True))
     outside = [v for v in zero_branch.vertices if v not in involved]
-    out_vals = {v: canonical_r(pres, filt, v) for v in outside}
+    out_vals = {v: canonical_r(filt, v) for v in outside}
     for v, val in out_vals.items():
         if val > rep_value:
             raise InconsistencyError(
@@ -343,8 +342,7 @@ class ToupieWitness:
                 and self.end_dim == 2)
 
 
-def build_toupie_witness(pres: AlgebraPresentation, shape: ToupieShape, i: int,
-                         filt: Optional[RadicalFiltration] = None) -> ToupieWitness:
+def build_toupie_witness(filt: RadicalFiltration, shape: ToupieShape, i: int) -> ToupieWitness:
     """Construct the rank-two witness module at the i-th zero-branch vertex.
 
     The module doubles the zero-relation vertex z_i, with the branch arrow
@@ -352,6 +350,7 @@ def build_toupie_witness(pres: AlgebraPresentation, shape: ToupieShape, i: int,
     the first; the cycle factors through S_{z_i} and sits in radical layer
     2(n3+1) where n3+1 is the zero branch's arrow count.
     """
+    pres = filt.pres
     g = shape.grafo
     if g is None:
         raise MethodInapplicableError("witness needs the zero-relation toupie pattern")
@@ -402,9 +401,6 @@ def build_toupie_witness(pres: AlgebraPresentation, shape: ToupieShape, i: int,
     if (rho @ phi).is_zero():
         raise InconsistencyError("cycle kills the projective generator")
     expected = 2 * len(branch.arrows)
-    if filt is None:
-        from .artrans import ar_quiver
-        filt = ar_quiver(pres).filtration
     for node_rep in filt.reps:  # pairwise non-isomorphic: the first hit is the node
         u = find_isomorphism(M, node_rep)  # None at once on another dimension vector
         if u is not None:
@@ -433,9 +429,8 @@ def check_lemma_32(pres: AlgebraPresentation) -> list:
     return out
 
 
-def _factors_through_simple_space(pres, filt, a: str, j_target: int) -> Subspace:
+def _factors_through_simple_space(filt, a: str, j_target: int) -> Subspace:
     """Subspace of Hom(P_a, node_j) of morphisms factoring through S_a."""
-    from .rep import morphism_ambient
     ip = filt.projective_index(a)
     is_ = filt.simple_index(a)
     p = filt.hom[(ip, is_)].basis[0]
@@ -446,9 +441,8 @@ def _factors_through_simple_space(pres, filt, a: str, j_target: int) -> Subspace
     return Subspace.from_vectors(ambient, [(h @ p).flatten() for h in hs.basis])
 
 
-def _factors_through_simple_dual(pres, filt, b: str, i_source: int) -> Subspace:
+def _factors_through_simple_dual(filt, b: str, i_source: int) -> Subspace:
     """Subspace of Hom(node_i, I_b) of morphisms factoring through S_b."""
-    from .rep import morphism_ambient
     ib = filt.injective_index(b)
     is_ = filt.simple_index(b)
     q = filt.hom[(is_, ib)].basis[0]
@@ -459,7 +453,7 @@ def _factors_through_simple_dual(pres, filt, b: str, i_source: int) -> Subspace:
     return Subspace.from_vectors(ambient, [(q @ h).flatten() for h in hs.basis])
 
 
-def check_lemma_refe(pres: AlgebraPresentation, filt: RadicalFiltration) -> list:
+def check_lemma_refe(filt: RadicalFiltration) -> list:
     """For every nonzero P_a -> I_b not factoring through S_a there is a
     non-isomorphism I_b -> I_a whose composite is nonzero and factors through
     S_a; dually, not factoring through S_b admits P_b -> P_a with a nonzero
@@ -467,28 +461,28 @@ def check_lemma_refe(pres: AlgebraPresentation, filt: RadicalFiltration) -> list
     whole space of non-isomorphisms (``_witness_exists``); no witness is a
     fatal inconsistency."""
     results = []
-    for a in pres.quiver.vertices:
+    for a in filt.pres.quiver.vertices:
         ip = filt.projective_index(a)
         ia = filt.injective_index(a)
-        for b in pres.quiver.vertices:
+        for b in filt.pres.quiver.vertices:
             ib = filt.injective_index(b)
             pb = filt.projective_index(b)
             hs = filt.hom.get((ip, ib))
             if hs is None:
                 continue
-            through_a = _factors_through_simple_space(pres, filt, a, ib)
-            through_b = _factors_through_simple_dual(pres, filt, b, ip)
+            through_a = _factors_through_simple_space(filt, a, ib)
+            through_b = _factors_through_simple_dual(filt, b, ip)
             for f in hs.basis:
                 if through_a.contains_vector(f.flatten()):
                     results.append({"a": a, "b": b, "case": "vacuous"})
-                elif _witness_exists(pres, filt, f, ib, ia, a, side="post"):
+                elif _witness_exists(filt, f, ib, ia, a, side="post"):
                     results.append({"a": a, "b": b, "case": "post-composition"})
                 else:
                     raise InconsistencyError(
                         f"no witness I_{b} -> I_{a} for a morphism P_{a} -> I_{b}")
                 if through_b.contains_vector(f.flatten()):
                     results.append({"a": a, "b": b, "case": "dual-vacuous"})
-                elif _witness_exists(pres, filt, f, pb, ip, b, side="pre"):
+                elif _witness_exists(filt, f, pb, ip, b, side="pre"):
                     results.append({"a": a, "b": b, "case": "pre-composition"})
                 else:
                     raise InconsistencyError(
@@ -496,7 +490,7 @@ def check_lemma_refe(pres: AlgebraPresentation, filt: RadicalFiltration) -> list
     return results
 
 
-def _witness_exists(pres, filt, f: ModuleMorphism, mid: int, end: int,
+def _witness_exists(filt, f: ModuleMorphism, mid: int, end: int,
                     through_vertex: str, side: str) -> bool:
     """Whether a non-isomorphism phi: node mid -> node end has phi∘f (side
     'post') or f∘phi (side 'pre') nonzero and factoring through
@@ -511,10 +505,10 @@ def _witness_exists(pres, filt, f: ModuleMorphism, mid: int, end: int,
         return False
     if side == "post":
         # composite runs f.source -> end and must factor through S_{through_vertex}
-        target = _factors_through_simple_space(pres, filt, through_vertex, end)
+        target = _factors_through_simple_space(filt, through_vertex, end)
     else:
         # composite runs mid -> f.target and must factor through S_{through_vertex}
-        target = _factors_through_simple_dual(pres, filt, through_vertex, mid)
+        target = _factors_through_simple_dual(filt, through_vertex, mid)
     phis = hs.basis if mid != end else [hs.element(r) for r in end_radical(hs).basis]
     return _composites_meet(phis, f, target, side)
 
@@ -533,11 +527,10 @@ def _composites_meet(phis, f: ModuleMorphism, target: Subspace, side: str) -> bo
 
 def _each_arrow(check):
     """A per-arrow comparison run over every arrow, in quiver order."""
-    return lambda pres, filt: [check(pres, filt, arr.source, arr.target)
-                               for arr in pres.quiver.arrows]
+    return lambda filt: [check(filt, arr.source, arr.target) for arr in filt.pres.quiver.arrows]
 
 
-# rule -> checker(pres, filt), in report order
+# rule -> checker(filt), in report order
 CHECKERS = {
     "corollary": _each_arrow(check_corollary_irred),
     "A": _each_arrow(check_theorem_A),
@@ -545,19 +538,19 @@ CHECKERS = {
     "B": check_theorem_B,
     "C": check_theorem_C,
     "D": check_theorem_D,
-    "lemma32": lambda pres, filt: check_lemma_32(pres),
+    "lemma32": lambda filt: check_lemma_32(filt.pres),
     "lemma_refe": check_lemma_refe,
 }
 # a selection of several rules under one name
 GROUPS = {"lemmas": ("lemma32", "lemma_refe")}
 
 
-def check_all(pres: AlgebraPresentation, filt: RadicalFiltration) -> dict:
+def check_all(filt: RadicalFiltration) -> dict:
     """Run every checker in ``CHECKERS``; inapplicable rules are reported."""
     out: Dict[str, object] = {}
     for name, check in CHECKERS.items():
         try:
-            out[name] = check(pres, filt)
+            out[name] = check(filt)
         except MethodInapplicableError as exc:
             out[name] = {"inapplicable": str(exc)}
     return out

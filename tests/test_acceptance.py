@@ -13,7 +13,7 @@ from quivrad.quiver import classify
 from quivrad.radical import canonical_r, gate_method, nilpotency_index
 from quivrad.rep import morphism_ambient
 from quivrad import theorems as T
-from quivrad.artrans import EnumerationLimits, enumerate_indecomposables
+from quivrad.artrans import EnumerationLimits, ar_quiver
 
 from conftest import load
 from randgen import random_finite_monomial
@@ -46,9 +46,9 @@ def property_pipelines(random_pipelines, s2_pipeline, ex25_pipeline, s3_pipeline
 
 def test_criterion_1_cyclic_fixture(s2_pipeline):
     pres, ar, filt = s2_pipeline
-    assert canonical_r(pres, filt, "1") == 14
-    assert canonical_r(pres, filt, "2") == 14
-    assert nilpotency_index(pres, "direct", filt=filt).r_A == 15
+    assert canonical_r(filt, "1") == 14
+    assert canonical_r(filt, "2") == 14
+    assert nilpotency_index(filt, "direct").r_A == 15
     p1 = filt.projective_index("1")
     i2 = filt.injective_index("2")
     assert filt.hom[(p1, p1)].dim == 2
@@ -58,12 +58,12 @@ def test_criterion_1_cyclic_fixture(s2_pipeline):
 
 def test_criterion_2_ten_vertex_fixture(ex25_pipeline):
     pres, ar, filt = ex25_pipeline
-    assert canonical_r(pres, filt, "2") == 27
-    assert canonical_r(pres, filt, "9") == 27
-    assert canonical_r(pres, filt, "4") == 26
-    assert nilpotency_index(pres, "direct", filt=filt).r_A == 28
+    assert canonical_r(filt, "2") == 27
+    assert canonical_r(filt, "9") == 27
+    assert canonical_r(filt, "4") == 26
+    assert nilpotency_index(filt, "direct").r_A == 28
     findings = {(f.a, f.b): f for f in
-                (T.check_corollary_irred(pres, filt, x.source, x.target)
+                (T.check_corollary_irred(filt, x.source, x.target)
                  for x in pres.quiver.arrows)}
     assert findings[("8", "9")].relation == "r_a<=r_b"      # r_8 <= r_9
     assert findings[("3", "6")].relation == "r_a<=r_b"      # r_3 <= r_6
@@ -76,10 +76,10 @@ def test_criterion_2_ten_vertex_fixture(ex25_pipeline):
 
 def test_criterion_3_four_vertex_cycle(s3_pipeline):
     pres, ar, filt = s3_pipeline
-    assert canonical_r(pres, filt, "2") == 12
-    assert canonical_r(pres, filt, "3") == 16
+    assert canonical_r(filt, "2") == 12
+    assert canonical_r(filt, "3") == 16
     with pytest.raises(MethodInapplicableError):
-        T.check_theorem_C(pres, filt)
+        T.check_theorem_C(filt)
     _announce(3, "four-vertex cycle r values and rule-C refusal")
 
 
@@ -87,7 +87,7 @@ def test_criterion_4_toupie_witnesses(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     shape = classify(pres).toupie
     for i in (1, 2):
-        w = T.build_toupie_witness(pres, shape, i, filt=filt)
+        w = T.build_toupie_witness(filt, shape, i)
         assert w.rho_layer == 6 and w.expected_layer == 6
         assert not w.rho.is_zero()
         assert not (w.rho @ w.phi).is_zero()
@@ -95,11 +95,11 @@ def test_criterion_4_toupie_witnesses(ex45_pipeline):
         assert w.phi.is_mono() and w.psi.is_epi()
         assert w.end_dim == 2
         assert w.verified()
-    r2 = canonical_r(pres, filt, "2")
-    r3 = canonical_r(pres, filt, "3")
+    r2 = canonical_r(filt, "2")
+    r3 = canonical_r(filt, "3")
     assert r2 == r3
-    direct = nilpotency_index(pres, "direct", filt=filt).r_A
-    toupie = nilpotency_index(pres, "toupie", filt=filt).r_A
+    direct = nilpotency_index(filt, "direct").r_A
+    toupie = nilpotency_index(filt, "toupie").r_A
     assert toupie == direct == r2 + 1
     _announce(4, "toupie witness cycles of length six and rule-D equality")
 
@@ -107,11 +107,11 @@ def test_criterion_4_toupie_witnesses(ex45_pipeline):
 def test_criterion_5_two_zero_relations(final_pipeline):
     pres, ar, filt = final_pipeline
     with pytest.raises(MethodInapplicableError):
-        T.check_theorem_D(pres, filt)
-    values = {a: canonical_r(pres, filt, a) for a in pres.quiver.vertices}
+        T.check_theorem_D(filt)
+    values = {a: canonical_r(filt, a) for a in pres.quiver.vertices}
     peak = max(values.values())
     assert values["5"] == values["6"] == peak
-    assert nilpotency_index(pres, "direct", filt=filt).r_A == peak + 1
+    assert nilpotency_index(filt, "direct").r_A == peak + 1
     _announce(5, "two-zero-relation fixture: rule D refuses, peak at 5 and 6")
 
 
@@ -147,13 +147,13 @@ def _check_trivial_valuation(filt):
 
 
 def _check_cross_method_agreement(pres, filt):
-    direct = nilpotency_index(pres, "direct", filt=filt).r_A
+    direct = nilpotency_index(filt, "direct").r_A
     for method in ("v-set", "zero-relations", "one-per-relation", "toupie"):
         try:
             gate_method(pres, method)
         except MethodInapplicableError:
             continue
-        assert nilpotency_index(pres, method, filt=filt).r_A == direct, method
+        assert nilpotency_index(filt, method).r_A == direct, method
 
 
 def _check_length_additivity(pres, filt):
@@ -226,6 +226,5 @@ def test_criterion_6_property_suites(property_pipelines):
 def test_criterion_7_termination_guard():
     kron = load("kronecker")
     with pytest.raises(LimitsExceededError):
-        enumerate_indecomposables(kron, EnumerationLimits(max_modules=12,
-                                                          max_total_dim=300))
+        ar_quiver(kron, EnumerationLimits(max_modules=12, max_total_dim=300))
     _announce(7, "representation-infinite input hits the guard")

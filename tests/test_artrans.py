@@ -9,7 +9,6 @@ from quivrad.artrans import (
     ar_quiver,
     ar_translate,
     ar_translate_inverse,
-    enumerate_indecomposables,
     transpose,
 )
 from quivrad.cli import main
@@ -106,37 +105,47 @@ def test_translate_round_trip_on_random_samples():
         _assert_translates_match_links(ar)
 
 
-@pytest.mark.parametrize("name", ("a3", "s2_cyclic", "s3_cycle", "ex_4_5"))
+def _presentations(name: str) -> list:
+    if name == "random":
+        return [pres for _, pres, _ in random_finite_monomial(20)]
+    return [load(name)]
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ("ex_2_5", "random"))
 def test_each_translate_link_is_derived_once(name, monkeypatch):
-    # one translate per link, plus the None of τ at each projective and of
-    # τ⁻¹ at each injective; deriving every link from both ends would make
-    # it 2 * node_count
+    # one translate per link, plus the None of τ⁻¹ at each injective; the
+    # seeds are the only projective nodes, so none of them is passed to τ or
+    # presented; deriving every link from both ends would make it
+    # 2 * node_count
+    presentations = _presentations(name)  # knit before the counters go in
     calls = []
+    knits = []
 
     def counted(real):
-        def wrapper(*args):
+        def wrapper(M):
             calls.append(real.__name__)
-            return real(*args)
+            if real.__name__ != "ar_translate_inverse":
+                knit = knits[-1]
+                seeds = knit.nodes[:len(knit.pres.quiver.vertices)]
+                assert not any(M is seed.rep for seed in seeds), real.__name__
+            return real(M)
         return wrapper
 
-    for fn in ("ar_translate", "ar_translate_inverse"):
+    for fn in ("ar_translate", "ar_translate_inverse", "minimal_presentation"):
         monkeypatch.setattr(artrans, fn, counted(getattr(artrans, fn)))
-    ar = ar_quiver(load(name))
-    projs = [n for n in ar.nodes if any(a.startswith("P_") for a in n.aliases)]
-    injs = [n for n in ar.nodes if any(a.startswith("I_") for a in n.aliases)]
-    assert len(calls) == len(ar.tau) + len(projs) + len(injs)
-    assert len(calls) < 2 * ar.node_count()
+    for pres in presentations:
+        calls.clear()
+        knits.append(artrans._Knitter(pres, EnumerationLimits()))
+        knit = knits[-1].run()
+        injectives = len(knit.nodes) - len(knit.tau_inverse)
+        translates = calls.count("ar_translate") + calls.count("ar_translate_inverse")
+        assert translates == len(knit.tau) + injectives
+        assert translates < 2 * len(knit.nodes)
 
 
 # inputs whose every mesh is knit by a cokernel: no cycle in the AR quiver
 # holds a mesh back
 NO_EXT_ROUTE = ("a2", "a3", "a3_rel", "s4_final", "ex_2_5", "random")
-
-
-def _presentations(name: str) -> list:
-    if name == "random":
-        return [pres for _, pres, _ in random_finite_monomial(20)]
-    return [load(name)]
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES + ("ex_2_5", "random"))
@@ -233,7 +242,7 @@ def test_transpose_twice_is_identity_on_non_projectives(s3_pipeline):
 
 
 def test_enumerate_a2():
-    reps = enumerate_indecomposables(load("a2"))
+    reps = ar_quiver(load("a2")).reps
     assert sorted(r.dim_vector() for r in reps) == [(0, 1), (1, 0), (1, 1)]
 
 
@@ -287,9 +296,9 @@ def test_nakayama_nodes_are_the_uniserial_quotients_of_the_projectives():
 def test_kronecker_exceeds_limits():
     kron = load("kronecker")
     with pytest.raises(LimitsExceededError):
-        enumerate_indecomposables(kron, EnumerationLimits(max_modules=12, max_total_dim=200))
+        ar_quiver(kron, EnumerationLimits(max_modules=12, max_total_dim=200))
     with pytest.raises(LimitsExceededError):
-        enumerate_indecomposables(kron, EnumerationLimits(max_modules=1000, max_total_dim=60))
+        ar_quiver(kron, EnumerationLimits(max_modules=1000, max_total_dim=60))
 
 
 def test_limits_validation():

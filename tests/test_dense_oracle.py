@@ -88,4 +88,4 @@ def test_cokernel_and_ext_routes_knit_the_same_quiver(name, monkeypatch):
             for n in range(1, depth + 2):
                 assert ext.filtration.subspace(i, j, n) == ar.filtration.subspace(i, j, n)
         for a in pres.quiver.vertices:
-            assert canonical_r(pres, ext.filtration, a) == canonical_r(pres, ar.filtration, a)
+            assert canonical_r(ext.filtration, a) == canonical_r(ar.filtration, a)

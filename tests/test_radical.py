@@ -16,7 +16,7 @@ from quivrad.radical import (
     nilpotency_index,
 )
 from quivrad.rep import ModuleMorphism, are_isomorphic, injective, projective, simple
-from quivrad import RadicalFiltration, parse_presentation
+from quivrad import RadicalFiltration, ar_quiver, parse_presentation
 
 from conftest import DATA, load, pipeline, relabelled_filtration
 from randgen import random_finite_monomial, random_nakayama
@@ -86,26 +86,26 @@ def test_irreducible_representative_has_length_one(s2_pipeline):
 
 def test_canonical_r_values(s2_pipeline, a2_pipeline, s3_pipeline):
     pres, ar, filt = s2_pipeline
-    assert canonical_r(pres, filt, "1") == 14
-    assert canonical_r(pres, filt, "2") == 14
+    assert canonical_r(filt, "1") == 14
+    assert canonical_r(filt, "2") == 14
     a2, ar2, filt2 = a2_pipeline
-    assert canonical_r(a2, filt2, "1") == 1
+    assert canonical_r(filt2, "1") == 1
     s3, ar3, filt3 = s3_pipeline
-    assert canonical_r(s3, filt3, "2") == 12
-    assert canonical_r(s3, filt3, "3") == 16
+    assert canonical_r(filt3, "2") == 12
+    assert canonical_r(filt3, "3") == 16
 
 
 def test_nilpotency_index_methods_agree_on_s2(s2_pipeline):
     pres, ar, filt = s2_pipeline
     results = {}
     for method in ("direct", "v-set", "zero-relations", "one-per-relation", "auto"):
-        results[method] = nilpotency_index(pres, method, filt=filt).r_A
+        results[method] = nilpotency_index(filt, method).r_A
     assert set(results.values()) == {15}
 
 
 def test_nilpotency_report_fields(s2_pipeline):
     pres, ar, filt = s2_pipeline
-    report = nilpotency_index(pres, "v-set", filt=filt)
+    report = nilpotency_index(filt, "v-set")
     data = report.to_json_dict()
     assert set(data) == {"method", "r_A", "per_vertex", "vertex_set", "layers_computed"}
     assert data["vertex_set"] == ["1", "2"]
@@ -115,20 +115,20 @@ def test_nilpotency_report_fields(s2_pipeline):
 
 def test_single_vertex_algebra_has_index_one():
     pres = parse_presentation("vertex 1\n")
-    report = nilpotency_index(pres, "direct")
+    report = nilpotency_index(ar_quiver(pres).filtration, "direct")
     assert report.r_A == 1
 
 
 def test_v_set_refuses_when_empty(a2_pipeline):
     pres, ar, filt = a2_pipeline
     with pytest.raises(MethodInapplicableError):
-        nilpotency_index(pres, "v-set", filt=filt)
+        nilpotency_index(filt, "v-set")
 
 
 def test_zero_relations_refuses_non_monomial(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     with pytest.raises(MethodInapplicableError):
-        nilpotency_index(pres, "zero-relations", filt=filt)
+        nilpotency_index(filt, "zero-relations")
     with pytest.raises(MethodInapplicableError):
         gate_method(pres, "zero-relations")
 
@@ -136,7 +136,7 @@ def test_zero_relations_refuses_non_monomial(ex45_pipeline):
 def test_one_per_relation_refuses_shared_vertices(s3_pipeline):
     pres, ar, filt = s3_pipeline
     with pytest.raises(MethodInapplicableError):
-        nilpotency_index(pres, "one-per-relation", filt=filt)
+        nilpotency_index(filt, "one-per-relation")
 
 
 def test_one_per_relation_refuses_a_relation_free_algebra(a3_pipeline):
@@ -149,8 +149,8 @@ def test_one_per_relation_refuses_a_relation_free_algebra(a3_pipeline):
 
 def test_toupie_method(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
-    report = nilpotency_index(pres, "toupie", filt=filt)
-    assert report.r_A == nilpotency_index(pres, "direct", filt=filt).r_A
+    report = nilpotency_index(filt, "toupie")
+    assert report.r_A == nilpotency_index(filt, "direct").r_A
     assert len(report.vertex_set) == 1
 
 
@@ -164,7 +164,7 @@ def test_choose_method():
 
 def test_auto_notes_selection(s2_pipeline):
     pres, ar, filt = s2_pipeline
-    report = nilpotency_index(pres, "auto", filt=filt)
+    report = nilpotency_index(filt, "auto")
     assert report.method == "auto"
     assert any("one-per-relation" in note for note in report.notes)
 
@@ -186,7 +186,7 @@ def test_length_additivity_on_canonical_composites(s2_pipeline):
         q = filt.hom[(is_, ii)].basis[0]
         n = morphism_length(p, filt)
         m = morphism_length(q, filt)
-        assert morphism_length(q @ p, filt) == n + m == canonical_r(pres, filt, a)
+        assert morphism_length(q @ p, filt) == n + m == canonical_r(filt, a)
 
 
 def test_composite_of_irreducibles_has_length_at_least_two(s2_pipeline):
@@ -221,8 +221,8 @@ def test_non_factoring_morphisms_are_shorter(s2_pipeline):
         hs = filt.hom.get((ip, ii))
         if hs is None:
             continue
-        r_a = canonical_r(pres, filt, a)
-        through = _factors_through_simple_space(pres, filt, a, ii)
+        r_a = canonical_r(filt, a)
+        through = _factors_through_simple_space(filt, a, ii)
         for f in hs.basis:
             if not through.contains_vector(f.flatten()):
                 assert morphism_length(f, filt) < r_a
@@ -241,7 +241,7 @@ def test_filtration_from_a_node_list_matches_the_ar_quiver(name):
     assert fresh.nilpotency_index() == filt.nilpotency_index()
     for a in pres.quiver.vertices:
         assert fresh.projective_index(a) == last - filt.projective_index(a)
-        assert canonical_r(pres, fresh, a) == canonical_r(pres, filt, a)
+        assert canonical_r(fresh, a) == canonical_r(filt, a)
     for i, j, m in ar.arrows():
         assert fresh.dim_irr(last - i, last - j) == m
 
@@ -320,13 +320,13 @@ def test_licensed_methods_agree_with_direct_on_nakayama_samples(name):
     # the cyclic samples knit by both routes; each reduction that applies
     # computes r_A over its licensed vertices and must meet the direct index
     pres, ar = _alias_input(name)
-    direct = nilpotency_index(pres, "direct", filt=ar.filtration).r_A
+    direct = nilpotency_index(ar.filtration, "direct").r_A
     for method in REDUCTIONS:
         try:
             gate_method(pres, method)
         except MethodInapplicableError:
             continue
-        assert nilpotency_index(pres, method, filt=ar.filtration).r_A == direct, method
+        assert nilpotency_index(ar.filtration, method).r_A == direct, method
 
 
 def test_missing_alias_names_the_key(a2_pipeline):
@@ -375,6 +375,6 @@ def test_choose_method_is_the_first_admitted_method():
                 vertices = licensed_vertices(pres, method)
             except MethodInapplicableError:
                 continue
-            report = nilpotency_index(pres, method, filt=filt)
+            report = nilpotency_index(filt, method)
             assert report.vertex_set == vertices
             assert report.r_A == max(report.per_vertex.values()) + 1

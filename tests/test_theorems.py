@@ -1,3 +1,6 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import pytest
 
 from quivrad.errors import InconsistencyError, MethodInapplicableError
@@ -6,14 +9,15 @@ from quivrad.quiver import classify, parse_presentation
 from quivrad.radical import canonical_r, nilpotency_index
 from quivrad import theorems as T
 from quivrad import ar_quiver
+from quivrad.cli import main
 from quivrad.rep import ModuleMorphism, Representation, hom_space, socle, simple
 
-from conftest import load, pipeline
+from conftest import fixture_path, load, pipeline
 
 
 def test_corollary_on_s2(s2_pipeline):
     pres, ar, filt = s2_pipeline
-    by_arrow = {arr.name: T.check_corollary_irred(pres, filt, arr.source, arr.target)
+    by_arrow = {arr.name: T.check_corollary_irred(filt, arr.source, arr.target)
                 for arr in pres.quiver.arrows}
     # both cyclic arrows blocked by two-dimensional endomorphism rings
     assert by_arrow["alpha"].relation == "none"
@@ -27,14 +31,14 @@ def test_corollary_on_s2(s2_pipeline):
 def test_corollary_requires_arrow(s2_pipeline):
     pres, ar, filt = s2_pipeline
     with pytest.raises(ValueError):
-        T.check_corollary_irred(pres, filt, "1", "3")
+        T.check_corollary_irred(filt, "1", "3")
 
 
 def test_factorization_rule_recovers_equality_on_s2(s2_pipeline):
     # the worked example: every P_1 -> P_2 and I_1 -> I_2 factors through an
     # irreducible, forcing r_1 = r_2 across the arrow 2 -> 1
     pres, ar, filt = s2_pipeline
-    f = T.check_theorem_A(pres, filt, "2", "1")
+    f = T.check_theorem_A(filt, "2", "1")
     assert f.proj_side and f.inj_side
     assert f.relation == "r_a==r_b"
     assert f.r_a == f.r_b == 14
@@ -42,7 +46,7 @@ def test_factorization_rule_recovers_equality_on_s2(s2_pipeline):
 
 def test_factorization_rule_a2():
     pres, ar, filt = pipeline("a2")
-    f = T.check_theorem_A(pres, filt, "1", "2")
+    f = T.check_theorem_A(filt, "1", "2")
     assert f.proj_side          # Hom(P_2, P_1) is one-dimensional
     assert f.relation in ("r_b<=r_a", "r_a==r_b")
     assert f.r_b <= f.r_a
@@ -50,7 +54,7 @@ def test_factorization_rule_a2():
 
 def test_factorization_rule_none_without_irreducible(s2_pipeline):
     pres, ar, filt = s2_pipeline
-    f = T.check_theorem_A(pres, filt, "1", "2")
+    f = T.check_theorem_A(filt, "1", "2")
     assert f.dim_irr_proj == 0
     assert not f.proj_side
 
@@ -81,7 +85,7 @@ def test_factorization_independent_of_representative(s2_pipeline):
 
 def test_prop33_on_chain_without_relations(a3_pipeline):
     pres, ar, filt = a3_pipeline
-    findings = T.check_prop_33(pres, filt)
+    findings = T.check_prop_33(filt)
     assert [f.relation for f in findings] == ["r_a==r_b", "r_a==r_b"]
     values = {f.r_a for f in findings} | {f.r_b for f in findings}
     assert len(values) == 1
@@ -89,28 +93,28 @@ def test_prop33_on_chain_without_relations(a3_pipeline):
 
 def test_prop33_gamma_arrow_on_s2(s2_pipeline):
     pres, ar, filt = s2_pipeline
-    findings = {f.arrow: f for f in T.check_prop_33(pres, filt)}
+    findings = {f.arrow: f for f in T.check_prop_33(filt)}
     assert findings["gamma"].relation == "r_b<=r_a"
     assert findings["alpha"].relation == "none"  # both endpoints involved
 
 
 def test_prop33_both_involved_can_differ(s3_pipeline):
     pres, ar, filt = s3_pipeline
-    findings = {f.arrow: f for f in T.check_prop_33(pres, filt)}
+    findings = {f.arrow: f for f in T.check_prop_33(filt)}
     f = findings["a2"]  # arrow 2 -> 3, both involved
     assert f.relation == "none"
-    assert canonical_r(pres, filt, "2") < canonical_r(pres, filt, "3")
+    assert canonical_r(filt, "2") < canonical_r(filt, "3")
 
 
 def test_prop33_refuses_non_monomial(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     with pytest.raises(MethodInapplicableError):
-        T.check_prop_33(pres, filt)
+        T.check_prop_33(filt)
 
 
 def test_theorem_b_on_s2(s2_pipeline):
     pres, ar, filt = s2_pipeline
-    check = T.check_theorem_B(pres, filt)
+    check = T.check_theorem_B(filt)
     assert check.report.r_A == 15 == check.direct_r_A
     assert set(check.report.vertex_set) == {"1", "2"}
     assert check.agrees
@@ -118,15 +122,34 @@ def test_theorem_b_on_s2(s2_pipeline):
 
 def test_theorem_b_fallback_without_zero_relations(a3_pipeline):
     pres, ar, filt = a3_pipeline
-    check = T.check_theorem_B(pres, filt)
+    check = T.check_theorem_B(filt)
     assert check.fallback is not None
     assert check.report.method == "v-set"
     assert check.agrees
 
 
+def test_theorem_b_fallback_refuses_a_wrong_index(a3_pipeline, monkeypatch, capsys):
+    # a v-set reduction one above the direct index: the fallback raises like
+    # the zero-relations branch, and the CLI exits 5
+    pres, ar, filt = a3_pipeline
+    real = T.nilpotency_index
+
+    def wrong_v_set(filt, method="direct"):
+        report = real(filt, method)
+        return replace(report, r_A=report.r_A + 1) if method == "v-set" else report
+
+    monkeypatch.setattr(T, "nilpotency_index", wrong_v_set)
+    direct = real(filt, "direct").r_A
+    with pytest.raises(InconsistencyError,
+                       match=f"^rule B gave {direct + 1} but the direct index is {direct}$"):
+        T.check_theorem_B(filt)
+    assert main(["check", fixture_path("a3"), "--theorem", "B"]) == 5
+    assert "internal inconsistency: rule B gave" in capsys.readouterr().err
+
+
 def test_theorem_c_on_s2(s2_pipeline):
     pres, ar, filt = s2_pipeline
-    check = T.check_theorem_C(pres, filt)
+    check = T.check_theorem_C(filt)
     assert check.report.r_A == 15
     certs = check.certificates
     assert len(certs) == 1 and certs[0].all_equal
@@ -135,31 +158,31 @@ def test_theorem_c_on_s2(s2_pipeline):
 
 def test_theorem_c_single_relation_chain(a3_rel_pipeline):
     pres, ar, filt = a3_rel_pipeline
-    check = T.check_theorem_C(pres, filt)
+    check = T.check_theorem_C(filt)
     assert check.report.vertex_set == ("2",)
-    assert check.report.r_A == canonical_r(pres, filt, "2") + 1 == check.direct_r_A
+    assert check.report.r_A == canonical_r(filt, "2") + 1 == check.direct_r_A
 
 
 def test_theorem_c_refuses_overlapping_relations(s3_pipeline):
     pres, ar, filt = s3_pipeline
     with pytest.raises(MethodInapplicableError):
-        T.check_theorem_C(pres, filt)
+        T.check_theorem_C(filt)
 
 
 def test_theorem_d_on_ex45(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
-    check = T.check_theorem_D(pres, filt)
+    check = T.check_theorem_D(filt)
     assert check.agrees and check.report.r_A == check.direct_r_A
     zero_cert = check.certificates[0]
     assert set(zero_cert.vertices) == {"2", "3"}
     assert zero_cert.all_equal
-    r2 = canonical_r(pres, filt, "2")
+    r2 = canonical_r(filt, "2")
     assert check.report.r_A == r2 + 1
 
 
 def test_theorem_d_branch_equalities(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
-    check = T.check_theorem_D(pres, filt)
+    check = T.check_theorem_D(filt)
     branch_certs = check.certificates[1:]
     assert all(c.all_equal for c in branch_certs)
     # commutative-branch values stay at or below the zero-relation value
@@ -172,7 +195,7 @@ def test_theorem_d_branch_equalities(ex45_pipeline):
 def test_theorem_d_refuses_two_zero_relations(final_pipeline):
     pres, ar, filt = final_pipeline
     with pytest.raises(MethodInapplicableError):
-        T.check_theorem_D(pres, filt)
+        T.check_theorem_D(filt)
 
 
 def test_theorem_d_refuses_commutativity_only_toupie():
@@ -187,7 +210,7 @@ def test_theorem_d_refuses_commutativity_only_toupie():
     cls = classify(pres)
     assert cls.toupie is not None and cls.toupie.grafo is None
     with pytest.raises(MethodInapplicableError):
-        T.check_theorem_D(pres, None)
+        T.check_theorem_D(SimpleNamespace(pres=pres))  # refused before any knitting
     # on a representation-finite commutativity-only toupie (the commuting
     # square) the middle-vertex method still applies
     square = parse_presentation(
@@ -199,16 +222,16 @@ def test_theorem_d_refuses_commutativity_only_toupie():
     assert cls2.toupie is not None and cls2.toupie.grafo is None
     ar = ar_quiver(square)
     with pytest.raises(MethodInapplicableError):
-        T.check_theorem_D(square, ar.filtration)
-    report = nilpotency_index(square, "v-set", filt=ar.filtration)
-    assert report.r_A == nilpotency_index(square, "direct", filt=ar.filtration).r_A
+        T.check_theorem_D(ar.filtration)
+    report = nilpotency_index(ar.filtration, "v-set")
+    assert report.r_A == nilpotency_index(ar.filtration, "direct").r_A
 
 
 def test_witness_modules(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     shape = classify(pres).toupie
     for i in (1, 2):
-        w = T.build_toupie_witness(pres, shape, i, filt=filt)
+        w = T.build_toupie_witness(filt, shape, i)
         assert w.end_dim == 2
         assert w.expected_layer == 6
         assert w.rho_layer == 6          # the cycles sit in layer six exactly
@@ -223,7 +246,7 @@ def test_witness_modules(ex45_pipeline):
 def test_witness_factors_through_simple(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     shape = classify(pres).toupie
-    w = T.build_toupie_witness(pres, shape, 1, filt=filt)
+    w = T.build_toupie_witness(filt, shape, 1)
     S = simple(pres, w.vertex)
     down = hom_space(w.module, S)
     up = hom_space(S, w.module)
@@ -239,7 +262,7 @@ def test_witness_rejects_bad_index(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     shape = classify(pres).toupie
     with pytest.raises(ValueError):
-        T.build_toupie_witness(pres, shape, 5, filt=filt)
+        T.build_toupie_witness(filt, shape, 5)
 
 
 def test_lemma_32(s2_pipeline):
@@ -259,11 +282,11 @@ def test_lemma_32_refuses_non_monomial():
 
 def test_lemma_refe_witness_search(s2_pipeline, a2_pipeline):
     pres, ar, filt = s2_pipeline
-    results = T.check_lemma_refe(pres, filt)
+    results = T.check_lemma_refe(filt)
     cases = {r["case"] for r in results}
     assert "post-composition" in cases or "vacuous" in cases
     a2, ar2, filt2 = a2_pipeline
-    results2 = T.check_lemma_refe(a2, filt2)
+    results2 = T.check_lemma_refe(filt2)
     assert results2
 
 
@@ -292,7 +315,7 @@ def test_verification_failure_raises():
 
 def test_check_all_shapes(s2_pipeline):
     pres, ar, filt = s2_pipeline
-    out = T.check_all(pres, filt)
+    out = T.check_all(filt)
     assert set(out) == {"corollary", "A", "prop33", "B", "C", "D", "lemma32", "lemma_refe"}
     assert isinstance(out["D"], dict) and "inapplicable" in out["D"]
     assert out["B"].report.r_A == 15
