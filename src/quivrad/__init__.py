@@ -33,12 +33,10 @@ from .rep import (
     ModuleMorphism,
     Representation,
     are_isomorphic,
-    composition_multiplicity,
     decompose,
     hom_space,
     injective,
     is_indecomposable,
-    minimal_presentation,
     projective,
     projective_cover,
     radical_submodule,

@@ -1,8 +1,9 @@
 """Auslander-Reiten translate and enumeration of indecomposables.
 
-The translate is computed from a minimal projective presentation: read the
-presentation as a matrix of path classes, transport it to the opposite
-presentation, take the cokernel there, dualize back.
+The translate is computed from the projective cover of M and the top
+generators of its kernel ΩM: the images of those generators in the cover,
+read as a matrix of path classes, are transported to the opposite
+presentation; the cokernel there is the transpose, and dualizing it gives τM.
 
 Enumeration is a knitting closure from the projectives, the seeds: each
 node brings in its translates, τ⁻¹ and, off the seeds, τ, and its
@@ -53,13 +54,14 @@ from .rep import (
     find_isomorphism,
     hom_space,
     kernel_submodule,
-    minimal_presentation,
     morphism_ambient,
     projective,
+    projective_cover,
     quotient_representation,
     radical_submodule,
     socle,
     sum_of_projectives_morphism,
+    top_generators,
     zero_representation,
 )
 from .radical import RadicalFiltration
@@ -94,41 +96,39 @@ def _reversed_class_coords(model_fwd, model_op, a: str, b: str, coeffs) -> list:
 
 def transpose(M: Representation) -> Representation:
     """Transpose of M, a module over the opposite presentation; zero when M
-    is projective."""
+    is projective.
+
+    With P0 -> M the projective cover and K its kernel, the presentation
+    P1 -> P0 -> M takes one summand P_b of P1 per top generator u of K at b,
+    and sends its generator to incl_b(u) in P0.  Those columns, reversed
+    into the opposite presentation, present Tr M as a cokernel.
+    """
     if M.is_zero():
         raise ValueError("zero module has no transpose")
     pres = M.pres
     op = pres.opposite()
-    pp = minimal_presentation(M)
-    if pp.p1.is_zero():
+    _, epi, summands0 = projective_cover(M)
+    K, incl = kernel_submodule(epi)
+    if K.is_zero():
         return zero_representation(op)
     model = pres.model()
     model_op = op.model()
-
-    def starts(summands) -> list:
-        """Where each summand's block begins in (⊕ P_s)_v, vertexwise."""
-        run = dict.fromkeys(pres.quiver.vertices, 0)
-        out = []
-        for s in summands:
-            out.append(dict(run))
-            for v in pres.quiver.vertices:
-                run[v] += len(model.basis(s, v))
-        return out
-
-    starts1, starts0 = starts(pp.p1_summands), starts(pp.p0_summands)
-    # the generator of P^op_{a_i} goes to the f1-coefficients of the P1
-    # generators on the P0 summand P_{a_i}, reversed into each P^op_{b_j}
+    gens1 = top_generators(K)
+    # the generator of P^op_{a_i} goes to the coordinates of each syzygy
+    # generator's image on the P0 summand P_{a_i}, reversed into P^op_{b_j}
     images = []
-    for i, a in enumerate(pp.p0_summands):
+    start = dict.fromkeys(pres.quiver.vertices, 0)  # where P_{a_i} begins in (P0)_v
+    for a in summands0:
         vec = []
-        for j, b in enumerate(pp.p1_summands):
-            col = starts1[j][b]  # trivial path sits first in basis(b, b)
-            lo = starts0[i][b]
-            sigma = [row[col] for row in pp.f1.maps[b].data[lo:lo + len(model.basis(a, b))]]
+        for b, c in gens1:
+            lo = start[b]
+            sigma = [row[c] for row in incl.maps[b].data[lo:lo + len(model.basis(a, b))]]
             vec.extend(_reversed_class_coords(model, model_op, a, b, sigma))
         images.append(vec)
-    target = _rep.direct_sum([projective(op, b) for b in pp.p1_summands])
-    g = sum_of_projectives_morphism(op, pp.p0_summands, target, images)
+        for v in pres.quiver.vertices:
+            start[v] += len(model.basis(a, v))
+    target = _rep.direct_sum([projective(op, b) for b, _ in gens1])
+    g = sum_of_projectives_morphism(op, summands0, target, images)
     spaces = {v: g.maps[v].image() for v in op.quiver.vertices}
     tr, _ = quotient_representation(target, spaces)
     return tr
@@ -159,14 +159,14 @@ def almost_split_middle(Z: Representation, tau_z: Representation):
     Smalø V.2), so the class is taken annihilated by rad End(τZ), which acts
     by composition.  E -> Z is the right almost split map.
     """
-    pp = minimal_presentation(Z)
-    K, incl = kernel_submodule(pp.epi)
+    p0, epi, _ = projective_cover(Z)
+    K, incl = kernel_submodule(epi)
     if K.is_zero():
         raise ValueError("projective module has no almost split sequence ending at it")
     hom_k = hom_space(K, tau_z)
     if hom_k.dim == 0:
         raise InconsistencyError("Ext group vanished for a non-projective module")
-    hom_p0 = hom_space(pp.p0, tau_z)
+    hom_p0 = hom_space(p0, tau_z)
     ambient = morphism_ambient(K, tau_z)
     factored = Subspace.from_vectors(ambient, [(h @ incl).flatten() for h in hom_p0.basis])
     end_tau = hom_space(tau_z, tau_z)
@@ -184,7 +184,7 @@ def almost_split_middle(Z: Representation, tau_z: Representation):
             break
     if g is None:
         raise InconsistencyError("no almost split extension class found")
-    total = _rep.direct_sum([tau_z, pp.p0])
+    total = _rep.direct_sum([tau_z, p0])
     spaces = {}
     for v in Z.pres.quiver.vertices:
         vecs = []
@@ -202,7 +202,7 @@ def almost_split_middle(Z: Representation, tau_z: Representation):
     for v in Z.pres.quiver.vertices:
         cols = [c - tau_z.dims[v] for c in spaces[v].nonpivots()]
         maps[v] = RatMatrix._of([[row[c] if c >= 0 else 0 for c in cols]
-                                 for row in pp.epi.maps[v].data], len(cols))
+                                 for row in epi.maps[v].data], len(cols))
     return middle, ModuleMorphism(middle, Z, maps, check=False)
 
 
@@ -231,10 +231,8 @@ class ARQuiver:
     """Nodes are iso-class representatives; arrows carry dim Irr = dim R/R²,
     read off the right almost split maps."""
 
-    def __init__(self, pres: AlgebraPresentation, nodes: List[ARNode],
-                 tau: Dict[int, int], tau_inverse: Dict[int, int],
-                 filtration: RadicalFiltration):
-        self.pres = pres
+    def __init__(self, nodes: List[ARNode], tau: Dict[int, int],
+                 tau_inverse: Dict[int, int], filtration: RadicalFiltration):
         self.nodes = nodes
         self.tau = tau                       # non-projective node -> its translate
         self.tau_inverse = tau_inverse       # non-injective node -> its inverse translate
@@ -517,4 +515,4 @@ def ar_quiver(pres: AlgebraPresentation,
     for key, idx in aliases.items():
         knit.nodes[idx].aliases += (key,)
     filt = RadicalFiltration(pres, [n.rep for n in knit.nodes], knit.pieces, aliases)
-    return ARQuiver(pres, knit.nodes, knit.tau, knit.tau_inverse, filt)
+    return ARQuiver(knit.nodes, knit.tau, knit.tau_inverse, filt)

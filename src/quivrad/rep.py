@@ -1,17 +1,15 @@
 """Modules as quiver representations.
 
-Hom spaces, radical/top/socle, projective covers and minimal presentations,
-indecomposability and isomorphism over the rationals.  A projective cover
-is read off the canonical echelon form of the radical: at each vertex its
-generators go to the unit vectors at the non-pivot positions, which lift a
-basis of the top.  Matrix convention:
-the matrix of an arrow maps the source component to the target component,
-so the composite along a traversal-ordered path (a1, a2, ...) is
-``M_a2 @ M_a1`` and so on.
+Hom spaces, radical/top/socle, projective covers, indecomposability and
+isomorphism over the rationals.  A projective cover is read off the
+canonical echelon form of the radical: at each vertex its generators go to
+the unit vectors at the non-pivot positions, which lift a basis of the top.
+Matrix convention: the matrix of an arrow maps the source component to the
+target component, so the composite along a traversal-ordered path
+(a1, a2, ...) is ``M_a2 @ M_a1`` and so on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Dict, Optional, Sequence
@@ -482,11 +480,6 @@ def socle(M: Representation):
     return subrepresentation(M, _socle_subspaces(M))
 
 
-def composition_multiplicity(M: Representation, a: str) -> int:
-    """[M : S_a], which equals the dimension of M at a."""
-    return M.dims[str(a)]
-
-
 # -- projective covers ------------------------------------------------------
 
 def morphism_from_projective(pres: AlgebraPresentation, a: str, M: Representation,
@@ -560,25 +553,6 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
     return Representation(pres, dims, mats, check=False)
 
 
-@dataclass
-class ProjectivePresentation:
-    """Minimal presentation P1 --f1--> P0 --epi--> M -> 0."""
-    p0: Representation
-    epi: ModuleMorphism
-    p0_summands: tuple          # vertex of each indecomposable summand of P0
-    p1: Representation
-    f1: ModuleMorphism
-    p1_summands: tuple
-
-
-def projective_cover(M: Representation):
-    """(P, epi) with P = ⊕_a P_a^{dim top(M)_a} and epi lifting a top basis."""
-    if M.is_zero():
-        raise ValueError("zero module has no projective cover")
-    cover = _cover_data(M)
-    return cover[0], cover[1]
-
-
 def sum_of_projectives_morphism(pres: AlgebraPresentation, summands: Sequence[str],
                                 target: Representation,
                                 gen_images: Sequence[Sequence]) -> ModuleMorphism:
@@ -599,40 +573,31 @@ def sum_of_projectives_morphism(pres: AlgebraPresentation, summands: Sequence[st
     return ModuleMorphism(P, target, maps, check=False)
 
 
-def _cover_data(M: Representation):
-    """(P0, epi, summands): one summand P_a per unit vector of M_a at a
-    non-pivot position of the canonical echelon form of rad M_a; those unit
-    vectors lift a basis of the top at a, and epi sends the generators to them."""
-    summands = []
-    images = []
-    for a, rad in _radical_subspaces(M).items():
-        for c in rad.nonpivots():
-            unit = [0] * M.dims[a]
-            unit[c] = 1
-            summands.append(a)
-            images.append(unit)
-    if not summands:
+def top_generators(M: Representation) -> list:
+    """(a, c) for each unit vector of M_a at a non-pivot position c of the
+    canonical echelon form of rad M_a; those unit vectors lift a basis of
+    the top at a."""
+    return [(a, c) for a, rad in _radical_subspaces(M).items() for c in rad.nonpivots()]
+
+
+def projective_cover(M: Representation):
+    """(P, epi, summands): one summand P_a per top generator at a (see
+    ``top_generators``), and epi sends its generator to that unit vector."""
+    if M.is_zero():
+        raise ValueError("zero module has no projective cover")
+    gens = top_generators(M)
+    if not gens:
         raise RuntimeError("nonzero module with zero top")
-    epi = sum_of_projectives_morphism(M.pres, summands, M, images)
-    return epi.source, epi, tuple(summands)
+    units = [[int(k == c) for k in range(M.dims[a])] for a, c in gens]
+    summands = tuple(a for a, _ in gens)
+    epi = sum_of_projectives_morphism(M.pres, summands, M, units)
+    return epi.source, epi, summands
 
 
 def kernel_submodule(f: ModuleMorphism):
     """(ker f, inclusion) as a subrepresentation of the source."""
     spaces = {v: f.maps[v].kernel() for v in f.source.pres.quiver.vertices}
     return subrepresentation(f.source, spaces)
-
-
-def minimal_presentation(M: Representation) -> ProjectivePresentation:
-    p0, epi, summands0 = _cover_data(M)
-    ker, incl = kernel_submodule(epi)
-    if ker.is_zero():
-        p1 = zero_representation(M.pres)
-        f1 = ModuleMorphism.zero(p1, p0)
-        return ProjectivePresentation(p0, epi, summands0, p1, f1, ())
-    p1, cover1, summands1 = _cover_data(ker)
-    f1 = incl @ cover1
-    return ProjectivePresentation(p0, epi, summands0, p1, f1, tuple(summands1))
 
 
 # -- indecomposability, isomorphism, decomposition --------------------------

@@ -38,7 +38,7 @@ def relabelled_filtration(ar, order, aliases=None):
     filt = ar.filtration
     pieces = {new[j]: [(new[k], g) for k, g in filt.pieces(j)] for j in order}
     table = filt.aliases if aliases is None else aliases
-    return RadicalFiltration(ar.pres, [ar.nodes[i].rep for i in order], pieces,
+    return RadicalFiltration(filt.pres, [ar.nodes[i].rep for i in order], pieces,
                              {key: new[i] for key, i in table.items()})
 
 

@@ -115,7 +115,7 @@ def _presentations(name: str) -> list:
 def test_each_translate_link_is_derived_once(name, monkeypatch):
     # one translate per link, plus the None of τ⁻¹ at each injective; the
     # seeds are the only projective nodes, so none of them is passed to τ or
-    # presented; deriving every link from both ends would make it
+    # covered; deriving every link from both ends would make it
     # 2 * node_count
     presentations = _presentations(name)  # knit before the counters go in
     calls = []
@@ -131,7 +131,7 @@ def test_each_translate_link_is_derived_once(name, monkeypatch):
             return real(M)
         return wrapper
 
-    for fn in ("ar_translate", "ar_translate_inverse", "minimal_presentation"):
+    for fn in ("ar_translate", "ar_translate_inverse", "projective_cover"):
         monkeypatch.setattr(artrans, fn, counted(getattr(artrans, fn)))
     for pres in presentations:
         calls.clear()
@@ -141,6 +141,9 @@ def test_each_translate_link_is_derived_once(name, monkeypatch):
         translates = calls.count("ar_translate") + calls.count("ar_translate_inverse")
         assert translates == len(knit.tau) + injectives
         assert translates < 2 * len(knit.nodes)
+        # one cover per transpose and per Ext-route mesh: the syzygy is
+        # read off its top generators, never covered
+        assert calls.count("projective_cover") == translates + knit.routes["extension"]
 
 
 # inputs whose every mesh is knit by a cokernel: no cycle in the AR quiver
@@ -231,14 +234,14 @@ def test_cokernel_route_accepts_any_basis_of_irr(name, monkeypatch):
     assert hit and ar.arrows() == pipeline(name)[1].arrows()
 
 
-def test_transpose_twice_is_identity_on_non_projectives(s3_pipeline):
-    pres, ar, _ = s3_pipeline
-    count = 0
-    for node in ar.nodes:
-        if node.index in ar.tau and count < 5:
-            tr = transpose(node.rep)
-            assert are_isomorphic(transpose(tr), node.rep)
-            count += 1
+def test_transpose_twice_is_identity_on_non_projectives():
+    # the cyclic inputs, where the Ext route covers Z and its kernel
+    ars = [pipeline(name)[1] for name in ("s3_cycle", "ex_4_5")]
+    ars += [ar for _, _, ar in random_nakayama()]
+    for ar in ars:
+        for y in ar.tau:
+            M = ar.nodes[y].rep
+            assert are_isomorphic(transpose(transpose(M)), M)
 
 
 def test_enumerate_a2():

@@ -12,7 +12,6 @@ from quivrad.rep import (
     ModuleMorphism,
     Representation,
     are_isomorphic,
-    composition_multiplicity,
     decompose,
     direct_sum,
     end_radical,
@@ -20,13 +19,13 @@ from quivrad.rep import (
     hom_space,
     injective,
     is_indecomposable,
-    minimal_presentation,
     projective,
     projective_cover,
     radical_submodule,
     simple,
     socle,
     top,
+    top_generators,
 )
 
 from conftest import load, pipeline
@@ -220,33 +219,36 @@ def test_radical_top_socle(s2):
 
 
 def test_composition_multiplicity(s2):
+    # [M : S_a] is the dimension of M at a
     P1 = projective(s2, "1")
-    assert composition_multiplicity(P1, "1") == 2
+    assert P1.dims["1"] == 2
     for a in s2.quiver.vertices:
-        assert composition_multiplicity(projective(s2, a), a) >= 1
+        assert projective(s2, a).dims[a] >= 1
     # multiplicity equals dim Hom(M, I_a)
     for a in s2.quiver.vertices:
-        assert hom_space(P1, injective(s2, a)).dim == composition_multiplicity(P1, a)
+        assert hom_space(P1, injective(s2, a)).dim == P1.dims[a]
 
 
 def test_projective_cover_of_simple_and_projective(s2):
     for a in s2.quiver.vertices:
-        P, epi = projective_cover(simple(s2, a))
-        assert are_isomorphic(P, projective(s2, a))
+        P, epi, summands = projective_cover(simple(s2, a))
+        assert are_isomorphic(P, projective(s2, a)) and summands == (a,)
         assert epi.is_epi()
-        P2, epi2 = projective_cover(projective(s2, a))
-        assert are_isomorphic(P2, projective(s2, a))
+        P2, epi2, summands2 = projective_cover(projective(s2, a))
+        assert are_isomorphic(P2, projective(s2, a)) and summands2 == (a,)
         assert epi2.is_epi() and epi2.is_mono()
 
 
 def test_minimal_presentation_of_s1(s2):
-    mp = minimal_presentation(simple(s2, "1"))
-    assert mp.p0_summands == ("1",)
-    assert mp.p1_summands == ("2",)
-    # exactness: image of f1 equals the kernel of the cover, vertexwise
-    K, _ = R.kernel_submodule(mp.epi)
+    _, epi, summands0 = projective_cover(simple(s2, "1"))
+    assert summands0 == ("1",)
+    K, incl = R.kernel_submodule(epi)
+    _, cover1, summands1 = projective_cover(K)
+    assert summands1 == ("2",)
+    # exactness: image of P1 -> P0 equals the kernel of the cover, vertexwise
+    f1 = incl @ cover1
     for v in s2.quiver.vertices:
-        assert mp.f1.maps[v].image().dim == K.dims[v]
+        assert f1.maps[v].image() == epi.maps[v].kernel()
 
 
 def _assert_minimal_cover(epi, summands, M):
@@ -262,22 +264,28 @@ def _assert_minimal_cover(epi, summands, M):
 
 
 def _assert_minimal_presentation(M):
-    pp = minimal_presentation(M)
-    _assert_minimal_cover(pp.epi, pp.p0_summands, M)
-    K, _ = R.kernel_submodule(pp.epi)
+    """The cover of M and the cover of its kernel are minimal, the syzygy's
+    generators map to the columns of P1 -> P0 at their trivial paths, and
+    those generate ker epi: their images span it at every vertex."""
+    _, epi, summands0 = projective_cover(M)
+    _assert_minimal_cover(epi, summands0, M)
+    K, incl = R.kernel_submodule(epi)
     if K.is_zero():
-        assert pp.p1.is_zero() and pp.p1_summands == ()
+        assert top_generators(K) == []
         return
+    _, cover1, summands1 = projective_cover(K)
+    _assert_minimal_cover(cover1, summands1, K)
+    gens = top_generators(K)
+    assert tuple(b for b, _ in gens) == summands1
+    f1 = incl @ cover1
+    start = dict.fromkeys(M.pres.quiver.vertices, 0)  # P_b's trivial path in (P1)_b
+    for b, c in gens:
+        assert [row[start[b]] for row in f1.maps[b].data] == \
+            [row[c] for row in incl.maps[b].data]
+        for v in M.pres.quiver.vertices:
+            start[v] += projective(M.pres, b).dims[v]
     for v in M.pres.quiver.vertices:
-        assert pp.f1.maps[v].image() == pp.epi.maps[v].kernel()
-    # one step down: f1, read in the kernel's basis, is a minimal cover of it
-    maps = {}
-    for v in M.pres.quiver.vertices:
-        space = pp.epi.maps[v].kernel()
-        cols = [space.coords(col) for col in zip(*pp.f1.maps[v].data)]
-        maps[v] = RatMatrix(cols, cols=K.dims[v]).transpose() if cols else \
-            RatMatrix.zeros(K.dims[v], pp.p1.dims[v])
-    _assert_minimal_cover(R.ModuleMorphism(pp.p1, K, maps), pp.p1_summands, K)
+        assert f1.maps[v].image() == epi.maps[v].kernel()
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "a3_rel", "ex_4_5", "s2_cyclic",
