@@ -12,11 +12,11 @@ through that map, so for each source node X
 
 and the layers of one row R^n(X, -) depend on that row alone.  R^m = 0
 exactly when R^m(P_a, -) = 0 for every vertex a, since every module is a
-quotient of a projective; so the projective rows are computed first and
-advance together to one depth, any other row is built when it is first
-asked for and brought to that depth, and a Hom space is computed the first
-time it is looked up.  All subspaces live in coordinates over the canonical
-Hom bases, so membership and equality are exact.
+quotient of a projective.  So each row is built when it is first asked for
+and advanced only as deep as it is asked, a Hom space is computed the first
+time it is looked up, and r_A is one more than the longest chain of the
+projective rows.  All subspaces live in coordinates over the canonical Hom
+bases, so membership and equality are exact.
 """
 from __future__ import annotations
 
@@ -96,8 +96,13 @@ class _Row:
         """Whether the last computed layer is nonzero."""
         return any(len(c) == self.depth for c in self.chains.values())
 
-    def next_layer(self) -> bool:
-        """Compute layer depth+1; True when it is nonzero."""
+    def advance(self, depth: Optional[int] = None) -> None:
+        """Compute layers up to ``depth``, or until the last one is zero for None."""
+        while self.alive() and (depth is None or self.depth < depth):
+            self.next_layer()
+
+    def next_layer(self) -> None:
+        """Compute layer depth+1."""
         n = self.depth
         new = {}
         for j, (dim, pieces) in self.maps.items():
@@ -125,7 +130,6 @@ class _Row:
         for j, sub in new.items():
             self.chains[j].append(sub)
         self.depth += 1
-        return bool(new)
 
 
 class RadicalFiltration:
@@ -134,10 +138,10 @@ class RadicalFiltration:
     ``pieces`` maps every node to its right almost split map as
     ``[(k, node_k -> node)]`` and ``aliases`` maps ``P_a``/``I_a``/``S_a`` to
     the node isomorphic to it; the knitting builds both.  Layers are
-    computed on demand; ``ensure_complete`` iterates
-    until every chain has reached zero, which must happen for
-    representation-finite input (a row that stops shrinking while nonzero
-    turns a non-terminating run into an error).
+    computed on demand, row by row; ``ensure_complete`` iterates the
+    projective rows until every chain has reached zero, which must happen
+    for representation-finite input (a row that stops shrinking while
+    nonzero turns a non-terminating run into an error).
     """
 
     def __init__(self, pres: AlgebraPresentation, nodes: Sequence[Representation],
@@ -149,8 +153,6 @@ class RadicalFiltration:
         self._pieces = pieces
         self._projective = sorted({i for key, i in self.aliases.items() if key[0] == "P"})
         self._rows: Dict[int, _Row] = {}
-        self._depth = 0  # layers computed in every projective row; 0 before the first
-        self._complete = False
 
     # -- node bookkeeping ----------------------------------------------------
 
@@ -206,37 +208,20 @@ class RadicalFiltration:
             maps[j] = (hij.dim, pieces)
         return _Row(maps)
 
-    def _start(self) -> None:
-        """Build every projective row at layer one, once."""
-        if self._depth:
-            return
-        for i in self._projective:
-            self._rows[i] = self._build_row(i)
-        self._depth = 1
-        self._complete = not any(self._rows[i].alive() for i in self._projective)
-
-    def _row(self, i: int) -> _Row:
-        """Row i, built on first use and brought to the projective rows' depth."""
-        self._start()
+    def _row(self, i: int, depth: Optional[int] = None) -> _Row:
+        """Row i, built on first use and advanced to ``depth`` layers (to zero
+        for None).  A row that is not projective is advanced to zero when it
+        is built, which must happen before layer r_A."""
         row = self._rows.get(i)
         if row is None:
-            row = self._rows[i] = self._build_row(i)
-            while row.depth < self._depth and row.alive():
-                row.next_layer()
-            if self._complete and row.alive():
-                raise InconsistencyError(_OUTLIVED)
+            row = self._build_row(i)
+            if i not in self._projective:
+                row.advance(self.nilpotency_index())
+                if row.alive():
+                    raise InconsistencyError(_OUTLIVED)
+            self._rows[i] = row
+        row.advance(depth)
         return row
-
-    def _next_layer(self) -> None:
-        """One more layer in every row that is still nonzero."""
-        for row in self._rows.values():
-            if row.alive():
-                row.next_layer()
-        self._depth += 1
-        if not any(self._rows[i].alive() for i in self._projective):
-            if any(row.alive() for row in self._rows.values()):
-                raise InconsistencyError(_OUTLIVED)
-            self._complete = True
 
     # -- layers ---------------------------------------------------------------
 
@@ -245,22 +230,14 @@ class RadicalFiltration:
         return list(self.hom)
 
     def ensure_depth(self, n: int) -> None:
-        self._start()
-        while not self._complete and self._depth < n:
-            self._next_layer()
+        for i in self._projective:
+            self._row(i, n)
 
     def ensure_complete(self) -> None:
-        self._start()
-        while not self._complete:
-            self._next_layer()
-
-    @property
-    def complete(self) -> bool:
-        self._start()
-        return self._complete
+        for i in self._projective:
+            self._row(i)
 
     def layers_computed(self) -> int:
-        self._start()
         return max((len(c) for row in self._rows.values() for c in row.chains.values()),
                    default=0)
 
@@ -271,13 +248,7 @@ class RadicalFiltration:
         hs = self.hom.get((i, j))
         if hs is None:
             return Subspace.zero(0)
-        row = self._row(i)
-        chain = row.chains.get(j, [])
-        if n <= len(chain):
-            return chain[n - 1]
-        if not self._complete:
-            self.ensure_depth(n)
-            chain = row.chains.get(j, [])
+        chain = self._row(i, n).chains.get(j, ())
         return chain[n - 1] if n <= len(chain) else Subspace.zero(hs.dim)
 
     def dim_irr(self, i: int, j: int) -> int:
@@ -286,6 +257,7 @@ class RadicalFiltration:
         return sum(1 for k, _ in self.pieces(j) if k == i)
 
     def nilpotency_index(self) -> int:
+        # every other row was admitted shorter than the projective rows
         self.ensure_complete()
         return 1 + self.layers_computed()
 

@@ -14,17 +14,17 @@ FIXTURES = ("a2", "a3", "a3_rel", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final")
 
 def _agrees_with_dense(filt, dense, arrows=None):
     # layer by layer from a fresh filtration: the same depth reached, the same
-    # completion, the same layers_computed
+    # layers_computed, and the index one more than the longest chain
     d = 1
     while True:
         filt.ensure_depth(d)
         dense.ensure_depth(d)
         assert filt.layers_computed() == dense.layers_computed(), d
-        assert filt.complete == dense.complete, d
         if dense.complete:
             break
         d += 1
     depth = filt.layers_computed()
+    assert filt.nilpotency_index() == 1 + depth
     # every chain, building the rows of the nodes that are not projective
     assert set(filt.hom_pairs()) == set(dense.hom)
     for (i, j) in dense.hom:

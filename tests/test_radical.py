@@ -351,6 +351,57 @@ def test_an_identity_piece_trips_the_termination_guard(s2_pipeline):
         bad.nilpotency_index()
 
 
+def test_a_row_that_outlives_the_projective_rows_is_refused(a3_rel_pipeline):
+    # on a3_rel only the row of P_2 has a chain of length 2 (to I_2, which is
+    # P_1); the rows of P_1 and P_3 reach layer 1.  Without P_2 among the
+    # projective rows the index comes out 2, and the row of P_2, no longer
+    # projective, is still nonzero at layer 2
+    pres, ar, filt = a3_rel_pipeline
+    p2, i2 = filt.projective_index("2"), filt.injective_index("2")
+    assert not filt.subspace(p2, i2, 2).is_zero()
+    partial = relabelled_filtration(ar, range(ar.node_count()),
+                                    {k: i for k, i in filt.aliases.items() if k != "P_2"})
+    assert partial.nilpotency_index() == 2
+    with pytest.raises(InconsistencyError, match="^radical filtration outlived its projective rows; "
+                                                 "the pieces are not the right almost split maps"):
+        partial.subspace(p2, i2, 2)
+
+
+def _fixture_method_pairs() -> list:
+    pairs = []
+    for name in LIST_FIXTURES + ("ex_2_5",):
+        for method in REDUCTIONS:
+            try:
+                licensed_vertices(load(name), method)
+            except MethodInapplicableError:
+                continue
+            pairs.append((name, method))
+    return pairs
+
+
+@pytest.mark.parametrize("name, method", _fixture_method_pairs())
+def test_a_reduction_builds_only_its_licensed_projective_rows(name, method, monkeypatch):
+    # each row depends on itself alone, so a reduction method builds the rows
+    # of P_a for its licensed vertices a and no other (ex_4_5 by toupie: one
+    # of six); the longest of them still reaches layer r_A - 1
+    pres, ar, filt = pipeline(name)
+    fresh = relabelled_filtration(ar, range(ar.node_count()))
+    built = []
+    build_row = RadicalFiltration._build_row
+
+    def counted(self, i):
+        built.append(i)
+        return build_row(self, i)
+
+    monkeypatch.setattr(RadicalFiltration, "_build_row", counted)
+    report = nilpotency_index(fresh, method)
+    vertices = licensed_vertices(pres, method)
+    assert sorted(built) == sorted({fresh.projective_index(a) for a in vertices})
+    assert report.layers_computed == report.r_A - 1
+    monkeypatch.undo()
+    assert report == nilpotency_index(filt, method)
+
+
 def _first_admitted(pres) -> str:
     for method in REDUCTIONS:
         try:
