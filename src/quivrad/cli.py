@@ -169,11 +169,10 @@ def _findings_text(name: str, obj) -> list:
         return lines
     if isinstance(obj, theorems.ReductionCheck):
         rep = obj.report
-        lines.append(f"  r_A = {rep.r_A} via {rep.method}; direct = {obj.direct_r_A};"
-                     f" agrees = {obj.agrees}")
+        lines.append(f"  r_A = {rep.r_A} via {rep.method}; direct = {obj.direct_r_A}")
         for cert in obj.certificates:
             vals = ", ".join(f"r_{v}={cert.r_values[v]}" for v in cert.vertices)
-            lines.append(f"  {cert.zero_relation}: {vals} (equal: {cert.all_equal})")
+            lines.append(f"  {cert.zero_relation}: {vals}")
         if obj.fallback:
             lines.append(f"  note: {obj.fallback}")
         return lines

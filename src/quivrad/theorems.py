@@ -196,7 +196,6 @@ class RelationCertificate:
     zero_relation: str
     vertices: tuple
     r_values: dict
-    all_equal: bool
 
 
 @dataclass(frozen=True)
@@ -204,14 +203,12 @@ class ReductionCheck:
     """A reduction method's report, cross-checked against the direct index."""
     report: NilpotencyReport
     direct_r_A: int
-    agrees: bool
     certificates: tuple = ()
     fallback: Optional[str] = None
 
     def to_json_dict(self) -> dict:
         out = self.report.to_json_dict()
         out["direct_r_A"] = self.direct_r_A
-        out["agrees_with_direct"] = self.agrees
         if self.certificates:
             out["certificates"] = [
                 {
@@ -219,7 +216,6 @@ class ReductionCheck:
                     "zero_relation": c.zero_relation,
                     "vertices": list(c.vertices),
                     "r_values": dict(c.r_values),
-                    "all_equal": c.all_equal,
                 }
                 for c in self.certificates
             ]
@@ -247,7 +243,7 @@ def check_theorem_B(filt: RadicalFiltration) -> ReductionCheck:
     if report.r_A != direct.r_A:
         raise InconsistencyError(
             f"rule B gave {report.r_A} but the direct index is {direct.r_A}")
-    return ReductionCheck(report, direct.r_A, True, fallback=fallback)
+    return ReductionCheck(report, direct.r_A, fallback=fallback)
 
 
 def _zero_relation_certificates(filt: RadicalFiltration) -> tuple:
@@ -262,9 +258,10 @@ def _zero_relation_certificates(filt: RadicalFiltration) -> tuple:
         if not vertices:
             continue
         values = {v: canonical_r(filt, v) for v in vertices}
-        certs.append(RelationCertificate(
-            k, str(rel), tuple(vertices), values,
-            len(set(values.values())) == 1))
+        if len(set(values.values())) != 1:
+            raise InconsistencyError(
+                f"rule C: vertices of zero-relation {rel} have unequal r values {values}")
+        certs.append(RelationCertificate(k, str(rel), tuple(vertices), values))
     return tuple(certs)
 
 
@@ -275,15 +272,10 @@ def check_theorem_C(filt: RadicalFiltration) -> ReductionCheck:
     report = nilpotency_index(filt, "one-per-relation")  # gates preconditions
     direct = nilpotency_index(filt, "direct")
     certs = _zero_relation_certificates(filt)
-    for cert in certs:
-        if not cert.all_equal:
-            raise InconsistencyError(
-                f"rule C: vertices of zero-relation {cert.zero_relation} have "
-                f"unequal r values {cert.r_values}")
     if report.r_A != direct.r_A:
         raise InconsistencyError(
             f"rule C gave {report.r_A} but the direct index is {direct.r_A}")
-    return ReductionCheck(report, direct.r_A, True, certs)
+    return ReductionCheck(report, direct.r_A, certs)
 
 
 def check_theorem_D(filt: RadicalFiltration) -> ReductionCheck:
@@ -303,7 +295,7 @@ def check_theorem_D(filt: RadicalFiltration) -> ReductionCheck:
     values = {v: canonical_r(filt, v) for v in involved}
     if len(set(values.values())) != 1:
         raise InconsistencyError(f"rule D: zero-relation vertices differ: {values}")
-    certs = [RelationCertificate(0, "zero-relation branch", tuple(involved), values, True)]
+    certs = [RelationCertificate(0, "zero-relation branch", tuple(involved), values)]
     # per-branch equalities, and outside-vertices bounded by involved ones
     rep_value = next(iter(values.values()))
     for bi in g.commutative_pair:
@@ -311,8 +303,7 @@ def check_theorem_D(filt: RadicalFiltration) -> ReductionCheck:
         vals = {v: canonical_r(filt, v) for v in branch.vertices}
         if len(set(vals.values())) > 1:
             raise InconsistencyError(f"branch {bi}: unequal r values {vals}")
-        certs.append(RelationCertificate(bi, "commutative branch", tuple(branch.vertices),
-                                         vals, True))
+        certs.append(RelationCertificate(bi, "commutative branch", tuple(branch.vertices), vals))
     outside = [v for v in zero_branch.vertices if v not in involved]
     out_vals = {v: canonical_r(filt, v) for v in outside}
     for v, val in out_vals.items():
@@ -322,7 +313,7 @@ def check_theorem_D(filt: RadicalFiltration) -> ReductionCheck:
     if report.r_A != direct.r_A:
         raise InconsistencyError(
             f"rule D gave {report.r_A} but the direct index is {direct.r_A}")
-    return ReductionCheck(report, direct.r_A, True, tuple(certs))
+    return ReductionCheck(report, direct.r_A, tuple(certs))
 
 
 @dataclass

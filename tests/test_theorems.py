@@ -117,7 +117,6 @@ def test_theorem_b_on_s2(s2_pipeline):
     check = T.check_theorem_B(filt)
     assert check.report.r_A == 15 == check.direct_r_A
     assert set(check.report.vertex_set) == {"1", "2"}
-    assert check.agrees
 
 
 def test_theorem_b_fallback_without_zero_relations(a3_pipeline):
@@ -125,7 +124,7 @@ def test_theorem_b_fallback_without_zero_relations(a3_pipeline):
     check = T.check_theorem_B(filt)
     assert check.fallback is not None
     assert check.report.method == "v-set"
-    assert check.agrees
+    assert check.report.r_A == check.direct_r_A
 
 
 def test_theorem_b_fallback_refuses_a_wrong_index(a3_pipeline, monkeypatch, capsys):
@@ -152,8 +151,19 @@ def test_theorem_c_on_s2(s2_pipeline):
     check = T.check_theorem_C(filt)
     assert check.report.r_A == 15
     certs = check.certificates
-    assert len(certs) == 1 and certs[0].all_equal
+    assert len(certs) == 1 and len(set(certs[0].r_values.values())) == 1
     assert set(certs[0].vertices) == {"1", "2"}
+
+
+def test_theorem_c_refuses_unequal_values_on_one_relation(s2_pipeline, monkeypatch):
+    # vertices of one zero-relation with different r values are an
+    # inconsistency: no certificate reports them
+    pres, ar, filt = s2_pipeline
+    real = T.canonical_r
+    monkeypatch.setattr(T, "canonical_r", lambda filt, a: real(filt, a) + (a == "2"))
+    with pytest.raises(InconsistencyError,
+                       match="^rule C: vertices of zero-relation .* have unequal r values"):
+        T.check_theorem_C(filt)
 
 
 def test_theorem_c_single_relation_chain(a3_rel_pipeline):
@@ -172,10 +182,10 @@ def test_theorem_c_refuses_overlapping_relations(s3_pipeline):
 def test_theorem_d_on_ex45(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     check = T.check_theorem_D(filt)
-    assert check.agrees and check.report.r_A == check.direct_r_A
+    assert check.report.r_A == check.direct_r_A
     zero_cert = check.certificates[0]
     assert set(zero_cert.vertices) == {"2", "3"}
-    assert zero_cert.all_equal
+    assert len(set(zero_cert.r_values.values())) == 1
     r2 = canonical_r(filt, "2")
     assert check.report.r_A == r2 + 1
 
@@ -184,7 +194,7 @@ def test_theorem_d_branch_equalities(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     check = T.check_theorem_D(filt)
     branch_certs = check.certificates[1:]
-    assert all(c.all_equal for c in branch_certs)
+    assert all(len(set(c.r_values.values())) == 1 for c in branch_certs)
     # commutative-branch values stay at or below the zero-relation value
     zero_value = next(iter(check.certificates[0].r_values.values()))
     for cert in branch_certs:
