@@ -8,31 +8,34 @@ The knitting in ``artrans`` is the one source of these pieces and of the
 ``P_a``/``I_a``/``S_a`` node table.  Every radical map into Y factors
 through that map, so for each source node X
 
-    R(X, Y) = Σ_k g_k ∘ Hom(X, Z_k),    R^{n+1}(X, Y) = Σ_k g_k ∘ R^n(X, Z_k),
+    R^0(X, Y) = Hom(X, Y),    R^{n+1}(X, Y) = Σ_k g_k ∘ R^n(X, Z_k),
 
-and the layers of one row R^n(X, -) depend on that row alone.  R^m = 0
-exactly when R^m(P_a, -) = 0 for every vertex a, since every module is a
-quotient of a projective.  So each row is built when it is first asked for
-and advanced only as deep as it is asked, a Hom space is computed the first
-time it is looked up, and r_A is one more than the longest chain of the
-projective rows.  All subspaces live in coordinates over the canonical Hom
-bases, so membership and equality are exact.
+and the layers of one row R^n(X, -) depend on that row alone.  A morphism
+out of X is determined by its values at the top generators of X, on which
+g_k acts vertex by vertex, so a row is kept in these coordinates.  For
+X = P_a the values range over all of Y_a (Yoneda), so a projective row
+needs no Hom space.  R^m = 0 exactly when R^m(P_a, -) = 0 for every vertex
+a, since every module is a quotient of a projective.  So each row is built
+when it is first asked for and advanced only as deep as it is asked, and
+r_A is one more than the longest chain of the projective rows.  Subspaces
+are in canonical echelon form, so membership and equality are exact.
 """
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, replace
+from operator import mul
 from typing import Dict, Optional, Sequence
 
 from .errors import InconsistencyError, MethodInapplicableError
-from .linalg import Subspace, _int_vector
+from .linalg import Subspace
 from .quiver import (
     AlgebraPresentation,
     classify,
     sinks_and_sources,
     zero_relation_vertices,
 )
-from .rep import HomSpace, ModuleMorphism, Representation, hom_space
+from .rep import HomSpace, ModuleMorphism, Representation, hom_space, top_generators
 
 _INCONSISTENT = ("the pieces are not the right almost split maps of a complete "
                  "set of indecomposables")
@@ -71,30 +74,26 @@ class _HomTable(Mapping):
 
 
 class _Row:
-    """The layers R^n(node_i, -) of one source node i.
+    """The layers R^n(node_i, -) of one source node i, n = 0, 1, ...
 
-    ``maps[j]`` is (dim Hom(i, j), [(k, columns)]) with one entry per piece
-    g_k into node j: ``columns[u]`` spans g_k ∘ b_u in Hom(i, j) coordinates,
-    b_u the u-th basis element of Hom(i, k), all scaled by one positive
-    integer per piece (which leaves every span alone).  ``chains[j]`` holds
-    the nonzero layers R^1(i, j), R^2(i, j), ...; ``depth`` layers have been
-    computed.
+    Each layer R^n(i, j) is a subspace of the spaces of node j at the top
+    generators (a_1, c_1), ..., (a_m, c_m) of node i, stacked: the values
+    there of its morphisms.  ``maps[j]`` is (that dimension, [(k, blocks)])
+    with one entry per piece g_k into node j, ``blocks`` the matrices of g_k
+    at a_1, ..., a_m.  ``chains[j]`` holds the nonzero layers R^0(i, j) =
+    Hom(i, j), R^1(i, j), ...; layers up to ``depth`` have been computed.
     """
 
     __slots__ = ("maps", "chains", "depth")
 
-    def __init__(self, maps: Dict[int, tuple]):
+    def __init__(self, maps: Dict[int, tuple], chains: Dict[int, list]):
         self.maps = maps
-        self.chains: Dict[int, list] = {}
-        for j, (dim, pieces) in maps.items():
-            first = Subspace._from_int_vectors(dim, [c for _, cols in pieces for c in cols])
-            if first.dim:
-                self.chains[j] = [first]
-        self.depth = 1
+        self.chains = chains
+        self.depth = 0
 
     def alive(self) -> bool:
         """Whether the last computed layer is nonzero."""
-        return any(len(c) == self.depth for c in self.chains.values())
+        return any(len(c) > self.depth for c in self.chains.values())
 
     def advance(self, depth: Optional[int] = None) -> None:
         """Compute layers up to ``depth``, or until the last one is zero for None."""
@@ -102,28 +101,27 @@ class _Row:
             self.next_layer()
 
     def next_layer(self) -> None:
-        """Compute layer depth+1."""
+        """Compute layer depth+1 as Σ_k g_k R^depth(i, k)."""
         n = self.depth
         new = {}
         for j, (dim, pieces) in self.maps.items():
             vecs = []
-            for k, cols in pieces:
+            for k, blocks in pieces:
                 chain = self.chains.get(k, ())
-                if len(chain) < n:
+                if len(chain) <= n:
                     continue
-                for v in chain[n - 1].basis:
-                    out = [0] * dim
-                    for x, col in zip(v, cols):
-                        if x:
-                            for t, y in enumerate(col):
-                                if y:
-                                    out[t] += x * y
+                for v in chain[n].basis:
+                    out, pos = [], 0
+                    for m in blocks:
+                        seg = v[pos:pos + m.cols]
+                        out.extend(sum(map(mul, row, seg)) for row in m.data)
+                        pos += m.cols
                     vecs.append(out)
             if vecs:
-                sub = Subspace._from_int_vectors(dim, vecs)
+                sub = Subspace.from_vectors(dim, vecs)
                 if sub.dim:
                     new[j] = sub
-        live = [j for j, c in self.chains.items() if len(c) == n]
+        live = [j for j, c in self.chains.items() if len(c) > n]
         if live and all(new.get(j) == self.chains[j][-1] for j in live):
             # the next layer is a function of this one, so the row never shrinks again
             raise InconsistencyError(f"radical filtration failed to terminate; {_INCONSISTENT}")
@@ -153,6 +151,7 @@ class RadicalFiltration:
         self._pieces = pieces
         self._projective = sorted({i for key, i in self.aliases.items() if key[0] == "P"})
         self._rows: Dict[int, _Row] = {}
+        self._gens: Dict[int, list] = {}
 
     # -- node bookkeeping ----------------------------------------------------
 
@@ -183,30 +182,34 @@ class RadicalFiltration:
         """(k, g: node_k -> node_j) per summand of the right almost split map into node j."""
         return self._pieces[j]
 
+    def _generators(self, i: int) -> list:
+        if i not in self._gens:
+            self._gens[i] = top_generators(self.reps[i])
+        return self._gens[i]
+
+    def at_generators(self, i: int, f: ModuleMorphism) -> list:
+        """The values of f: node_i -> Y at the top generators of node i,
+        stacked in the coordinates of ``subspace(i, j, n)``; they determine f."""
+        return [row[c] for a, c in self._generators(i) for row in f.maps[a].data]
+
     # -- rows -----------------------------------------------------------------
 
     def _build_row(self, i: int) -> _Row:
-        """Layer one of row i: the composites g_k ∘ Hom(i, k) into each node."""
-        maps = {}
-        for j in range(len(self.reps)):
-            hij = self.hom.get((i, j))
-            if hij is None:
+        """Row i at layer zero: Hom(i, j) at the top generators of node i, all
+        of node j at a for the projective node P_a (Yoneda)."""
+        gens = self._generators(i)
+        maps, chains = {}, {}
+        for j, rep in enumerate(self.reps):
+            dim = sum(rep.dims[a] for a, _ in gens)
+            if not dim:
                 continue
-            pieces = []
-            for k, g in self.pieces(j):
-                hik = self.hom.get((i, k))
-                if hik is None:
-                    continue
-                images = []
-                for b in hik.basis:
-                    coords = hij.coords(g @ b)
-                    if coords is None:
-                        raise InconsistencyError("composite escaped its Hom space")
-                    images.extend(coords)
-                w, _ = _int_vector(images)
-                pieces.append((k, [w[u:u + hij.dim] for u in range(0, len(w), hij.dim)]))
-            maps[j] = (hij.dim, pieces)
-        return _Row(maps)
+            maps[j] = (dim, [(k, [g.maps[a] for a, _ in gens]) for k, g in self.pieces(j)])
+            if i in self._projective:
+                chains[j] = [Subspace.full(dim)]
+            elif (hs := self.hom.get((i, j))) is not None:
+                chains[j] = [Subspace.from_vectors(dim, [self.at_generators(i, b)
+                                                         for b in hs.basis])]
+        return _Row(maps, chains)
 
     def _row(self, i: int, depth: Optional[int] = None) -> _Row:
         """Row i, built on first use and advanced to ``depth`` layers (to zero
@@ -239,17 +242,15 @@ class RadicalFiltration:
 
     def layers_computed(self) -> int:
         return max((len(c) for row in self._rows.values() for c in row.chains.values()),
-                   default=0)
+                   default=1) - 1
 
     def subspace(self, i: int, j: int, n: int) -> Subspace:
-        """R^n(node_i, node_j) in Hom-basis coordinates."""
+        """R^n(node_i, node_j) in the coordinates of ``at_generators(i, -)``."""
         if n < 1:
             raise ValueError("layers are numbered from 1")
-        hs = self.hom.get((i, j))
-        if hs is None:
-            return Subspace.zero(0)
-        chain = self._row(i, n).chains.get(j, ())
-        return chain[n - 1] if n <= len(chain) else Subspace.zero(hs.dim)
+        row = self._row(i, n)
+        chain = row.chains.get(j, ())
+        return chain[n] if n < len(chain) else Subspace.zero(row.maps.get(j, (0,))[0])
 
     def dim_irr(self, i: int, j: int) -> int:
         """dim Irr(node_i, node_j): the multiplicity of node i in the right
@@ -268,19 +269,13 @@ def morphism_length(f: ModuleMorphism, filt: RadicalFiltration) -> int:
         raise ValueError("the zero morphism has no radical length")
     i = filt.node_index(f.source)
     j = filt.node_index(f.target)
-    hs = filt.hom.get((i, j))
-    if hs is None:
-        raise InconsistencyError("nonzero morphism with empty Hom space")
-    coords = hs.coords(f)
-    if coords is None:
+    if not f._intertwines():
         raise ValueError("morphism does not intertwine (not in the Hom space)")
+    values = filt.at_generators(i, f)  # nonzero, as the generators generate node i
     n = 0
-    while True:
-        nxt = filt.subspace(i, j, n + 1)
-        if nxt.dim and nxt.contains_vector(coords):
-            n += 1
-        else:
-            return n
+    while filt.subspace(i, j, n + 1).contains_vector(values):
+        n += 1
+    return n
 
 
 def canonical_r(filt: RadicalFiltration, a: str) -> int:

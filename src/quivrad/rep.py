@@ -306,6 +306,8 @@ class HomSpace:
         return self.space.coords(f.flatten())
 
     def element(self, coords: Sequence) -> ModuleMorphism:
+        if len(coords) != self.dim:
+            raise ShapeError(f"{len(coords)} coordinates for a Hom space of dimension {self.dim}")
         out = None
         for c, b in zip(coords, self.basis):
             if c:

@@ -11,7 +11,7 @@ from quivrad.errors import LimitsExceededError, MethodInapplicableError
 from quivrad.linalg import Subspace
 from quivrad.quiver import classify
 from quivrad.radical import canonical_r, gate_method, nilpotency_index
-from quivrad.rep import morphism_ambient
+from quivrad.rep import end_radical
 from quivrad import theorems as T
 from quivrad.artrans import EnumerationLimits, ar_quiver
 
@@ -170,27 +170,32 @@ def _check_length_additivity(pres, filt):
 
 
 def _brute_force_layers_agree(filt):
-    """Exhaustive n-fold composition of radical basis elements, every n."""
+    """Exhaustive n-fold composition of radical basis elements, every n.
+
+    Layer one comes from the Hom bases and the endomorphism radicals, not
+    from the filtration; spans are compared through evaluation at the top
+    generators of the source, the coordinates of ``filt.subspace``.
+    """
     pairs = list(filt.hom_pairs())
     rad1 = {}
     for (i, j) in pairs:
-        layer = filt.subspace(i, j, 1)
-        if layer.dim:
-            rad1[(i, j)] = [filt.hom[(i, j)].element(row) for row in layer.basis]
+        hs = filt.hom[(i, j)]
+        if i != j:
+            rad1[(i, j)] = list(hs.basis)
+        else:
+            rad = end_radical(hs)
+            if rad.dim:
+                rad1[(i, j)] = [hs.element(row) for row in rad.basis]
     composites = {key: list(val) for key, val in rad1.items()}
     n = 1
     r_a = filt.nilpotency_index()
     while n < r_a:
         # compare spans of explicit composites with the iterative layer
-        seen_pairs = set(composites)
         for (i, j) in pairs:
-            ambient = morphism_ambient(filt.reps[i], filt.reps[j])
+            iterative = filt.subspace(i, j, n)
             brute = Subspace.from_vectors(
-                ambient, [f.flatten() for f in composites.get((i, j), ())])
-            iterative = Subspace.from_vectors(
-                ambient,
-                [filt.hom[(i, j)].element(row).flatten()
-                 for row in filt.subspace(i, j, n).basis])
+                iterative.ambient,
+                [filt.at_generators(i, f) for f in composites.get((i, j), ())])
             assert brute == iterative, f"layer {n} disagrees on pair {(i, j)}"
         nxt = {}
         for (i, k), chains in composites.items():

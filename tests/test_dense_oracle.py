@@ -2,6 +2,7 @@
 import pytest
 
 from quivrad import ar_quiver, artrans
+from quivrad.linalg import Subspace
 from quivrad.radical import canonical_r
 
 from conftest import load, relabelled_filtration
@@ -25,10 +26,17 @@ def _agrees_with_dense(filt, dense, arrows=None):
         d += 1
     depth = filt.layers_computed()
     assert filt.nilpotency_index() == 1 + depth
-    # every chain, building the rows of the nodes that are not projective
+    # every chain, building the rows of the nodes that are not projective;
+    # the oracle's Hom-basis coordinates are mapped to the filtration's by
+    # evaluation at the top generators of the source, which is injective
     assert set(filt.hom_pairs()) == set(dense.hom)
-    for (i, j) in dense.hom:
-        chain = dense.chains.get((i, j), [])
+    for (i, j), hs in dense.hom.items():
+        values = [filt.at_generators(i, b) for b in hs.basis]
+        ambient = len(values[0])
+        assert Subspace.from_vectors(ambient, values).dim == hs.dim, (i, j)
+        chain = [Subspace.from_vectors(
+                     ambient, [filt.at_generators(i, hs.element(row)) for row in sub.basis])
+                 for sub in dense.chains.get((i, j), [])]
         got = [filt.subspace(i, j, n) for n in range(1, len(chain) + 2)]
         assert got[:len(chain)] == chain, (i, j)
         assert got[len(chain)].is_zero(), (i, j)

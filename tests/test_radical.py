@@ -2,10 +2,10 @@ import functools
 
 import pytest
 
-from quivrad import artrans
+from quivrad import artrans, radical
 from quivrad import rep as R
 from quivrad.errors import InconsistencyError, MethodInapplicableError
-from quivrad.linalg import Subspace
+from quivrad.linalg import RatMatrix, Subspace
 from quivrad.radical import (
     NilpotencyReport,
     canonical_r,
@@ -51,13 +51,20 @@ def test_layers_weakly_decrease(s3_pipeline):
 
 
 def test_layer_one_shape(s2_pipeline):
+    # layer one is all of Hom(i, j) between distinct nodes and a hyperplane
+    # of each local endomorphism ring, compared through evaluation at the top
+    # generators of node i, which is injective on Hom(i, j)
     pres, ar, filt = s2_pipeline
     for (i, j) in filt.hom_pairs():
+        hs = filt.hom[(i, j)]
         layer = filt.subspace(i, j, 1)
+        hom = Subspace.from_vectors(layer.ambient, [filt.at_generators(i, b) for b in hs.basis])
+        assert hom.dim == hs.dim
         if i != j:
-            assert layer == Subspace.full(filt.hom[(i, j)].dim)
+            assert layer == hom
         else:
-            assert layer.dim == filt.hom[(i, j)].dim - 1  # local endomorphism rings
+            assert layer.dim == hs.dim - 1  # local endomorphism rings
+            assert layer + hom == hom
 
 
 def test_morphism_length_of_identity_is_zero(a2_pipeline):
@@ -73,15 +80,37 @@ def test_morphism_length_rejects_zero(a2_pipeline):
         morphism_length(ModuleMorphism.zero(node.rep, node.rep), filt)
 
 
+def test_morphism_length_refuses_a_module_that_is_not_a_node(a2_pipeline):
+    pres, ar, filt = a2_pipeline
+    twice = R.direct_sum([ar.nodes[0].rep, ar.nodes[0].rep])  # decomposable
+    with pytest.raises(ValueError, match="^representation is not a filtration node$"):
+        morphism_length(ModuleMorphism.identity(twice), filt)
+
+
+def test_morphism_length_refuses_a_map_that_does_not_intertwine(a2_pipeline):
+    # unchecked maps: the identity at the source of a nonzero arrow between
+    # two vertices, zero at its target
+    pres, ar, filt = a2_pipeline
+    node, arrow = next((node, a) for node in ar.nodes for a in pres.quiver.arrows
+                       if a.source != a.target and not node.rep.matrices[a.name].is_zero())
+    maps = {v: RatMatrix.identity(d) if v == arrow.source else RatMatrix.zeros(d, d)
+            for v, d in node.rep.dims.items()}
+    f = ModuleMorphism(node.rep, node.rep, maps, check=False)
+    assert not f.is_zero()
+    with pytest.raises(ValueError,
+                       match=r"^morphism does not intertwine \(not in the Hom space\)$"):
+        morphism_length(f, filt)
+
+
 def test_irreducible_representative_has_length_one(s2_pipeline):
+    # a Hom-basis element between the ends of an arrow that lies outside R²
     pres, ar, filt = s2_pipeline
     s, t, m = ar.arrows()[0]
     assert m == 1
-    hs = filt.hom[(s, t)]
     r2 = filt.subspace(s, t, 2)
-    rep_vec = next(row for row in filt.subspace(s, t, 1).basis
-                   if not (r2.dim and r2.contains_vector(row)))
-    assert morphism_length(hs.element(rep_vec), filt) == 1
+    rep = next(b for b in filt.hom[(s, t)].basis
+               if not r2.contains_vector(filt.at_generators(s, b)))
+    assert morphism_length(rep, filt) == 1
 
 
 def test_canonical_r_values(s2_pipeline, a2_pipeline, s3_pipeline):
@@ -198,13 +227,11 @@ def test_composite_of_irreducibles_has_length_at_least_two(s2_pipeline):
         for (s2, t2, _) in arrows:
             if t1 != s2:
                 continue
-            reps = []
-            for (i, j) in ((s1, t1), (s2, t2)):
-                r2 = filt.subspace(i, j, 2)
-                row = next(r for r in filt.subspace(i, j, 1).basis
-                           if not (r2.dim and r2.contains_vector(r)))
-                reps.append(filt.hom[(i, j)].element(row))
-            composite = reps[1] @ reps[0]
+            # the knitted pieces are irreducible maps s1 -> t1 and s2 -> t2
+            first = next(g for k, g in filt.pieces(t1) if k == s1)
+            second = next(g for k, g in filt.pieces(t2) if k == s2)
+            assert morphism_length(first, filt) == morphism_length(second, filt) == 1
+            composite = second @ first
             if not composite.is_zero():
                 assert morphism_length(composite, filt) >= 2
                 checked += 1
@@ -400,6 +427,29 @@ def test_a_reduction_builds_only_its_licensed_projective_rows(name, method, monk
     assert report.layers_computed == report.r_A - 1
     monkeypatch.undo()
     assert report == nilpotency_index(filt, method)
+
+
+def test_projective_rows_compute_no_hom_space(monkeypatch):
+    # a projective row starts from all of node j at a (Yoneda), so completing
+    # the filtration looks up no Hom space; a row that is not projective
+    # starts from its Hom bases, which shows the count is live
+    ars = [pipeline(name)[1] for name in LIST_FIXTURES + ("ex_2_5",)]
+    ars += [ar for _, _, ar in random_finite_monomial(20) + random_nakayama()]
+    calls = []
+
+    def counted(M, N):
+        calls.append((M, N))
+        return R.hom_space(M, N)
+
+    monkeypatch.setattr(radical, "hom_space", counted)
+    for ar in ars:
+        fresh = relabelled_filtration(ar, range(ar.node_count()))
+        fresh.ensure_complete()
+        assert calls == []
+    projective = {fresh.projective_index(a) for a in fresh.pres.quiver.vertices}
+    other = next(i for i in range(len(fresh.reps)) if i not in projective)
+    fresh.subspace(other, other, 1)
+    assert calls
 
 
 def _first_admitted(pres) -> str:

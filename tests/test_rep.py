@@ -99,6 +99,17 @@ def test_hom_basis_intertwines_exactly(s2):
         assert f._intertwines()
 
 
+def test_hom_element_refuses_coordinates_of_the_wrong_length(s2):
+    # a longer or shorter vector is refused, not cut short or padded
+    hs = hom_space(projective(s2, "1"), injective(s2, "3"))
+    assert hs.dim
+    coords = [2] + [0] * (hs.dim - 1)
+    assert hs.element(coords).maps == hs.basis[0].scaled(2).maps
+    for bad in (coords[:-1], coords + [0]):
+        with pytest.raises(ShapeError, match="coordinates for a Hom space of dimension"):
+            hs.element(bad)
+
+
 def _end_product(end, x, y) -> list:
     """End-basis coordinates of x∘y, for x and y in End-basis coordinates."""
     return list(end.coords(end.element(x) @ end.element(y)))

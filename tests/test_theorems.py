@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import pytest
 
 from quivrad.errors import InconsistencyError, MethodInapplicableError
-from quivrad.linalg import Subspace
+from quivrad.linalg import RatMatrix, Subspace
 from quivrad.quiver import classify, parse_presentation
 from quivrad.radical import canonical_r, nilpotency_index
 from quivrad import theorems as T
@@ -59,15 +59,25 @@ def test_factorization_rule_none_without_irreducible(s2_pipeline):
     assert not f.proj_side
 
 
+def _in_hom_coordinates(filt, i, j, n):
+    """R^n(i, j) over the basis of Hom(i, j): the elements whose values at the
+    top generators of node i lie in the layer."""
+    hs, layer = filt.hom[(i, j)], filt.subspace(i, j, n)
+    residues = [layer.quotient_coords(filt.at_generators(i, b)) for b in hs.basis]
+    pulled = RatMatrix(list(zip(*residues)), cols=hs.dim).kernel()
+    assert pulled.dim == layer.dim  # evaluation is injective on Hom(i, j)
+    return pulled
+
+
 def test_factorization_independent_of_representative(s2_pipeline):
     # any lift of a nonzero class modulo R² gives the same subspace identity
     pres, ar, filt = s2_pipeline
     pa = filt.projective_index("2")
     pb = filt.projective_index("1")
     hs = filt.hom[(pb, pa)]
-    r2 = filt.subspace(pb, pa, 2)
+    r2 = _in_hom_coordinates(filt, pb, pa, 2)
     reps = []
-    for row in filt.subspace(pb, pa, 1).basis:
+    for row in _in_hom_coordinates(filt, pb, pa, 1).basis:
         if not (r2.dim and r2.contains_vector(row)):
             reps.append(hs.element(row))
     assert reps
