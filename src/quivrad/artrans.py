@@ -5,36 +5,39 @@ generators of its kernel ΩM: the images of those generators in the cover,
 read as a matrix of path classes, are transported to the opposite
 presentation; the cokernel there is the transpose, and dualizing it gives τM.
 
-Enumeration is a knitting closure from the projectives, the seeds: each
-node brings in its translates, τ⁻¹ and, off the seeds, τ, and its
-predecessors, the summands of the right almost split map into it (rad P for
-a projective, else the almost split middle term).  Inverse-translate orbits
-of the projectives alone can miss translate-periodic modules (they exist for
-some bound quiver algebras), and the predecessors close that gap.
-Successors need no step of their own: a successor Y of a node X is
-projective, so a seed, or τ⁻¹ of τY, and τY -> X is irreducible, so τY is a
-predecessor of X.  For a connected representation-finite algebra the AR
-quiver is connected, so this closure is complete.  Guard limits turn a
-runaway enumeration into an error.
+Enumeration is the knitting procedure (ASS IV.3-IV.4; ARS V.5), from the
+projectives, the seeds.  The knitting keeps the right almost split map into
+every node, one piece per indecomposable summand read on the node
+isomorphic to it; the AR arrows are the summand multiplicities.  A
+projective's map is rad P -> P, whose summands are matched to the nodes or
+stay loose until a node added later matches them.  Each node X then takes
+one step, once its own mesh and that of τ⁻¹W, for each predecessor W, are
+knit: the pieces out of X into the projectives and into τ⁻¹W, for each
+non-injective predecessor W, form its left minimal almost split map
+f: X -> E.  One rank test decides the step.  If f is mono, its cokernel is
+τ⁻¹X, matched to the nodes or added to X's orbit, and the blocks of
+E -> τ⁻¹X are the pieces of its mesh.  Otherwise X is injective, and the
+kernel of f is its simple socle.  Successors need no step of their own: a
+successor Y of a node X is projective, so a seed, or τ⁻¹ of τY, and
+τY -> X is irreducible, so τY is a predecessor of X.
 
-The knitting keeps the right almost split map into every node (rad P ↪ P,
-or the end of the almost split sequence), one piece per indecomposable
-summand read on the node isomorphic to it; the AR arrows are the summand
-multiplicities.  The sequence 0 -> X -> E -> Z -> 0 ending at a
-non-projective node Z is built by one of two routes.  The cokernel route
-takes the pieces out of X = τZ into the projectives and into τ⁻¹W, for
-each non-injective predecessor W of X: together they form the left almost
-split map X -> E onto nodes already known, and Z is its cokernel, placed
-on the node by one isomorphism test.  It applies once those meshes are
-knit, and the mesh queue takes such ready nodes first.  When no pending
-node is ready, which happens on cycles of the AR quiver, the first one
-takes the Ext route: E comes from a class in the socle of Ext¹(Z, τZ) and
-is decomposed.  The translates and the summands of rad P and of the Ext
-route are the only modules matched to nodes by an isomorphism search.
+When no node is ready, which happens on cycles of the AR quiver, the walk
+falls back, in order: the first node whose τ⁻¹ is undecided, or whose τ is
+unknown off the seeds, takes it by Tr D or D Tr; the first node without a
+mesh takes the Ext route, where E comes from a class in the socle of
+Ext¹(Z, τZ) and is decomposed; the first loose summand is added as a fresh
+node.  Inverse-translate orbits of the projectives alone can miss
+translate-periodic modules (they exist for some bound quiver algebras), and
+the loose summands close that gap.  For a connected representation-finite
+algebra the AR quiver is connected, so this closure is complete.  Guard
+limits turn a runaway enumeration into an error.
+
 P_a, I_a and S_a are read off the walk: P_a is the seed added at a, I_a the
 node with no τ⁻¹ whose socle lies at a, S_a the one node with dimension
-vector e_a.  The radical filtration is built from the nodes, the pieces and
-that table alone.
+vector e_a.  The injective nodes are certified first: their socles are
+simple at distinct vertices, one per vertex, and their dimensions add up to
+dim A.  The radical filtration is built from the nodes, the pieces and that
+table alone.
 """
 from __future__ import annotations
 
@@ -303,25 +306,27 @@ class _Knitter:
         self.buckets: Dict[tuple, list] = {}
         self.tau: Dict[int, int] = {}
         self.tau_inverse: Dict[int, int] = {}
+        self.injectives: set = set()  # nodes whose τ⁻¹ is known to be zero
         self.total_dim = 0
         self.fresh = 0
-        # every new node waits in both queues: its τ-orbit step, then its
-        # mesh; the mesh queue holds the nodes whose mesh is still pending
-        self.orbit_queue: List[int] = []
-        self.mesh_queue: List[int] = []
-        # node -> its right almost split map, one (k, node k -> node) per summand
+        # node -> its right almost split map, one (k, node k -> node) per
+        # summand matched to a node so far
         self.pieces: Dict[int, list] = {}
-        # meshes built per route: projective, cokernel, extension
+        # (node j, summand, summand -> node j) for the summands of rad P and
+        # of Ext-route middle terms that match no node yet
+        self.loose: list = []
+        # meshes knit per route (projective, cokernel, extension), and the
+        # translates taken by Tr D or D Tr (translate)
         self.routes: Counter = Counter()
         self.projectives = range(len(pres.quiver.vertices))  # node i: P at the i-th vertex
 
     def _match(self, rep: Representation) -> Optional[tuple]:
         """(k, iso: node k -> rep) for the node k isomorphic to rep, or None.
 
-        Called only on translates and on the summands that ``decompose``
-        splits off rad P and the Ext route's middle terms.  Nodes and rep
-        are indecomposable, so the basis test of ``find_isomorphism``
-        decides."""
+        Called only on cokernels, on translates and on the summands that
+        ``decompose`` splits off rad P and the Ext route's middle terms.
+        Nodes and rep are indecomposable, so the basis test of
+        ``find_isomorphism`` decides."""
         for k in self.buckets.get(rep.dim_vector(), ()):
             iso = find_isomorphism(self.nodes[k].rep, rep)
             if iso is not None:
@@ -329,6 +334,7 @@ class _Knitter:
         return None
 
     def add(self, rep: Representation, root: str, power: int) -> int:
+        """Add rep as a node and match it to the loose summands."""
         idx = len(self.nodes)
         self.total_dim += rep.total_dim()
         if idx + 1 > self.limits.max_modules or self.total_dim > self.limits.max_total_dim:
@@ -338,8 +344,12 @@ class _Knitter:
                 "within the given limits")
         self.nodes.append(ARNode(idx, rep, root, power))
         self.buckets.setdefault(rep.dim_vector(), []).append(idx)
-        self.orbit_queue.append(idx)
-        self.mesh_queue.append(idx)
+        for entry in [e for e in self.loose if e[1].dim_vector() == rep.dim_vector()]:
+            j, summand, g = entry
+            iso = find_isomorphism(rep, summand)
+            if iso is not None:
+                self.loose.remove(entry)
+                self.pieces[j].append((idx, g @ iso))
         return idx
 
     def link_tau(self, y: int, x: int) -> None:
@@ -349,143 +359,166 @@ class _Knitter:
         self.tau[y] = x
         self.tau_inverse[x] = y
 
-    def _add_fresh(self, rep: Representation) -> int:
-        self.fresh += 1
-        return self.add(rep, f"M{self.fresh}", 0)
+    def _knit(self, j: int, source: Representation, into: ModuleMorphism) -> None:
+        """Keep the right almost split map source -> node j as pieces: each
+        indecomposable summand of source is matched to a node, or stays loose
+        until a node added later matches it."""
+        self.pieces[j] = []
+        for Z, incl in ([] if source.is_zero() else decompose(source)):
+            g = into @ incl
+            found = self._match(Z)
+            if found is None:
+                self.loose.append((j, Z, g))
+            else:
+                self.pieces[j].append((found[0], g @ found[1]))
 
-    def _piece(self, summand: Representation, g: ModuleMorphism) -> tuple:
-        """(k, g read on node k) for the node k isomorphic to summand, added if new."""
-        found = self._match(summand)
-        if found is None:
-            return self._add_fresh(summand), g
-        k, iso = found
-        return k, g @ iso
+    def _owes_step(self, x: int) -> bool:
+        """Whether τ⁻¹ of node x is undecided, or known with its mesh not yet knit."""
+        if x in self.tau_inverse:
+            return self.tau_inverse[x] not in self.pieces
+        return x not in self.injectives
 
-    def _expand_orbit(self, idx: int) -> None:
-        """Walk τ in both directions; cheap, and where the guards trip first.
-
-        τ is a bijection from the non-projective to the non-injective
-        indecomposables, so each link is derived once, from the end the walk
-        reaches first: a side already linked from its other end is skipped.
-        τ is taken on no seed: every module is matched to the nodes before it
-        is added, so the seeds are the only projective nodes.
-        """
-        node = self.nodes[idx]
-        if idx not in self.tau_inverse:
-            nxt = ar_translate_inverse(node.rep)
-            if nxt is not None:
-                self.link_tau(self._orbit_node(nxt, node, 1), idx)
-        if idx not in self.tau and idx not in self.projectives:
-            self.link_tau(idx, self._orbit_node(ar_translate(node.rep), node, -1))
-
-    def _orbit_node(self, rep: Representation, node: ARNode, step: int) -> int:
-        """The node isomorphic to rep, a τ^(-step) of node, added to its orbit if new."""
-        found = self._match(rep)
-        if found is not None:
-            return found[0]
-        return self.add(rep, node.orbit_root, node.orbit_power + step)
-
-    def _mesh_ready(self, z: int) -> bool:
-        """Whether the cokernel route can build the mesh ending at the
-        non-projective node z: the pieces of every projective, of x = τz and
-        of τ⁻¹w for each non-injective w among x's pieces are known."""
-        x = self.tau[z]
-        if x not in self.pieces or any(p not in self.pieces for p in self.projectives):
+    def _ready(self, x: int) -> bool:
+        """Whether the left almost split map out of node x can be read off
+        knitted meshes: x's own, with every summand matched, and that of
+        τ⁻¹w for each predecessor w of x, whose τ⁻¹ is decided.  The loose
+        summands have been matched against every node, x included, so none
+        of them is a source of an irreducible map out of x."""
+        if x not in self.pieces or any(j == x for j, _, _ in self.loose):
             return False
-        return all(self.tau_inverse[w] in self.pieces
-                   for w, _ in self.pieces[x] if w in self.tau_inverse)
-
-    def _next_mesh(self) -> int:
-        """Pop the first pending node whose mesh needs no Ext class (a
-        projective, or one ready for the cokernel route), else the first
-        pending node."""
-        for pos, z in enumerate(self.mesh_queue):
-            if z in self.projectives or self._mesh_ready(z):
-                return self.mesh_queue.pop(pos)
-        return self.mesh_queue.pop(0)
-
-    def _expand_mesh(self, idx: int) -> None:
-        """The node's predecessors, kept as its pieces: the summands of the
-        right almost split map into it, each occurring dim Irr times.  A
-        projective's map is rad P ↪ P; a ready node's is the cokernel of the
-        left almost split map out of its translate; any other node's is the
-        end of the sequence from an Ext class.  The summands of the first
-        and the last are matched to nodes or added."""
-        Y = self.nodes[idx].rep
-        if idx in self.projectives:
-            self.routes["projective"] += 1
-            source, into = radical_submodule(Y)
-        elif self._mesh_ready(idx):
-            self.routes["cokernel"] += 1
-            self.pieces[idx] = self._cokernel_pieces(idx)
-            return
-        else:
-            self.routes["extension"] += 1
-            source, into = almost_split_middle(Y, self.nodes[self.tau[idx]].rep)
-        summands = [] if source.is_zero() else decompose(source)
-        self.pieces[idx] = [self._piece(Z, into @ incl) for Z, incl in summands]
+        return all(self.tau_inverse[w] in self.pieces if w in self.tau_inverse
+                   else w in self.injectives for w, _ in self.pieces[x])
 
     def _left_almost_split(self, x: int) -> list:
-        """(y, g: node x -> node y) for the irreducible maps out of the
-        non-injective node x, read off knitted pieces: those with source x
-        into τ⁻¹w, for each non-injective w among x's pieces, and into the
-        projectives.  Per target y they are a basis of Irr(x, y)."""
+        """(y, g: node x -> node y) for the irreducible maps out of node x,
+        read off knitted pieces: those with source x into τ⁻¹w, for each
+        non-injective w among x's pieces, and into the projectives.  Per
+        target y they are a basis of Irr(x, y)."""
         targets = dict.fromkeys(self.tau_inverse[w] for w, _ in self.pieces[x]
                                 if w in self.tau_inverse)
         targets.update(dict.fromkeys(self.projectives))
         return [(y, g) for y in targets for k, g in self.pieces[y] if k == x]
 
-    def _cokernel_pieces(self, z: int) -> list:
-        """The pieces of the non-projective node z from the almost split
-        sequence 0 -> X -> E -> Z -> 0 with X = τZ (ASS IV.4; ARS V.5).
+    def _step(self, x: int) -> None:
+        """Decide τ⁻¹X for the node x from its left minimal almost split map
+        f: X -> E (ASS IV.3-IV.4; ARS V.5).
 
-        f: X -> E, with the irreducible maps out of X as components, is left
-        minimal almost split, so Z is its cokernel, found on the node by one
-        isomorphism test.  Mesh additivity and that isomorphism certify that
-        f is mono with cokernel Z.
+        If X is not injective, f is mono and its cokernel is τ⁻¹X, matched
+        to the nodes or added to x's orbit; the blocks of E -> τ⁻¹X are the
+        pieces of its mesh.  If X is injective, f is X -> X/soc X, whose
+        kernel, the simple socle, has dimension one.  Any other kernel, or a
+        cokernel that is not the inverse translate already known, is an
+        inconsistency.
         """
-        x = self.tau[z]
-        X, Z = self.nodes[x].rep, self.nodes[z].rep
+        node = self.nodes[x]
+        X = node.rep
         components = self._left_almost_split(x)
-        targets = [self.nodes[y].rep for y, _ in components]
-        middle_dim = sum(Y.total_dim() for Y in targets)
-        if middle_dim != X.total_dim() + Z.total_dim():
-            raise InconsistencyError(
-                f"mesh at {self.nodes[z].label}: middle term of dimension {middle_dim}, "
-                f"but its ends have dimensions {X.total_dim()} and {Z.total_dim()}")
         vertices = self.pres.quiver.vertices
         image = {v: RatMatrix._of([row for _, g in components for row in g.maps[v].data],
                                   X.dims[v]).image() for v in vertices}
+        kernel = X.total_dim() - sum(s.dim for s in image.values())
+        if kernel:
+            if kernel != 1 or x in self.tau_inverse:
+                raise InconsistencyError(
+                    f"left almost split map out of {node.label}: kernel of dimension "
+                    f"{kernel}, where an injective's is its simple socle and any "
+                    "other node's is zero")
+            self.injectives.add(x)
+            return
+        targets = [self.nodes[y].rep for y, _ in components]
         C, proj = quotient_representation(_rep.direct_sum(targets), image)
-        iso = find_isomorphism(C, Z)
-        if iso is None:
-            raise InconsistencyError(f"mesh at {self.nodes[z].label}: the cokernel of "
-                                     "the left almost split map is not the node")
-        onto = iso @ proj
+        z, iso = self._orbit_node(C, node, 1)
+        if self.tau_inverse.get(x, z) != z or z in self.pieces:
+            raise InconsistencyError(f"the cokernel of the left almost split map out of "
+                                     f"{node.label} is not its inverse translate")
+        onto = proj if iso is None else iso.inverse() @ proj
+        self.link_tau(z, x)
+        self.routes["cokernel"] += 1
+        Z = self.nodes[z].rep
         start = dict.fromkeys(vertices, 0)
-        pieces = []
+        self.pieces[z] = []
         for (y, _), Y in zip(components, targets):
             maps = {}
             for v in vertices:
                 lo, hi = start[v], start[v] + Y.dims[v]
                 maps[v] = RatMatrix._of([row[lo:hi] for row in onto.maps[v].data], hi - lo)
                 start[v] = hi
-            pieces.append((y, ModuleMorphism(Y, Z, maps, check=False)))
-        return pieces
+            self.pieces[z].append((y, ModuleMorphism(Y, Z, maps, check=False)))
+
+    def _expand_orbit(self, idx: int) -> None:
+        """Take τ⁻¹ of node idx by Tr D, when undecided, and τ by D Tr, when
+        idx is neither linked to its translate nor a seed.
+
+        τ is a bijection from the non-projective to the non-injective
+        indecomposables, so each link is derived once, from the end the walk
+        reaches first.  τ is taken on no seed: every module is matched to the
+        nodes before it is added, so the seeds are the only projective nodes.
+        """
+        node = self.nodes[idx]
+        if idx not in self.tau_inverse and idx not in self.injectives:
+            self.routes["translate"] += 1
+            nxt = ar_translate_inverse(node.rep)
+            if nxt is None:
+                self.injectives.add(idx)
+            else:
+                self.link_tau(self._orbit_node(nxt, node, 1)[0], idx)
+        if idx not in self.tau and idx not in self.projectives:
+            self.routes["translate"] += 1
+            self.link_tau(idx, self._orbit_node(ar_translate(node.rep), node, -1)[0])
+
+    def _orbit_node(self, rep: Representation, node: ARNode, step: int) -> tuple:
+        """(k, iso: node k -> rep) for the node k isomorphic to rep, a
+        τ^(-step) of node; rep is added to node's orbit if new, with iso None."""
+        found = self._match(rep)
+        if found is not None:
+            return found
+        return self.add(rep, node.orbit_root, node.orbit_power + step), None
+
+    def _fallback(self) -> bool:
+        """Advance the walk where no node is ready for its step, as on cycles
+        of the AR quiver; False when the walk is complete.
+
+        In order of preference: the first node whose orbit step is open
+        takes it by Tr D and D Tr; the first node without a mesh takes the
+        Ext route, where E comes from a class in the socle of Ext¹(Z, τZ)
+        and is decomposed; the first loose summand is added as a fresh node.
+        """
+        count = len(self.nodes)
+        for x in range(count):
+            if ((x not in self.tau_inverse and x not in self.injectives)
+                    or (x not in self.tau and x not in self.projectives)):
+                self._expand_orbit(x)
+                return True
+        for z in range(count):
+            if z not in self.pieces:
+                self.routes["extension"] += 1
+                self._knit(z, *almost_split_middle(self.nodes[z].rep,
+                                                   self.nodes[self.tau[z]].rep))
+                return True
+        if self.loose:
+            self.fresh += 1
+            self.add(self.loose[0][1], f"M{self.fresh}", 0)
+            return True
+        return False
+
+    def _next_ready(self) -> Optional[int]:
+        """The first node that owes its step and is ready for it, or None."""
+        return next((x for x in range(len(self.nodes))
+                     if self._owes_step(x) and self._ready(x)), None)
 
     def run(self):
         pres = self.pres
         for a in pres.quiver.vertices:  # P_a ≇ P_b: their tops differ
             self.add(projective(pres, a), f"P_{a}", 0)
-        oi = 0
+        for p in self.projectives:
+            self.routes["projective"] += 1
+            self._knit(p, *radical_submodule(self.nodes[p].rep))
         while True:
-            while oi < len(self.orbit_queue):
-                self._expand_orbit(self.orbit_queue[oi])
-                oi += 1
-            if not self.mesh_queue:
-                break
-            self._expand_mesh(self._next_mesh())
-        return self
+            x = self._next_ready()
+            if x is not None:
+                self._step(x)
+            elif not self._fallback():
+                return self
 
     def alias_table(self) -> Dict[str, int]:
         """``P_a``/``I_a``/``S_a`` -> its node, read off the walk.
@@ -494,15 +527,25 @@ class _Knitter:
         injective node, the one with no τ⁻¹, whose simple socle lies at a
         (ARS IV.1).  S_a is the one node with dimension vector e_a.  Keys
         run over the vertices in order, P before I before S; a module with
-        no node gets no key.
+        no node gets no key.  The injective nodes are certified first: one
+        per vertex, with simple socles at distinct vertices, and of total
+        dimension Σ dim P_a = dim A.
         """
         vertices = self.pres.quiver.vertices
-        injective_at = {socle(self.nodes[k].rep)[0].dim_vector(): k
-                        for k in range(len(self.nodes)) if k not in self.tau_inverse}
+        injectives = [k for k in range(len(self.nodes)) if k not in self.tau_inverse]
+        injective_at = {socle(self.nodes[k].rep)[0].dim_vector(): k for k in injectives}
+        simple = [tuple(int(v == a) for v in vertices) for a in vertices]
+        if len(injectives) != len(vertices) or set(injective_at) != set(simple):
+            raise InconsistencyError("the nodes with no inverse translate do not have "
+                                     "simple socles at distinct vertices")
+        dim_i, dim_p = (sum(self.nodes[k].rep.total_dim() for k in ks)
+                        for ks in (injectives, self.projectives))
+        if dim_i != dim_p:
+            raise InconsistencyError(f"the injective nodes have total dimension {dim_i}, "
+                                     f"the projectives {dim_p}")
         table: Dict[str, int] = {}
-        for i, a in enumerate(vertices):
-            e_a = tuple(int(v == a) for v in vertices)
-            found = (("P", i), ("I", injective_at.get(e_a)),
+        for i, (a, e_a) in enumerate(zip(vertices, simple)):
+            found = (("P", i), ("I", injective_at[e_a]),
                      ("S", self.buckets.get(e_a, [None])[0]))
             table.update((f"{tag}_{a}", k) for tag, k in found if k is not None)
         return table

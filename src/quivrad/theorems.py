@@ -457,6 +457,8 @@ def check_lemma_refe(filt: RadicalFiltration) -> list:
         ia = filt.injective_index(a)
         for b in filt.pres.quiver.vertices:
             ib = filt.injective_index(b)
+            if not filt.reps[ib].dims[a]:
+                continue  # Hom(P_a, I_b) = (I_b)_a = 0 (Yoneda)
             pb = filt.projective_index(b)
             hs = filt.hom.get((ip, ib))
             if hs is None:

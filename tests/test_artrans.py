@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from quivrad.artrans import (
 from quivrad.cli import main
 from quivrad.errors import InconsistencyError, LimitsExceededError
 from quivrad.linalg import RatMatrix, Subspace
+from quivrad.quiver import parse_presentation
 from quivrad.rep import (
     ModuleMorphism,
     are_isomorphic,
@@ -105,29 +107,38 @@ def test_translate_round_trip_on_random_samples():
         _assert_translates_match_links(ar)
 
 
+def _e_type(n: int):
+    """Relation-free E_n: the chain 1 -> ... -> n-1, with n -> 3."""
+    lines = ["vertex " + " ".join(str(i) for i in range(1, n + 1))]
+    lines += [f"arrow x{i} {i} {i + 1}" for i in range(1, n - 1)] + [f"arrow y {n} 3"]
+    return parse_presentation("\n".join(lines) + "\n")
+
+
 def _presentations(name: str) -> list:
     if name == "random":
         return [pres for _, pres, _ in random_finite_monomial(20)]
+    if name == "e_types":
+        return [_e_type(n) for n in (6, 7, 8)]
     return [load(name)]
 
 
-@pytest.mark.parametrize("name", FINITE_FIXTURES + ("ex_2_5", "random"))
+# inputs whose every mesh is knit by a cokernel, and every τ⁻¹ by a cokernel
+# step: no cycle in the AR quiver holds a step back
+NO_FALLBACK = ("a2", "a3", "a3_rel", "s4_final", "ex_2_5", "random", "e_types")
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ("ex_2_5", "random", "e_types"))
 def test_each_translate_link_is_derived_once(name, monkeypatch):
-    # one translate per link, plus the None of τ⁻¹ at each injective; the
-    # seeds are the only projective nodes, so none of them is passed to τ or
-    # covered; deriving every link from both ends would make it
-    # 2 * node_count
+    # τ⁻¹ comes from the cokernel step; Tr D and D Tr run only as the
+    # fallback, which counts each call in its routes, takes each direction at
+    # most once per node and never takes τ at a seed (the seeds are the only
+    # projective nodes); off the AR-quiver cycles the fallback never runs
     presentations = _presentations(name)  # knit before the counters go in
     calls = []
-    knits = []
 
     def counted(real):
         def wrapper(M):
-            calls.append(real.__name__)
-            if real.__name__ != "ar_translate_inverse":
-                knit = knits[-1]
-                seeds = knit.nodes[:len(knit.pres.quiver.vertices)]
-                assert not any(M is seed.rep for seed in seeds), real.__name__
+            calls.append((real.__name__, M))
             return real(M)
         return wrapper
 
@@ -135,20 +146,20 @@ def test_each_translate_link_is_derived_once(name, monkeypatch):
         monkeypatch.setattr(artrans, fn, counted(getattr(artrans, fn)))
     for pres in presentations:
         calls.clear()
-        knits.append(artrans._Knitter(pres, EnumerationLimits()))
-        knit = knits[-1].run()
-        injectives = len(knit.nodes) - len(knit.tau_inverse)
-        translates = calls.count("ar_translate") + calls.count("ar_translate_inverse")
-        assert translates == len(knit.tau) + injectives
-        assert translates < 2 * len(knit.nodes)
+        knit = artrans._Knitter(pres, EnumerationLimits()).run()
+        by_fn = {fn: [M for f, M in calls if f == fn]
+                 for fn in ("ar_translate", "ar_translate_inverse", "projective_cover")}
+        translates = len(by_fn["ar_translate"]) + len(by_fn["ar_translate_inverse"])
+        assert translates == knit.routes["translate"]
+        for fn in ("ar_translate", "ar_translate_inverse"):
+            assert len({id(M) for M in by_fn[fn]}) == len(by_fn[fn]), fn
+        seeds = knit.nodes[:len(pres.quiver.vertices)]
+        assert not any(M is seed.rep for M in by_fn["ar_translate"] for seed in seeds)
+        if name in NO_FALLBACK:
+            assert translates == 0
         # one cover per transpose and per Ext-route mesh: the syzygy is
         # read off its top generators, never covered
-        assert calls.count("projective_cover") == translates + knit.routes["extension"]
-
-
-# inputs whose every mesh is knit by a cokernel: no cycle in the AR quiver
-# holds a mesh back
-NO_EXT_ROUTE = ("a2", "a3", "a3_rel", "s4_final", "ex_2_5", "random")
+        assert len(by_fn["projective_cover"]) == translates + knit.routes["extension"]
 
 
 @pytest.mark.parametrize("name", FINITE_FIXTURES + ("ex_2_5", "random"))
@@ -176,22 +187,22 @@ def test_knitting_decomposes_each_right_almost_split_source_once(name, monkeypat
         assert calls["decompose"] == with_radical + calls["almost_split_middle"]
         assert calls["almost_split_middle"] == knit.routes["extension"]
         assert knit.routes["projective"] == len(vertices)
-        assert sum(knit.routes.values()) == len(knit.nodes)
-        if name in NO_EXT_ROUTE:
+        meshes = ("projective", "cokernel", "extension")
+        assert sum(knit.routes[route] for route in meshes) == len(knit.nodes)
+        if name in NO_FALLBACK:
             assert knit.routes["extension"] == 0
 
 
 def _mutate_first_mesh(monkeypatch, mutate) -> list:
     """Apply ``mutate`` to the first left almost split map the knitter reads
-    with two or more components; the list gets the label of the node whose
-    mesh that map builds."""
+    with two or more components; the list gets the label of its source."""
     real = artrans._Knitter._left_almost_split
     hit = []
 
     def wrapped(self, x):
         components = real(self, x)
         if not hit and len(components) >= 2:
-            hit.append(self.nodes[self.tau_inverse[x]].label)
+            hit.append(self.nodes[x].label)
             components = mutate(components)
         return components
 
@@ -200,28 +211,113 @@ def _mutate_first_mesh(monkeypatch, mutate) -> list:
 
 
 def test_cokernel_route_refuses_a_dropped_target(monkeypatch, capsys):
-    # the middle term loses a summand: mesh additivity fails
+    # the map out of P_2 loses its target τ⁻¹P_3: its cokernel is too small
+    # to be τ⁻¹P_2, and the knitting stalls at P_1 = I_3, whose left almost
+    # split map then has a kernel of dimension 3, not its simple socle
     hit = _mutate_first_mesh(monkeypatch, lambda components: components[:-1])
-    with pytest.raises(InconsistencyError, match="middle term of dimension") as exc:
+    message = ("left almost split map out of P_1: kernel of dimension 3, where an "
+               "injective's is its simple socle and any other node's is zero")
+    with pytest.raises(InconsistencyError, match=re.escape(message)):
         ar_quiver(load("a3"))
-    assert str(exc.value).startswith(f"mesh at {hit[0]}: ")
+    assert hit == ["P_2"]
     del hit[:]
     assert main(["ar", fixture_path("a3")]) == 5
-    assert f"internal inconsistency: mesh at {hit[0]}: " in capsys.readouterr().err
+    assert capsys.readouterr().err == f"internal inconsistency: {message}\n"
 
 
 def test_cokernel_route_refuses_a_component_that_is_not_irreducible(monkeypatch):
     # a zero component keeps the middle term, but f is no longer left almost
-    # split: its cokernel is not the node, so the isomorphism certificate fails
+    # split: its cokernel has the target as a summand, and the knitting
+    # stalls at an injective whose map has too large a kernel
     def zero_first(components):
         (y, g), rest = components[0], components[1:]
         return [(y, g - g)] + rest
 
     hit = _mutate_first_mesh(monkeypatch, zero_first)
-    with pytest.raises(InconsistencyError,
-                       match="cokernel of the left almost split map is not the node") as exc:
+    with pytest.raises(InconsistencyError, match="left almost split map out of P_1: "
+                                                 "kernel of dimension 2,"):
         ar_quiver(load("a3"))
-    assert str(exc.value).startswith(f"mesh at {hit[0]}: ")
+    assert hit == ["P_2"]
+
+
+def _seeded(name: str):
+    """A knitter with its seeds added and their meshes knit, before any step."""
+    pres = load(name)
+    knit = artrans._Knitter(pres, EnumerationLimits())
+    for a in pres.quiver.vertices:
+        knit.add(projective(pres, a), f"P_{a}", 0)
+    for p in knit.projectives:
+        knit._knit(p, *radical_submodule(knit.nodes[p].rep))
+    return knit
+
+
+def test_injective_step_refuses_a_known_inverse_translate(monkeypatch):
+    # the map out of a node whose τ⁻¹ the fallback has taken must be mono:
+    # with its one component dropped, the map out of the simple P_3 has the
+    # kernel of an injective
+    knit = _seeded("a3")
+    knit._expand_orbit(2)  # τ⁻¹P_3 by Tr D
+    monkeypatch.setattr(artrans._Knitter, "_left_almost_split", lambda self, x: [])
+    with pytest.raises(InconsistencyError, match="out of P_3: kernel of dimension 1,"):
+        knit._step(2)
+
+
+def test_cokernel_step_refuses_a_cokernel_that_is_not_the_known_translate(monkeypatch):
+    # with τ⁻¹P_2 taken by Tr D first, the cokernel out of P_2 must be that
+    # node; a zero component keeps f mono, but its cokernel gains the target
+    # as a summand
+    knit = _seeded("a3")
+    knit._step(2)  # P_3: τ⁻¹P_3 and its mesh
+    knit._expand_orbit(1)  # τ⁻¹P_2 by Tr D
+    real = artrans._Knitter._left_almost_split
+
+    def zero_first(self, x):
+        (y, g), *rest = real(self, x)
+        return [(y, g - g)] + rest
+
+    monkeypatch.setattr(artrans._Knitter, "_left_almost_split", zero_first)
+    with pytest.raises(InconsistencyError, match=re.escape(
+            "the cokernel of the left almost split map out of P_2 is not its "
+            "inverse translate")):
+        knit._step(1)
+
+
+def _walked(name: str):
+    knit = artrans._Knitter(load(name), EnumerationLimits()).run()
+    knit.alias_table()  # certified
+    return knit
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_injective_certificate_refuses_a_lost_translate_link(name):
+    # a non-injective node that lost its τ⁻¹ link counts as an injective:
+    # one node too many, or two socles at one vertex
+    knit = _walked(name)
+    x = next(iter(knit.tau_inverse))
+    del knit.tau_inverse[x]
+    with pytest.raises(InconsistencyError, match="the nodes with no inverse translate "
+                                                 "do not have simple socles at distinct"):
+        knit.alias_table()
+
+
+@pytest.mark.parametrize("name", ("a3", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final"))
+def test_injective_certificate_refuses_a_wrong_total_dimension(name):
+    # an injective node that is not projective, replaced by the simple module
+    # at its socle, keeps the socles, but the injectives no longer add up to
+    # dim A
+    knit = _walked(name)
+    vertices = knit.pres.quiver.vertices
+    table = knit.alias_table()
+    a, k = next((a, table[f"I_{a}"]) for a in vertices
+                if table[f"I_{a}"] not in knit.projectives
+                and knit.nodes[table[f"I_{a}"]].rep.total_dim() > 1)
+    dim_a = sum(projective(knit.pres, b).total_dim() for b in vertices)
+    lost = knit.nodes[k].rep.total_dim() - 1
+    knit.nodes[k].rep = simple(knit.pres, a)
+    with pytest.raises(InconsistencyError, match=re.escape(
+            f"the injective nodes have total dimension {dim_a - lost}, "
+            f"the projectives {dim_a}")):
+        knit.alias_table()
 
 
 @pytest.mark.parametrize("name", ("a3", "ex_4_5"))

@@ -170,8 +170,8 @@ def test_max_len_above_the_default_reaches_the_knitting(command, tmp_path, capsy
 
 
 @pytest.mark.parametrize("option,value,reached", (
-    ("--max-total-dim", "400", "after 20 modules (total dimension 443)"),
-    ("--max-modules", "12", "after 12 modules (total dimension 171)"),
+    ("--max-total-dim", "400", "after 20 modules (total dimension 441)"),
+    ("--max-modules", "12", "after 12 modules (total dimension 169)"),
 ))
 def test_kronecker_guard_message_is_pinned(option, value, reached, capsys):
     code, out, err = run(capsys, "ar", fixture_path("kronecker"), option, value)

@@ -2,6 +2,7 @@
 import pytest
 
 from quivrad import ar_quiver, artrans
+from quivrad.errors import InconsistencyError
 from quivrad.linalg import Subspace
 from quivrad.radical import canonical_r
 
@@ -70,10 +71,20 @@ def test_random_monomial_chains_match_the_dense_oracle():
         _agrees_with_dense(ar.filtration, DenseFiltration(ar.reps), ar.arrows())
 
 
-@pytest.mark.parametrize("name", FIXTURES + ("random", "nakayama"))
+def _fallback_only(monkeypatch, pres, limits=None):
+    """The AR quiver knit with no node ever ready for its cokernel step: every
+    τ⁻¹ by Tr D, every τ by D Tr, every non-projective mesh by the Ext route."""
+    with monkeypatch.context() as patch:
+        patch.setattr(artrans._Knitter, "_ready", lambda self, x: False)
+        return ar_quiver(pres, limits)
+
+
+@pytest.mark.parametrize("name", FIXTURES + ("ex_2_5", "random", "nakayama"))
 def test_cokernel_and_ext_routes_knit_the_same_quiver(name, monkeypatch):
-    # the default knitting against one that builds every non-projective mesh
-    # from an Ext class; the Nakayama samples mix both routes by default
+    # the default knitting against the fallback alone; the cyclic fixtures and
+    # the Nakayama samples mix both by default.  The two walks add the nodes
+    # in different orders and bases, so they are compared by ``ar --json``
+    # and each against the dense oracle (ex_2_5 is too slow for the oracle)
     if name in ("random", "nakayama"):
         draw = random_finite_monomial(20) if name == "random" else random_nakayama()
         inputs = [(pres, ar) for _, pres, ar in draw]
@@ -82,18 +93,36 @@ def test_cokernel_and_ext_routes_knit_the_same_quiver(name, monkeypatch):
     limits = artrans.EnumerationLimits(max_modules=400, max_total_dim=3000)
     for pres, ar in inputs:
         ar = ar or ar_quiver(pres, limits)
-        with monkeypatch.context() as patch:
-            patch.setattr(artrans._Knitter, "_mesh_ready", lambda self, z: False)
-            ext = ar_quiver(pres, limits)
-        assert ([(n.label, n.rep.dim_vector()) for n in ext.nodes]
-                == [(n.label, n.rep.dim_vector()) for n in ar.nodes])
-        assert ext.arrows() == ar.arrows()
-        # the oracle certifies the default route's chains; the Ext route's equal them
-        _agrees_with_dense(ar.filtration, DenseFiltration(ar.reps), ar.arrows())
-        depth = ar.filtration.layers_computed()
-        assert set(ext.filtration.hom_pairs()) == set(ar.filtration.hom_pairs())
-        for i, j in ar.filtration.hom_pairs():
-            for n in range(1, depth + 2):
-                assert ext.filtration.subspace(i, j, n) == ar.filtration.subspace(i, j, n)
+        fallback = _fallback_only(monkeypatch, pres, limits)
+        assert fallback.to_json_dict() == ar.to_json_dict()
+        if name == "ex_2_5":
+            continue
+        for knit in (ar, fallback):
+            _agrees_with_dense(knit.filtration, DenseFiltration(knit.reps), knit.arrows())
         for a in pres.quiver.vertices:
-            assert canonical_r(ext.filtration, a) == canonical_r(ar.filtration, a)
+            assert canonical_r(fallback.filtration, a) == canonical_r(ar.filtration, a)
+
+
+@pytest.mark.parametrize("name", ("a3", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final", "ex_2_5"))
+def test_cross_check_fails_when_a_component_of_f_is_dropped(name, monkeypatch):
+    # one component dropped from the first left almost split map with two or
+    # more: the default walk refuses the input or knits another quiver than
+    # the fallback alone
+    pres = load(name)
+    fallback = _fallback_only(monkeypatch, pres).to_json_dict()
+    real = artrans._Knitter._left_almost_split
+    dropped = []
+
+    def drop_last(self, x):
+        components = real(self, x)
+        if not dropped and len(components) >= 2:
+            dropped.append(x)
+            components = components[:-1]
+        return components
+
+    monkeypatch.setattr(artrans._Knitter, "_left_almost_split", drop_last)
+    try:
+        mutated = ar_quiver(pres).to_json_dict()
+    except InconsistencyError:
+        mutated = None
+    assert dropped and mutated != fallback

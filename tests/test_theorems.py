@@ -7,7 +7,7 @@ from quivrad.errors import InconsistencyError, MethodInapplicableError
 from quivrad.linalg import RatMatrix, Subspace
 from quivrad.quiver import classify, parse_presentation
 from quivrad.radical import canonical_r, nilpotency_index
-from quivrad import theorems as T
+from quivrad import radical, theorems as T
 from quivrad import ar_quiver
 from quivrad.cli import main
 from quivrad.rep import ModuleMorphism, Representation, hom_space, socle, simple
@@ -308,6 +308,26 @@ def test_lemma_refe_witness_search(s2_pipeline, a2_pipeline):
     a2, ar2, filt2 = a2_pipeline
     results2 = T.check_lemma_refe(filt2)
     assert results2
+
+
+@pytest.mark.parametrize("name", ("a3", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final"))
+def test_lemma_refe_computes_no_hom_space_that_yoneda_rules_out(name, monkeypatch):
+    # Hom(P_a, I_b) = (I_b)_a: a pair where that space is zero has nothing to
+    # check, so no Hom space is computed for it, and every other pair's is
+    # computed once
+    pres = load(name)
+    filt = ar_quiver(pres).filtration  # a fresh Hom table
+    calls = []
+    real = radical.hom_space
+    monkeypatch.setattr(radical, "hom_space", lambda M, N: calls.append((M, N)) or real(M, N))
+    T.check_lemma_refe(filt)
+    vertices = pres.quiver.vertices
+    for a in vertices:
+        P_a = filt.reps[filt.projective_index(a)]
+        for b in vertices:
+            I_b = filt.reps[filt.injective_index(b)]
+            count = sum(1 for M, N in calls if M is P_a and N is I_b)
+            assert count == (1 if I_b.dims[a] else 0), (a, b)
 
 
 def test_witness_rank_test_reaches_past_basis_and_pairwise_sums():
