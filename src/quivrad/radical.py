@@ -35,7 +35,7 @@ from .quiver import (
     sinks_and_sources,
     zero_relation_vertices,
 )
-from .rep import HomSpace, ModuleMorphism, Representation, hom_space, top_generators
+from .rep import HomSpace, ModuleMorphism, Representation, hom_space, socle_spaces, top_generators
 
 _INCONSISTENT = ("the pieces are not the right almost split maps of a complete "
                  "set of indecomposables")
@@ -178,6 +178,14 @@ class RadicalFiltration:
     def simple_index(self, a: str) -> int:
         return self._alias_index(f"S_{a}")
 
+    def socle_line(self, a: str) -> tuple:
+        """A vector spanning (soc I_a)_a, the simple socle S_a of I_a (ARS IV.1)."""
+        soc = socle_spaces(self.reps[self.injective_index(a)])[a]
+        if soc.dim != 1:
+            raise InconsistencyError(
+                f"the socle of I_{a} at {a} has dimension {soc.dim}, not one")
+        return soc.basis[0]
+
     def pieces(self, j: int) -> list:
         """(k, g: node_k -> node_j) per summand of the right almost split map into node j."""
         return self._pieces[j]
@@ -263,6 +271,15 @@ class RadicalFiltration:
         return 1 + self.layers_computed()
 
 
+def _length(filt: RadicalFiltration, i: int, j: int, values: Sequence) -> int:
+    """Largest n whose layer R^n(node_i, node_j) contains the nonzero ``values``
+    (coordinates of ``at_generators(i, -)``); 0 outside the radical."""
+    n = 0
+    while filt.subspace(i, j, n + 1).contains_vector(values):
+        n += 1
+    return n
+
+
 def morphism_length(f: ModuleMorphism, filt: RadicalFiltration) -> int:
     """Largest n with f ∈ R^n; 0 for morphisms outside the radical."""
     if f.is_zero():
@@ -271,28 +288,17 @@ def morphism_length(f: ModuleMorphism, filt: RadicalFiltration) -> int:
     j = filt.node_index(f.target)
     if not f._intertwines():
         raise ValueError("morphism does not intertwine (not in the Hom space)")
-    values = filt.at_generators(i, f)  # nonzero, as the generators generate node i
-    n = 0
-    while filt.subspace(i, j, n + 1).contains_vector(values):
-        n += 1
-    return n
+    # nonzero, as the generators generate node i
+    return _length(filt, i, j, filt.at_generators(i, f))
 
 
 def canonical_r(filt: RadicalFiltration, a: str) -> int:
-    """Radical length of the composite P_a -> S_a -> I_a (well defined)."""
+    """Radical length of the composite P_a -> S_a -> I_a (well defined): it is
+    its value at the generator of P_a (Yoneda), which spans the socle line of
+    I_a at a, read in the row of P_a."""
     a = str(a)
-    ip = filt.projective_index(a)
-    is_ = filt.simple_index(a)
-    ii = filt.injective_index(a)
-    hp = filt.hom.get((ip, is_))
-    hq = filt.hom.get((is_, ii))
-    if hp is None or hp.dim != 1 or hq is None or hq.dim != 1:
-        raise InconsistencyError(
-            f"Hom(P_{a}, S_{a}) and Hom(S_{a}, I_{a}) must be one-dimensional")
-    composite = hq.basis[0] @ hp.basis[0]
-    if composite.is_zero():
-        raise InconsistencyError(f"composite P_{a} -> S_{a} -> I_{a} vanished")
-    return morphism_length(composite, filt)
+    return _length(filt, filt.projective_index(a), filt.injective_index(a),
+                   filt.socle_line(a))
 
 
 @dataclass(frozen=True)

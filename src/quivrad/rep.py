@@ -444,7 +444,8 @@ def quotient_representation(M: Representation, subspaces: Dict[str, Subspace]):
     return quo, projection
 
 
-def _radical_subspaces(M: Representation) -> Dict[str, Subspace]:
+def radical_spaces(M: Representation) -> Dict[str, Subspace]:
+    """v -> (rad M)_v, the span of the images of the arrows into v."""
     quiver = M.pres.quiver
     out = {}
     for v in quiver.vertices:
@@ -456,7 +457,8 @@ def _radical_subspaces(M: Representation) -> Dict[str, Subspace]:
     return out
 
 
-def _socle_subspaces(M: Representation) -> Dict[str, Subspace]:
+def socle_spaces(M: Representation) -> Dict[str, Subspace]:
+    """v -> (soc M)_v, the joint kernel of the arrows out of v."""
     quiver = M.pres.quiver
     out = {}
     for v in quiver.vertices:
@@ -469,17 +471,17 @@ def _socle_subspaces(M: Representation) -> Dict[str, Subspace]:
 
 def radical_submodule(M: Representation):
     """rad M = span of the images of all arrow maps, with its inclusion."""
-    return subrepresentation(M, _radical_subspaces(M))
+    return subrepresentation(M, radical_spaces(M))
 
 
 def top(M: Representation):
     """(M / rad M, projection)."""
-    return quotient_representation(M, _radical_subspaces(M))
+    return quotient_representation(M, radical_spaces(M))
 
 
 def socle(M: Representation):
     """Joint kernel of all outgoing arrow maps, with its inclusion."""
-    return subrepresentation(M, _socle_subspaces(M))
+    return subrepresentation(M, socle_spaces(M))
 
 
 # -- projective covers ------------------------------------------------------
@@ -579,7 +581,7 @@ def top_generators(M: Representation) -> list:
     """(a, c) for each unit vector of M_a at a non-pivot position c of the
     canonical echelon form of rad M_a; those unit vectors lift a basis of
     the top at a."""
-    return [(a, c) for a, rad in _radical_subspaces(M).items() for c in rad.nonpivots()]
+    return [(a, c) for a, rad in radical_spaces(M).items() for c in rad.nonpivots()]
 
 
 def projective_cover(M: Representation):

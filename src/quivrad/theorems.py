@@ -35,10 +35,11 @@ from .rep import (
     find_isomorphism,
     hom_space,
     is_indecomposable,
-    morphism_ambient,
     morphism_from_projective,
     morphism_to_injective,
+    radical_spaces,
     simple,
+    socle_spaces,
 )
 
 _RELATIONS = ("r_b<=r_a", "r_a<=r_b", "r_a==r_b", "none")
@@ -224,6 +225,15 @@ class ReductionCheck:
         return out
 
 
+def _against_direct(rule: str, report: NilpotencyReport, direct: NilpotencyReport,
+                    certificates: tuple = (), fallback: Optional[str] = None) -> ReductionCheck:
+    """The check of a reduction rule's report, which must give the direct index."""
+    if report.r_A != direct.r_A:
+        raise InconsistencyError(
+            f"rule {rule} gave {report.r_A} but the direct index is {direct.r_A}")
+    return ReductionCheck(report, direct.r_A, certificates, fallback)
+
+
 def check_theorem_B(filt: RadicalFiltration) -> ReductionCheck:
     """Monomial: r_A = max over zero-relation vertices of r_u + 1.
 
@@ -240,10 +250,7 @@ def check_theorem_B(filt: RadicalFiltration) -> ReductionCheck:
     else:
         report = nilpotency_index(filt, "v-set")
         fallback = "no zero-relation vertices; middle-vertex rule used"
-    if report.r_A != direct.r_A:
-        raise InconsistencyError(
-            f"rule B gave {report.r_A} but the direct index is {direct.r_A}")
-    return ReductionCheck(report, direct.r_A, fallback=fallback)
+    return _against_direct("B", report, direct, fallback=fallback)
 
 
 def _zero_relation_certificates(filt: RadicalFiltration) -> tuple:
@@ -272,10 +279,7 @@ def check_theorem_C(filt: RadicalFiltration) -> ReductionCheck:
     report = nilpotency_index(filt, "one-per-relation")  # gates preconditions
     direct = nilpotency_index(filt, "direct")
     certs = _zero_relation_certificates(filt)
-    if report.r_A != direct.r_A:
-        raise InconsistencyError(
-            f"rule C gave {report.r_A} but the direct index is {direct.r_A}")
-    return ReductionCheck(report, direct.r_A, certs)
+    return _against_direct("C", report, direct, certs)
 
 
 def check_theorem_D(filt: RadicalFiltration) -> ReductionCheck:
@@ -310,10 +314,7 @@ def check_theorem_D(filt: RadicalFiltration) -> ReductionCheck:
         if val > rep_value:
             raise InconsistencyError(
                 f"zero-branch vertex {v} outside the relation has r={val} > {rep_value}")
-    if report.r_A != direct.r_A:
-        raise InconsistencyError(
-            f"rule D gave {report.r_A} but the direct index is {direct.r_A}")
-    return ReductionCheck(report, direct.r_A, tuple(certs))
+    return _against_direct("D", report, direct, tuple(certs))
 
 
 @dataclass
@@ -420,102 +421,64 @@ def check_lemma_32(pres: AlgebraPresentation) -> list:
     return out
 
 
-def _factors_through_simple_space(filt, a: str, j_target: int) -> Subspace:
-    """Subspace of Hom(P_a, node_j) of morphisms factoring through S_a."""
-    ip = filt.projective_index(a)
-    is_ = filt.simple_index(a)
-    p = filt.hom[(ip, is_)].basis[0]
-    ambient = morphism_ambient(filt.reps[ip], filt.reps[j_target])
-    hs = filt.hom.get((is_, j_target))
-    if hs is None:
-        return Subspace.zero(ambient)
-    return Subspace.from_vectors(ambient, [(h @ p).flatten() for h in hs.basis])
+def _spans_line(vectors: list, line: tuple) -> bool:
+    """Whether some vector in the span of ``vectors`` is nonzero and on the
+    line spanned by ``line``."""
+    return Subspace.from_vectors(len(line), vectors).contains_vector(line)
 
 
-def _factors_through_simple_dual(filt, b: str, i_source: int) -> Subspace:
-    """Subspace of Hom(node_i, I_b) of morphisms factoring through S_b."""
-    ib = filt.injective_index(b)
-    is_ = filt.simple_index(b)
-    q = filt.hom[(is_, ib)].basis[0]
-    ambient = morphism_ambient(filt.reps[i_source], filt.reps[ib])
-    hs = filt.hom.get((i_source, is_))
+def _non_isos(filt: RadicalFiltration, i: int, j: int) -> list:
+    """A basis of the non-isomorphisms node_i -> node_j: Hom(i, j), or
+    rad End(i) when i = j."""
+    hs = filt.hom.get((i, j))
     if hs is None:
-        return Subspace.zero(ambient)
-    return Subspace.from_vectors(ambient, [(q @ h).flatten() for h in hs.basis])
+        return []
+    return hs.basis if i != j else [hs.element(r) for r in end_radical(hs).basis]
 
 
 def check_lemma_refe(filt: RadicalFiltration) -> list:
     """For every nonzero P_a -> I_b not factoring through S_a there is a
     non-isomorphism I_b -> I_a whose composite is nonzero and factors through
     S_a; dually, not factoring through S_b admits P_b -> P_a with a nonzero
-    composite through S_b.  Each witness is decided by a rank test over the
-    whole space of non-isomorphisms (``_witness_exists``); no witness is a
-    fatal inconsistency."""
+    composite through S_b; no witness is a fatal inconsistency.
+
+    f is its value v = f(e_a) in (I_b)_a (Yoneda), and it factors through
+    S_a, or equally through S_b, when v lies in the socle of I_b (zero at a
+    unless a = b).  Otherwise each witness is a rank test on one vertex
+    space: whether the span of the phi_a(v), phi over the non-isomorphisms
+    I_b -> I_a, holds the socle line of I_a at a, and whether the span of
+    the f_b(w), w = phi(e_b) over (P_a)_b (rad(P_a)_a when a = b) for the
+    non-isomorphisms phi: P_b -> P_a, holds the socle line of I_b at b.
+    """
     results = []
     for a in filt.pres.quiver.vertices:
-        ip = filt.projective_index(a)
-        ia = filt.injective_index(a)
+        ip, ia = filt.projective_index(a), filt.injective_index(a)
+        P_a, line_a = filt.reps[ip], filt.socle_line(a)
         for b in filt.pres.quiver.vertices:
             ib = filt.injective_index(b)
             if not filt.reps[ib].dims[a]:
                 continue  # Hom(P_a, I_b) = (I_b)_a = 0 (Yoneda)
-            pb = filt.projective_index(b)
             hs = filt.hom.get((ip, ib))
             if hs is None:
                 continue
-            through_a = _factors_through_simple_space(filt, a, ib)
-            through_b = _factors_through_simple_dual(filt, b, ip)
+            soc = socle_spaces(filt.reps[ib])[a]
+            ws = (radical_spaces(P_a)[a] if a == b else Subspace.full(P_a.dims[b])).basis
             for f in hs.basis:
-                if through_a.contains_vector(f.flatten()):
-                    results.append({"a": a, "b": b, "case": "vacuous"})
-                elif _witness_exists(filt, f, ib, ia, a, side="post"):
-                    results.append({"a": a, "b": b, "case": "post-composition"})
-                else:
+                v = filt.at_generators(ip, f)
+                if soc.contains_vector(v):
+                    results += [{"a": a, "b": b, "case": "vacuous"},
+                                {"a": a, "b": b, "case": "dual-vacuous"}]
+                    continue
+                if not _spans_line([phi.maps[a].apply(v) for phi in _non_isos(filt, ib, ia)],
+                                   line_a):
                     raise InconsistencyError(
                         f"no witness I_{b} -> I_{a} for a morphism P_{a} -> I_{b}")
-                if through_b.contains_vector(f.flatten()):
-                    results.append({"a": a, "b": b, "case": "dual-vacuous"})
-                elif _witness_exists(filt, f, pb, ip, b, side="pre"):
-                    results.append({"a": a, "b": b, "case": "pre-composition"})
-                else:
+                results.append({"a": a, "b": b, "case": "post-composition"})
+                if not _spans_line([f.maps[b].apply(w) for w in ws], filt.socle_line(b)):
                     raise InconsistencyError(
                         f"no witness P_{b} -> P_{a} for a morphism P_{a} -> I_{b}")
+                results.append({"a": a, "b": b, "case": "pre-composition"})
     return results
-
-
-def _witness_exists(filt, f: ModuleMorphism, mid: int, end: int,
-                    through_vertex: str, side: str) -> bool:
-    """Whether a non-isomorphism phi: node mid -> node end has phi∘f (side
-    'post') or f∘phi (side 'pre') nonzero and factoring through
-    S_{through_vertex}.
-
-    The non-isomorphisms are Hom(mid, end), or rad End(mid) when mid == end
-    (the nodes are pairwise non-isomorphic indecomposables with local
-    endomorphism rings), so they form a subspace.
-    """
-    hs = filt.hom.get((mid, end))
-    if hs is None:
-        return False
-    if side == "post":
-        # composite runs f.source -> end and must factor through S_{through_vertex}
-        target = _factors_through_simple_space(filt, through_vertex, end)
-    else:
-        # composite runs mid -> f.target and must factor through S_{through_vertex}
-        target = _factors_through_simple_dual(filt, through_vertex, mid)
-    phis = hs.basis if mid != end else [hs.element(r) for r in end_radical(hs).basis]
-    return _composites_meet(phis, f, target, side)
-
-
-def _composites_meet(phis, f: ModuleMorphism, target: Subspace, side: str) -> bool:
-    """Whether some phi in the span of ``phis`` has phi∘f (side 'post') or
-    f∘phi (side 'pre') nonzero and in ``target``.
-
-    The composites span the image L of a linear map, so such a phi exists
-    iff L meets T = ``target`` nontrivially: dim(L + T) < dim L + dim T.
-    """
-    comps = Subspace.from_vectors(target.ambient, [
-        ((phi @ f) if side == "post" else (f @ phi)).flatten() for phi in phis])
-    return (comps + target).dim < comps.dim + target.dim
 
 
 def _each_arrow(check):

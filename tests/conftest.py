@@ -1,9 +1,17 @@
+import functools
+
 import pytest
 from pathlib import Path
 
 from quivrad import RadicalFiltration, ar_quiver, parse_presentation
+from randgen import random_finite_monomial, random_nakayama
 
 DATA = Path(__file__).parent / "data"
+
+# every name ``samples`` takes: the representation-finite fixtures, ex_2_5
+# (the heavy one) last, then the two randgen draws
+FINITE_SAMPLES = ("a2", "a3", "a3_rel", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final", "ex_2_5",
+                  "random", "nakayama")
 
 _PIPELINES = {}
 
@@ -28,6 +36,17 @@ def pipeline(name: str):
         ar.filtration.ensure_complete()
         _PIPELINES[name] = (pres, ar, ar.filtration)
     return _PIPELINES[name]
+
+
+@functools.lru_cache(maxsize=None)
+def samples(name: str) -> list:
+    """[(presentation, AR quiver)]: one for a fixture, or the ``random``
+    (``random_finite_monomial``) or ``nakayama`` draw, computed once per session."""
+    if name in ("random", "nakayama"):
+        draw = random_finite_monomial() if name == "random" else random_nakayama()
+        return [(pres, ar) for _, pres, ar in draw]
+    pres, ar, _ = pipeline(name)
+    return [(pres, ar)]
 
 
 def relabelled_filtration(ar, order, aliases=None):

@@ -6,10 +6,15 @@ kernel); layer n+1 is spanned by composites of a layer-n morphism after a
 layer-one morphism, summed over all intermediate nodes.  It computes every
 pair and knows nothing of almost split sequences, so it checks the sparse
 filtration in ``quivrad.radical`` independently.  Too slow for ``ex_2_5``.
+
+Below it, the Hom-space route through the simples: the composites
+P_a -> S_a -> I_a and the witness searches of ``lemma_refe`` as rank tests
+on composites of whole Hom spaces.  The package reads both off one vertex
+space (Yoneda), so this route checks that reading.
 """
 from quivrad.errors import InconsistencyError
 from quivrad.linalg import Subspace
-from quivrad.rep import end_radical, hom_space
+from quivrad.rep import end_radical, hom_space, morphism_ambient
 
 
 class DenseFiltration:
@@ -95,3 +100,95 @@ class DenseFiltration:
         self.ensure_depth(2)
         chain = self.chains.get((i, j), [])
         return (chain[0].dim if chain else 0) - (chain[1].dim if len(chain) > 1 else 0)
+
+
+# -- the Hom-space route through the simples ------------------------------------
+
+def canonical_maps(filt, a):
+    """(p, q): the maps P_a -> S_a and S_a -> I_a, each spanning its Hom space."""
+    ip, is_, ii = filt.projective_index(a), filt.simple_index(a), filt.injective_index(a)
+    hp, hq = filt.hom.get((ip, is_)), filt.hom.get((is_, ii))
+    if hp is None or hp.dim != 1 or hq is None or hq.dim != 1:
+        raise InconsistencyError(
+            f"Hom(P_{a}, S_{a}) and Hom(S_{a}, I_{a}) must be one-dimensional")
+    return hp.basis[0], hq.basis[0]
+
+
+def through_simple(filt, a, j):
+    """A spanning list of the morphisms P_a -> node_j factoring through S_a."""
+    p, _ = canonical_maps(filt, a)
+    hs = filt.hom.get((filt.simple_index(a), j))
+    return [h @ p for h in hs.basis] if hs else []
+
+
+def through_simple_dual(filt, b, i):
+    """A spanning list of the morphisms node_i -> I_b factoring through S_b."""
+    _, q = canonical_maps(filt, b)
+    hs = filt.hom.get((i, filt.simple_index(b)))
+    return [q @ h for h in hs.basis] if hs else []
+
+
+def flat_span(morphisms, ambient):
+    return Subspace.from_vectors(ambient, [m.flatten() for m in morphisms])
+
+
+def composites_meet(comps, target):
+    """Whether some morphism in the span L of ``comps`` is nonzero and in the
+    flattened subspace T = ``target``: dim(L + T) < dim L + dim T.  This
+    reaches combinations past the basis and its pairwise sums."""
+    span = flat_span(comps, target.ambient)
+    return (span + target).dim < span.dim + target.dim
+
+
+def non_isomorphisms(filt, i, j):
+    """A basis of Hom(node_i, node_j), or of rad End(node_i) when i = j."""
+    hs = filt.hom.get((i, j))
+    if hs is None:
+        return []
+    return hs.basis if i != j else [hs.element(r) for r in end_radical(hs).basis]
+
+
+def witness_exists(filt, f, mid, end, vertex, side, searches=None):
+    """Whether a non-isomorphism phi: node mid -> node end has phi∘f (side
+    'post') or f∘phi (side 'pre') nonzero and factoring through S_vertex.
+    ``searches``, when given, collects (source, composites, spanning list of
+    the morphisms through S_vertex) with the source of both lists."""
+    phis = non_isomorphisms(filt, mid, end)
+    if side == "post":
+        source, target = f.source, filt.reps[end]
+        comps, through = [phi @ f for phi in phis], through_simple(filt, vertex, end)
+    else:
+        source, target = filt.reps[mid], f.target
+        comps, through = [f @ phi for phi in phis], through_simple_dual(filt, vertex, mid)
+    if searches is not None:
+        searches.append((source, comps, through))
+    return composites_meet(comps, flat_span(through, morphism_ambient(source, target)))
+
+
+def lemma_refe(filt, searches=None):
+    """``check_lemma_refe`` by Hom-space composites through S_a and S_b."""
+    results = []
+    vertices = filt.pres.quiver.vertices
+    for a in vertices:
+        ip, ia = filt.projective_index(a), filt.injective_index(a)
+        for b in vertices:
+            pb, ib = filt.projective_index(b), filt.injective_index(b)
+            hs = filt.hom.get((ip, ib))
+            if hs is None:
+                continue
+            through_a = flat_span(through_simple(filt, a, ib), hs.ambient)
+            through_b = flat_span(through_simple_dual(filt, b, ip), hs.ambient)
+            for f in hs.basis:
+                if through_a.contains_vector(f.flatten()):
+                    results.append({"a": a, "b": b, "case": "vacuous"})
+                elif witness_exists(filt, f, ib, ia, a, "post", searches):
+                    results.append({"a": a, "b": b, "case": "post-composition"})
+                else:
+                    raise InconsistencyError(f"no witness I_{b} -> I_{a}")
+                if through_b.contains_vector(f.flatten()):
+                    results.append({"a": a, "b": b, "case": "dual-vacuous"})
+                elif witness_exists(filt, f, pb, ip, b, "pre", searches):
+                    results.append({"a": a, "b": b, "case": "pre-composition"})
+                else:
+                    raise InconsistencyError(f"no witness P_{b} -> P_{a}")
+    return results

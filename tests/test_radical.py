@@ -1,5 +1,3 @@
-import functools
-
 import pytest
 
 from quivrad import artrans, radical
@@ -18,7 +16,8 @@ from quivrad.radical import (
 from quivrad.rep import ModuleMorphism, are_isomorphic, injective, projective, simple
 from quivrad import RadicalFiltration, ar_quiver, parse_presentation
 
-from conftest import DATA, load, pipeline, relabelled_filtration
+from conftest import DATA, FINITE_SAMPLES, load, pipeline, relabelled_filtration, samples
+from dense_oracle import canonical_maps
 from randgen import random_finite_monomial, random_nakayama
 
 
@@ -205,17 +204,19 @@ def test_report_invariant_enforced():
         NilpotencyReport("v-set", 3, {"1": 5}, ("1",), 2)
 
 
-def test_length_additivity_on_canonical_composites(s2_pipeline):
-    # composing the epi onto the simple with the mono into the injective adds lengths
-    pres, ar, filt = s2_pipeline
-    for a in pres.quiver.vertices:
-        ip, is_, ii = (filt.projective_index(a), filt.simple_index(a),
-                       filt.injective_index(a))
-        p = filt.hom[(ip, is_)].basis[0]
-        q = filt.hom[(is_, ii)].basis[0]
-        n = morphism_length(p, filt)
-        m = morphism_length(q, filt)
-        assert morphism_length(q @ p, filt) == n + m == canonical_r(filt, a)
+def test_length_additivity_on_canonical_composites():
+    # on every finite fixture and randgen sample: composing the epi onto the
+    # simple with the mono into the injective adds lengths, and canonical_r,
+    # read off the socle line of I_a at a, is the length of that composite
+    # built from Hom spaces
+    for name in FINITE_SAMPLES:
+        for pres, ar in samples(name):
+            filt = ar.filtration
+            for a in pres.quiver.vertices:
+                p, q = canonical_maps(filt, a)
+                n = morphism_length(p, filt)
+                m = morphism_length(q, filt)
+                assert morphism_length(q @ p, filt) == n + m == canonical_r(filt, a), (name, a)
 
 
 def test_composite_of_irreducibles_has_length_at_least_two(s2_pipeline):
@@ -239,20 +240,24 @@ def test_composite_of_irreducibles_has_length_at_least_two(s2_pipeline):
 
 
 def test_non_factoring_morphisms_are_shorter(s2_pipeline):
-    # Hom-basis elements P_a -> I_a outside the factor-through-simple line
-    # have length strictly below r_a
+    # Hom-basis elements P_a -> I_a whose value at the generator is off the
+    # socle line of I_a at a do not factor through S_a, and have length
+    # strictly below r_a
     pres, ar, filt = s2_pipeline
-    from quivrad.theorems import _factors_through_simple_space
+    checked = 0
     for a in pres.quiver.vertices:
         ip, ii = filt.projective_index(a), filt.injective_index(a)
         hs = filt.hom.get((ip, ii))
         if hs is None:
             continue
         r_a = canonical_r(filt, a)
-        through = _factors_through_simple_space(filt, a, ii)
+        line = filt.socle_line(a)
+        through = Subspace.from_vectors(len(line), [line])
         for f in hs.basis:
-            if not through.contains_vector(f.flatten()):
+            if not through.contains_vector(filt.at_generators(ip, f)):
                 assert morphism_length(f, filt) < r_a
+                checked += 1
+    assert checked
 
 
 LIST_FIXTURES = ("a2", "a3", "a3_rel", "s2_cyclic", "s3_cycle", "ex_4_5", "s4_final")
@@ -273,19 +278,12 @@ def test_filtration_from_a_node_list_matches_the_ar_quiver(name):
         assert fresh.dim_irr(last - i, last - j) == m
 
 
-@functools.lru_cache(maxsize=None)
-def _samples(family: str) -> list:
-    draw = {"random": random_finite_monomial, "nakayama": random_nakayama}[family]
-    return [(pres, ar) for _, pres, ar in draw()]
-
-
 def _alias_input(name: str):
     """(presentation, AR quiver) of a fixture, ``random<i>`` or ``nakayama<i>``."""
     for family in ("random", "nakayama"):
         if name.startswith(family):
-            return _samples(family)[int(name[len(family):])]
-    pres, ar, _ = pipeline(name)
-    return pres, ar
+            return samples(family)[int(name[len(family):])]
+    return samples(name)[0]
 
 
 @pytest.mark.parametrize("name", [*LIST_FIXTURES, "ex_2_5", *(f"random{i}" for i in range(20)),
@@ -431,8 +429,9 @@ def test_a_reduction_builds_only_its_licensed_projective_rows(name, method, monk
 
 def test_projective_rows_compute_no_hom_space(monkeypatch):
     # a projective row starts from all of node j at a (Yoneda), so completing
-    # the filtration looks up no Hom space; a row that is not projective
-    # starts from its Hom bases, which shows the count is live
+    # the filtration looks up no Hom space, and neither does canonical_r,
+    # which reads the socle line of I_a at a in the row of P_a; a row that is
+    # not projective starts from its Hom bases, which shows the count is live
     ars = [pipeline(name)[1] for name in LIST_FIXTURES + ("ex_2_5",)]
     ars += [ar for _, _, ar in random_finite_monomial(20) + random_nakayama()]
     calls = []
@@ -445,11 +444,31 @@ def test_projective_rows_compute_no_hom_space(monkeypatch):
     for ar in ars:
         fresh = relabelled_filtration(ar, range(ar.node_count()))
         fresh.ensure_complete()
+        for a in fresh.pres.quiver.vertices:
+            assert canonical_r(fresh, a) == canonical_r(ar.filtration, a)
         assert calls == []
     projective = {fresh.projective_index(a) for a in fresh.pres.quiver.vertices}
     other = next(i for i in range(len(fresh.reps)) if i not in projective)
     fresh.subspace(other, other, 1)
     assert calls
+
+
+@pytest.mark.parametrize("dim", (0, 2))
+def test_canonical_r_refuses_an_injective_alias_without_a_socle_line(dim):
+    # a hand-built filtration skips the alias table's socle certificate: an
+    # I_a alias on a node whose socle at a is not one line is an
+    # inconsistency (exit 5), not a length
+    for pres, ar in samples("random") + samples("nakayama"):
+        filt = ar.filtration
+        hits = [(a, k) for a in pres.quiver.vertices for k in range(ar.node_count())
+                if R.socle_spaces(filt.reps[k])[a].dim == dim]
+        if hits:
+            break
+    a, k = hits[0]
+    bad = relabelled_filtration(ar, range(ar.node_count()), {**filt.aliases, f"I_{a}": k})
+    with pytest.raises(InconsistencyError,
+                       match=f"^the socle of I_{a} at {a} has dimension {dim}, not one$"):
+        canonical_r(bad, a)
 
 
 def _first_admitted(pres) -> str:
@@ -463,14 +482,14 @@ def _first_admitted(pres) -> str:
 
 
 def test_choose_method_is_the_first_admitted_method():
-    samples = [(pipeline(name)[0], pipeline(name)[2]) for name in LIST_FIXTURES]
-    samples += [(pres, ar.filtration) for _, pres, ar in random_finite_monomial(20)]
+    drawn = [(pipeline(name)[0], pipeline(name)[2]) for name in LIST_FIXTURES]
+    drawn += [(pres, ar.filtration) for _, pres, ar in random_finite_monomial(20)]
     others = [load(path.stem) for path in sorted(DATA.glob("*.quiver"))]
-    assert {choose_method(pres) for pres, _ in samples} == {"direct", *REDUCTIONS}
-    for pres in [p for p, _ in samples] + others:
+    assert {choose_method(pres) for pres, _ in drawn} == {"direct", *REDUCTIONS}
+    for pres in [p for p, _ in drawn] + others:
         assert choose_method(pres) == _first_admitted(pres)
     # each admitted method reports exactly its licensed vertex set
-    for pres, filt in samples:
+    for pres, filt in drawn:
         for method in REDUCTIONS:
             try:
                 vertices = licensed_vertices(pres, method)

@@ -12,7 +12,8 @@ from quivrad import ar_quiver
 from quivrad.cli import main
 from quivrad.rep import ModuleMorphism, Representation, hom_space, socle, simple
 
-from conftest import fixture_path, load, pipeline
+import dense_oracle
+from conftest import FINITE_SAMPLES, fixture_path, load, pipeline, samples
 
 
 def test_corollary_on_s2(s2_pipeline):
@@ -314,7 +315,9 @@ def test_lemma_refe_witness_search(s2_pipeline, a2_pipeline):
 def test_lemma_refe_computes_no_hom_space_that_yoneda_rules_out(name, monkeypatch):
     # Hom(P_a, I_b) = (I_b)_a: a pair where that space is zero has nothing to
     # check, so no Hom space is computed for it, and every other pair's is
-    # computed once
+    # computed once.  The witnesses read vertex spaces, so the only other
+    # Hom spaces are the Hom(I_b, I_a) of the post-composition witnesses:
+    # none into or out of a simple, and no Hom(P_b, P_a)
     pres = load(name)
     filt = ar_quiver(pres).filtration  # a fresh Hom table
     calls = []
@@ -328,24 +331,73 @@ def test_lemma_refe_computes_no_hom_space_that_yoneda_rules_out(name, monkeypatc
             I_b = filt.reps[filt.injective_index(b)]
             count = sum(1 for M, N in calls if M is P_a and N is I_b)
             assert count == (1 if I_b.dims[a] else 0), (a, b)
+    pairs = [(filt.node_index(M), filt.node_index(N)) for M, N in calls]
+    injective = {filt.injective_index(a) for a in vertices}
+    yoneda = {(filt.projective_index(a), filt.injective_index(b)) for a in vertices
+              for b in vertices if filt.reps[filt.injective_index(b)].dims[a]}
+    others = set(pairs) - yoneda
+    assert len(set(pairs)) == len(pairs)
+    assert others and others <= {(i, j) for i in injective for j in injective}
+
+
+@pytest.mark.parametrize("name", FINITE_SAMPLES)
+def test_lemma_refe_matches_the_hom_space_reference(name, monkeypatch):
+    # the findings equal those of the composites through S_a and S_b built
+    # from Hom spaces; each rank test on a vertex space spans what the
+    # reference's composites and its morphisms through the simple take at
+    # the generator of their source (Yoneda); and a morphism P_a -> I_b
+    # factors through S_a exactly when it factors through S_b
+    for pres, ar in samples(name):
+        filt = ar.filtration
+        tests = []
+        real = T._spans_line
+        monkeypatch.setattr(T, "_spans_line",
+                            lambda vectors, line: tests.append((vectors, line)) or real(vectors, line))
+        found = T.check_lemma_refe(filt)
+        monkeypatch.undo()
+        searches = []
+        assert found == dense_oracle.lemma_refe(filt, searches)
+        assert len(tests) == len(searches)
+        for (vectors, line), (source, comps, through) in zip(tests, searches):
+            i = filt.node_index(source)
+
+            def span(vecs):
+                return Subspace.from_vectors(len(line), vecs)
+
+            assert span([line]) == span([filt.at_generators(i, g) for g in through])
+            assert span(vectors) == span([filt.at_generators(i, g) for g in comps])
+        for a in pres.quiver.vertices:
+            ip = filt.projective_index(a)
+            for b in pres.quiver.vertices:
+                ib = filt.injective_index(b)
+                hs = filt.hom.get((ip, ib))
+                if hs is not None:
+                    through_a = dense_oracle.through_simple(filt, a, ib)
+                    through_b = dense_oracle.through_simple_dual(filt, b, ip)
+                    assert dense_oracle.flat_span(through_a, hs.ambient) == \
+                        dense_oracle.flat_span(through_b, hs.ambient), (a, b)
 
 
 def test_witness_rank_test_reaches_past_basis_and_pairwise_sums():
-    # over one vertex, Hom(k, k^3) has basis e1, e2, e3; the composites in
-    # the target line are the multiples of e1 + e2 + e3, which is neither a
-    # basis element nor a pairwise sum or difference
+    # over one vertex, Hom(k, k^3) has basis e1, e2, e3; the target line is
+    # spanned by e1 + e2 + e3, which is neither a basis element nor a
+    # pairwise sum or difference, yet lies in the span of the values
     pres = parse_presentation("vertex 1\n")
     k, k3 = Representation(pres, {"1": 1}, {}), Representation(pres, {"1": 3}, {})
     basis = list(hom_space(k, k3).basis)
     assert len(basis) == 3
-    target = Subspace.from_vectors(3, [[1, 1, 1]])
+    line = (1, 1, 1)
+    target = Subspace.from_vectors(3, [line])
     pairs = [op(x, y) for i, x in enumerate(basis) for y in basis[i + 1:]
              for op in (ModuleMorphism.__add__, ModuleMorphism.__sub__)]
     assert not any(target.contains_vector(phi.flatten()) for phi in basis + pairs)
-    assert T._composites_meet(basis, ModuleMorphism.identity(k), target, "post")
-    assert T._composites_meet(basis, ModuleMorphism.identity(k3), target, "pre")
-    assert not T._composites_meet(basis[:2], ModuleMorphism.identity(k), target, "post")
-    assert not T._composites_meet(basis, ModuleMorphism.zero(k, k), target, "post")
+    values = [phi.maps["1"].apply([1]) for phi in basis]  # phi(1), as for phi∘f
+    assert T._spans_line(values, line)
+    identity = ModuleMorphism.identity(k3).maps["1"]  # f(w) over w in k^3, as for f∘phi
+    assert T._spans_line([identity.apply(w) for w in Subspace.full(3).basis], line)
+    assert not T._spans_line(values[:2], line)
+    assert not T._spans_line([[0, 0, 0]] * 3, line)
+    assert not T._spans_line([], line)
 
 
 def test_verification_failure_raises():
