@@ -188,16 +188,11 @@ def almost_split_middle(Z: Representation, tau_z: Representation):
     if g is None:
         raise InconsistencyError("no almost split extension class found")
     total = _rep.direct_sum([tau_z, p0])
-    spaces = {}
-    for v in Z.pres.quiver.vertices:
-        vecs = []
-        for k in range(K.dims[v]):
-            unit = [0] * K.dims[v]
-            unit[k] = 1
-            gv = g.maps[v].apply(unit)
-            iv = incl.maps[v].apply(unit)
-            vecs.append(list(gv) + [-x for x in iv])
-        spaces[v] = Subspace.from_vectors(total.dims[v], vecs)
+    # the image of K -> τZ ⊕ P0, k -> (g(k), -incl(k)): one column per basis vector of K
+    spaces = {v: Subspace.from_vectors(total.dims[v], [
+        gk + tuple(-x for x in ik)
+        for gk, ik in zip(g.maps[v].transpose().data, incl.maps[v].transpose().data)])
+        for v in Z.pres.quiver.vertices}
     middle, _ = quotient_representation(total, spaces)
     # E -> Z is induced by (0 | epi) on τZ ⊕ P0, read on the quotient's
     # basis: the unit vectors at the non-pivot positions

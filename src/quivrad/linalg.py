@@ -404,6 +404,18 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, self.basis))
 
+    def _reduction(self) -> tuple:
+        """(rows, non-pivot columns), cached; the basis rows as (pivot, pivot
+        entry, nonzero entries off the pivots)."""
+        if self._reducer is None:
+            pset = set(self.pivots)
+            rows = tuple((p, row[p], tuple((c, x) for c, x in enumerate(row)
+                                           if x and c not in pset))
+                         for row, p in zip(self.basis, self.pivots))
+            nonpivots = tuple(c for c in range(self.ambient) if c not in pset)
+            object.__setattr__(self, "_reducer", (rows, nonpivots))
+        return self._reducer
+
     def _residue(self, vec: Sequence, what: str) -> tuple:
         """Reduce vec by the basis, in integers: (w, d, res, den).
 
@@ -415,15 +427,7 @@ class Subspace:
         if len(vec) != self.ambient:
             raise ShapeError(f"{what}: length mismatch")
         w, d = _int_vector(vec)
-        if self._reducer is None:
-            # basis rows as (pivot, pivot entry, nonzero entries off the pivots)
-            pset = set(self.pivots)
-            rows = tuple((p, row[p], tuple((c, x) for c, x in enumerate(row)
-                                           if x and c not in pset))
-                         for row, p in zip(self.basis, self.pivots))
-            nonpivots = tuple(c for c in range(self.ambient) if c not in pset)
-            object.__setattr__(self, "_reducer", (rows, nonpivots))
-        rows, nonpivots = self._reducer
+        rows, nonpivots = self._reduction()
         terms = [(w[p], piv, off) for p, piv, off in rows if w[p]]
         den = 1
         for x, piv, _ in terms:
@@ -463,6 +467,24 @@ class Subspace:
         """
         _, _, res, den = self._residue(vec, "quotient_coords")
         return tuple(_ratio(x, den) for x in res.values())
+
+    def quotient_matrix(self) -> "RatMatrix":
+        """The projection k^ambient -> k^ambient / self in the coordinates of
+        ``quotient_coords``, read off the reduced basis.
+
+        Row t is 1 at the t-th non-pivot column c and −b[c]/b[p] at the
+        pivot p of each basis row b, 0 elsewhere: the residue of the unit
+        vector at p is −b/b[p] off the pivots.
+        """
+        rows, nonpivots = self._reduction()
+        index = {c: t for t, c in enumerate(nonpivots)}
+        out = [[0] * self.ambient for _ in nonpivots]
+        for t, c in enumerate(nonpivots):
+            out[t][c] = 1
+        for p, piv, off in rows:
+            for c, x in off:
+                out[index[c]][p] = _ratio(-x, piv)
+        return RatMatrix._of(out, self.ambient)
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"

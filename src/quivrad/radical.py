@@ -152,6 +152,8 @@ class RadicalFiltration:
         self._projective = sorted({i for key, i in self.aliases.items() if key[0] == "P"})
         self._rows: Dict[int, _Row] = {}
         self._gens: Dict[int, list] = {}
+        self._socles: Dict[int, Dict[str, Subspace]] = {}
+        self._canonical_r: Dict[str, int] = {}  # r_a, kept once its socle line passed
 
     # -- node bookkeeping ----------------------------------------------------
 
@@ -178,9 +180,15 @@ class RadicalFiltration:
     def simple_index(self, a: str) -> int:
         return self._alias_index(f"S_{a}")
 
+    def socle_spaces(self, i: int) -> Dict[str, Subspace]:
+        """v -> (soc node_i)_v, computed once per node."""
+        if i not in self._socles:
+            self._socles[i] = socle_spaces(self.reps[i])
+        return self._socles[i]
+
     def socle_line(self, a: str) -> tuple:
         """A vector spanning (soc I_a)_a, the simple socle S_a of I_a (ARS IV.1)."""
-        soc = socle_spaces(self.reps[self.injective_index(a)])[a]
+        soc = self.socle_spaces(self.injective_index(a))[a]
         if soc.dim != 1:
             raise InconsistencyError(
                 f"the socle of I_{a} at {a} has dimension {soc.dim}, not one")
@@ -295,10 +303,12 @@ def morphism_length(f: ModuleMorphism, filt: RadicalFiltration) -> int:
 def canonical_r(filt: RadicalFiltration, a: str) -> int:
     """Radical length of the composite P_a -> S_a -> I_a (well defined): it is
     its value at the generator of P_a (Yoneda), which spans the socle line of
-    I_a at a, read in the row of P_a."""
+    I_a at a, read in the row of P_a; kept on the filtration once computed."""
     a = str(a)
-    return _length(filt, filt.projective_index(a), filt.injective_index(a),
-                   filt.socle_line(a))
+    if a not in filt._canonical_r:
+        filt._canonical_r[a] = _length(filt, filt.projective_index(a),
+                                       filt.injective_index(a), filt.socle_line(a))
+    return filt._canonical_r[a]
 
 
 @dataclass(frozen=True)

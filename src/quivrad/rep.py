@@ -414,31 +414,29 @@ def subrepresentation(M: Representation, subspaces: Dict[str, Subspace]):
 
 
 def quotient_representation(M: Representation, subspaces: Dict[str, Subspace]):
-    """(quotient, projection) by arrow-invariant per-vertex subspaces."""
+    """(quotient, projection) by arrow-invariant per-vertex subspaces.
+
+    The basis of the quotient at v is the image of the unit vectors at the
+    non-pivot positions of ``subspaces[v]``, so an arrow acts on it by its
+    matrix's columns at those positions, projected.  A row of the projection
+    is nonzero only at its own non-pivot column and at the pivots
+    (``Subspace.quotient_matrix``), so the product skips its zeros.
+    """
     quiver = M.pres.quiver
-    dims = {}
-    proj = {}
-    sections = {}
-    for v in quiver.vertices:
-        sub = subspaces[v]
-        nonp = sub.nonpivots()
-        dims[v] = len(nonp)
-        rows = []
-        for k in range(M.dims[v]):
-            unit = [0] * M.dims[v]
-            unit[k] = 1
-            rows.append(sub.quotient_coords(unit))
-        proj[v] = RatMatrix(zip(*rows), cols=M.dims[v]) if rows else RatMatrix.zeros(dims[v], 0)
-        sec_cols = []
-        for c in nonp:
-            unit = [0] * M.dims[v]
-            unit[c] = 1
-            sec_cols.append(unit)
-        sections[v] = RatMatrix(zip(*sec_cols), cols=dims[v]) if sec_cols else \
-            RatMatrix.zeros(M.dims[v], 0)
+    proj = {v: subspaces[v].quotient_matrix() for v in quiver.vertices}
+    nonp = {v: subspaces[v].nonpivots() for v in quiver.vertices}
+    dims = {v: len(cols) for v, cols in nonp.items()}
     mats = {}
     for a in quiver.arrows:
-        mats[a.name] = proj[a.target] @ M.matrices[a.name] @ sections[a.source]
+        cols = nonp[a.source]
+        lifted = [[row[c] for c in cols] for row in M.matrices[a.name].data]
+        out = []
+        for prow in proj[a.target].data:
+            acc = [0] * len(cols)
+            for k, x in [(k, x) for k, x in enumerate(prow) if x]:
+                acc = [y + x * z for y, z in zip(acc, lifted[k])]
+            out.append(acc)
+        mats[a.name] = RatMatrix._of(out, len(cols))
     quo = Representation(M.pres, dims, mats, check=False)
     projection = ModuleMorphism(M, quo, proj, check=False)
     return quo, projection

@@ -39,7 +39,6 @@ from .rep import (
     morphism_to_injective,
     radical_spaces,
     simple,
-    socle_spaces,
 )
 
 _RELATIONS = ("r_b<=r_a", "r_a<=r_b", "r_a==r_b", "none")
@@ -461,7 +460,7 @@ def check_lemma_refe(filt: RadicalFiltration) -> list:
             hs = filt.hom.get((ip, ib))
             if hs is None:
                 continue
-            soc = socle_spaces(filt.reps[ib])[a]
+            soc = filt.socle_spaces(ib)[a]
             ws = (radical_spaces(P_a)[a] if a == b else Subspace.full(P_a.dims[b])).basis
             for f in hs.basis:
                 v = filt.at_generators(ip, f)

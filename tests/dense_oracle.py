@@ -11,10 +11,15 @@ Below it, the Hom-space route through the simples: the composites
 P_a -> S_a -> I_a and the witness searches of ``lemma_refe`` as rank tests
 on composites of whole Hom spaces.  The package reads both off one vertex
 space (Yoneda), so this route checks that reading.
+
+Last, the quotient by unit vectors: the projection as the quotient
+coordinates of every unit vector, and each arrow of the quotient through a
+dense section matrix.  The package reads the projection off the reduced
+echelon rows and the arrows off the columns, so this route checks both.
 """
 from quivrad.errors import InconsistencyError
-from quivrad.linalg import Subspace
-from quivrad.rep import end_radical, hom_space, morphism_ambient
+from quivrad.linalg import RatMatrix, Subspace
+from quivrad.rep import ModuleMorphism, Representation, end_radical, hom_space, morphism_ambient
 
 
 class DenseFiltration:
@@ -192,3 +197,33 @@ def lemma_refe(filt, searches=None):
                 else:
                     raise InconsistencyError(f"no witness P_{b} -> P_{a}")
     return results
+
+
+# -- the quotient by unit vectors -------------------------------------------------
+
+def quotient_by_unit_vectors(M, subspaces):
+    """``rep.quotient_representation`` through ``quotient_coords`` of every
+    unit vector and a section matrix of unit vectors at the non-pivot columns."""
+    quiver = M.pres.quiver
+    dims, proj, sections = {}, {}, {}
+    for v in quiver.vertices:
+        sub = subspaces[v]
+        nonp = sub.nonpivots()
+        dims[v] = len(nonp)
+        rows = []
+        for k in range(M.dims[v]):
+            unit = [0] * M.dims[v]
+            unit[k] = 1
+            rows.append(sub.quotient_coords(unit))
+        proj[v] = RatMatrix(zip(*rows), cols=M.dims[v]) if rows else RatMatrix.zeros(dims[v], 0)
+        sec_cols = []
+        for c in nonp:
+            unit = [0] * M.dims[v]
+            unit[c] = 1
+            sec_cols.append(unit)
+        sections[v] = RatMatrix(zip(*sec_cols), cols=dims[v]) if sec_cols else \
+            RatMatrix.zeros(M.dims[v], 0)
+    mats = {a.name: proj[a.target] @ M.matrices[a.name] @ sections[a.source]
+            for a in quiver.arrows}
+    quo = Representation(M.pres, dims, mats, check=False)
+    return quo, ModuleMorphism(M, quo, proj, check=False)

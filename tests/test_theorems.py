@@ -1,6 +1,8 @@
 from dataclasses import replace
 from types import SimpleNamespace
 
+import sys
+
 import pytest
 
 from quivrad.errors import InconsistencyError, MethodInapplicableError
@@ -13,7 +15,7 @@ from quivrad.cli import main
 from quivrad.rep import ModuleMorphism, Representation, hom_space, socle, simple
 
 import dense_oracle
-from conftest import FINITE_SAMPLES, fixture_path, load, pipeline, samples
+from conftest import FINITE_SAMPLES, fixture_path, load, pipeline, relabelled_filtration, samples
 
 
 def test_corollary_on_s2(s2_pipeline):
@@ -376,6 +378,33 @@ def test_lemma_refe_matches_the_hom_space_reference(name, monkeypatch):
                     through_b = dense_oracle.through_simple_dual(filt, b, ip)
                     assert dense_oracle.flat_span(through_a, hs.ambient) == \
                         dense_oracle.flat_span(through_b, hs.ambient), (a, b)
+
+
+@pytest.mark.parametrize("name", FINITE_SAMPLES)
+def test_check_all_takes_each_r_a_and_socle_once(name, monkeypatch):
+    # check_all asks for r_a per arrow, per rule and per certificate: the
+    # filtration keeps it, so canonical_r walks the layers once per vertex,
+    # and the socle spaces of each node are computed once for socle_line
+    # and lemma_refe together
+    walks, socles = [], []
+    real_length, real_socle = radical._length, radical.socle_spaces
+
+    def length(filt, i, j, values):
+        if sys._getframe(1).f_code.co_name == "canonical_r":
+            walks.append((id(filt), i, j))
+        return real_length(filt, i, j, values)
+
+    monkeypatch.setattr(radical, "_length", length)
+    monkeypatch.setattr(radical, "socle_spaces", lambda M: socles.append(M) or real_socle(M))
+    for pres, ar in samples(name):
+        del walks[:], socles[:]
+        filt = relabelled_filtration(ar, range(ar.node_count()))
+        T.check_all(filt)
+        assert sorted(set(walks)) == sorted(walks)
+        assert len(walks) == len(pres.quiver.vertices)
+        assert len({id(M) for M in socles}) == len(socles)
+        assert {id(M) for M in socles} == {id(filt.reps[filt.injective_index(a)])
+                                           for a in pres.quiver.vertices}
 
 
 def test_witness_rank_test_reaches_past_basis_and_pairwise_sums():
