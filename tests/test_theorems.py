@@ -1,7 +1,6 @@
+import sys
 from dataclasses import replace
 from types import SimpleNamespace
-
-import sys
 
 import pytest
 

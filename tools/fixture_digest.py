@@ -13,8 +13,8 @@ same exit code and byte-identical stdout and stderr, so diffing the output
 of two runs checks that a change left the CLI's results alone, its refusal
 and error messages included.  The Kronecker fixture is
 representation-infinite and its knitting commands run at
-``--max-total-dim 400``: at the default guard its refusal takes over ten
-minutes.  ``validate`` knits nothing and takes no guard options.
+``--max-total-dim 400``, a smaller guard than the default, so that its
+refusals stay short.  ``validate`` knits nothing and takes no guard options.
 
 Usage, from anywhere:
 
