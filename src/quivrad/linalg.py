@@ -456,8 +456,7 @@ class Subspace:
         return Subspace._from_int_vectors(self.ambient, list(self.basis) + list(other.basis))
 
     def nonpivots(self) -> tuple:
-        pset = set(self.pivots)
-        return tuple(c for c in range(self.ambient) if c not in pset)
+        return self._reduction()[1]
 
     def quotient_coords(self, vec: Sequence) -> tuple:
         """Coordinates of vec in k^ambient modulo this subspace.
@@ -485,6 +484,28 @@ class Subspace:
             for c, x in off:
                 out[index[c]][p] = _ratio(-x, piv)
         return RatMatrix._of(out, self.ambient)
+
+    def quotient_columns(self, mat: "RatMatrix", cols: Sequence[int]) -> "RatMatrix":
+        """The quotient coordinates of mat's columns at ``cols``: the
+        projection ``quotient_matrix`` times those columns, read off the
+        reduced basis so that only its nonzero entries are used.
+
+        Row t starts as mat's row at the t-th non-pivot column c; each basis
+        row b with pivot p adds −b[c]/b[p] times mat's row at p.
+        """
+        if mat.rows != self.ambient:
+            raise ShapeError("quotient_columns: shape mismatch")
+        lifted = [[row[c] for c in cols] for row in mat.data]
+        rows, nonpivots = self._reduction()
+        index = {c: t for t, c in enumerate(nonpivots)}
+        out = [lifted[c] for c in nonpivots]
+        for p, piv, off in rows:
+            src = lifted[p]
+            if any(src):
+                for c, x in off:
+                    k, t = _ratio(-x, piv), index[c]
+                    out[t] = [y + k * z for y, z in zip(out[t], src)]
+        return RatMatrix._of(out, len(cols))
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"

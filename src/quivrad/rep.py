@@ -417,27 +417,18 @@ def quotient_representation(M: Representation, subspaces: Dict[str, Subspace]):
     """(quotient, projection) by arrow-invariant per-vertex subspaces.
 
     The basis of the quotient at v is the image of the unit vectors at the
-    non-pivot positions of ``subspaces[v]``, so an arrow acts on it by its
-    matrix's columns at those positions, projected.  A row of the projection
-    is nonzero only at its own non-pivot column and at the pivots
-    (``Subspace.quotient_matrix``), so the product skips its zeros.
+    non-pivot positions of ``subspaces[v]``, so an arrow acts on it by the
+    quotient coordinates of its matrix's columns at those positions
+    (``Subspace.quotient_columns``); the projection is
+    ``Subspace.quotient_matrix``.
     """
     quiver = M.pres.quiver
-    proj = {v: subspaces[v].quotient_matrix() for v in quiver.vertices}
     nonp = {v: subspaces[v].nonpivots() for v in quiver.vertices}
     dims = {v: len(cols) for v, cols in nonp.items()}
-    mats = {}
-    for a in quiver.arrows:
-        cols = nonp[a.source]
-        lifted = [[row[c] for c in cols] for row in M.matrices[a.name].data]
-        out = []
-        for prow in proj[a.target].data:
-            acc = [0] * len(cols)
-            for k, x in [(k, x) for k, x in enumerate(prow) if x]:
-                acc = [y + x * z for y, z in zip(acc, lifted[k])]
-            out.append(acc)
-        mats[a.name] = RatMatrix._of(out, len(cols))
+    mats = {a.name: subspaces[a.target].quotient_columns(M.matrices[a.name], nonp[a.source])
+            for a in quiver.arrows}
     quo = Representation(M.pres, dims, mats, check=False)
+    proj = {v: subspaces[v].quotient_matrix() for v in quiver.vertices}
     projection = ModuleMorphism(M, quo, proj, check=False)
     return quo, projection
 
