@@ -1,5 +1,6 @@
-"""The summary that tools/bench_pairs.py writes for paired benchmark runs."""
+"""The summary and the run plan of tools/bench_pairs.py, for paired benchmark runs."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -26,3 +27,31 @@ def test_summary_counts_better_pairs_by_direction_and_ties_for_neither():
     assert got["op_ref"]["parent_iqr"] == pytest.approx(1.5)  # quartiles 1.75 and 3.25
     assert got["failed"] == {"parent": 0, "change": 1}
     assert got["attempted"] == {"parent": 40, "change": 42}
+
+
+def test_main_runs_ten_alternating_pairs_of_every_declared_workload(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    bench = {"workloads": [{"name": "w1"}, {"name": "w2"}], "run_seconds": 7,
+             "end_to_end": [{"name": "op_ref", "better": "lower"}]}
+    (change / "BENCHMARK.json").write_text(json.dumps(bench))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((checkout, workload, seed, seconds))
+        return _result(1.0 if checkout == str(parent) else 0.5, 20.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "x",
+                      "--seed", "3", "--note", "n", "--host", "h"])
+    assert len(calls) == 2 * 2 * bench_pairs.PAIRS == 40
+    assert {c[1:] for c in calls} == {("w1", 3, 7), ("w2", 3, 7)}
+    firsts = [calls[i][0] for i in range(0, len(calls), 4)]  # first run of each pair
+    assert firsts == [str(parent), str(change)] * 5
+    doc = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert doc["pairs"] == 10
+    assert doc["command"] == \
+        "python3 perfbench/run.py --workload {w1,w2} --seed 3 --seconds 7 --trace 0"
+    assert doc["workloads"]["w2"]["summary"]["op_ref"]["change_better_pairs"] == 10

@@ -1,9 +1,11 @@
 """Paired before/after runs of the benchmark on two checkouts.
 
 Runs ``python3 perfbench/run.py --workload W --seed S --seconds T --trace 0``
-in a parent checkout and in a change checkout, one run at a time, pair
-after pair.  The parent runs first in odd pairs and the change first in
-even pairs, so a drift in host speed falls on both sides alike.  Writes
+in a parent checkout and in a change checkout, one run at a time, for
+every workload of the change's ``BENCHMARK.json`` and its ``run_seconds``
+as T, ten pairs each: the fewest from which a claimed gain can be read.
+The parent runs first in odd pairs and the change first in even pairs, so
+a drift in host speed falls on both sides alike.  Writes
 ``BENCH_<label>.json`` at the root of the checkout that holds this script:
 
 * per workload, the result line of every run, in pair order;
@@ -17,11 +19,11 @@ even pairs, so a drift in host speed falls on both sides alike.  Writes
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \\
-        --pairs 10 --seed 29 --seconds 50 --note "what changed" --host "machine"
+        --seed 29 --note "what changed" --host "machine"
 
-Each run takes about ``--seconds`` plus the set-up of its workload, so ten
-pairs of both workloads at 50 seconds take about 40 minutes.  Uses only the
-standard library.
+Each run takes about ``run_seconds`` plus the set-up of its workload, so
+ten pairs of both workloads at 50 seconds take about 40 minutes.  Uses
+only the standard library.
 """
 from __future__ import annotations
 
@@ -34,6 +36,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
@@ -77,35 +80,33 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
     parser.add_argument("--change", required=True, help="checkout of the change")
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--workload", nargs="+", default=["sweep-finite", "refuse-infinite"])
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=int, default=50)
     parser.add_argument("--note", required=True, help="what the change does")
     parser.add_argument("--host", required=True, help="the machine, and any other timing")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for a spread")
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    workloads = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     parent_commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=args.parent,
                                    capture_output=True, text=True).stdout.strip()
-    runs = {w: {"parent": [], "change": []} for w in args.workload}
-    for k in range(args.pairs):
+    runs = {w: {"parent": [], "change": []} for w in workloads}
+    for k in range(PAIRS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-        for workload in args.workload:
+        for workload in workloads:
             for side in order:
-                result = run_once(getattr(args, side), workload, args.seed, args.seconds)
+                result = run_once(getattr(args, side), workload, args.seed, seconds)
                 runs[workload][side].append(result)
                 op_ref = result["metrics"]["op_ref"]["value"]
                 print(f"pair {k + 1} {workload} {side}: op_ref {op_ref:.4f}", flush=True)
     doc = {
         "change": args.note,
         "parent_commit": parent_commit,
-        "command": f"python3 perfbench/run.py --workload {{{','.join(args.workload)}}} "
-                   f"--seed {args.seed} --seconds {args.seconds} --trace 0",
+        "command": f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
+                   f"--seed {args.seed} --seconds {seconds} --trace 0",
         "seed": args.seed,
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "order": "parent and change alternate which runs first: parent first in odd pairs, "
                  "change first in even pairs; one run at a time",
         "host": args.host,
