@@ -35,14 +35,11 @@ from .rep import (
     are_isomorphic,
     decompose,
     hom_space,
-    injective,
     is_indecomposable,
     projective,
     projective_cover,
     radical_submodule,
-    simple,
     socle,
-    top,
 )
 from .artrans import (
     ARQuiver,
@@ -57,7 +54,6 @@ from .radical import (
     NilpotencyReport,
     RadicalFiltration,
     canonical_r,
-    morphism_length,
     nilpotency_index,
 )
 

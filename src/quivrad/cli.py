@@ -218,9 +218,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "of a representation-finite bound quiver algebra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, limits=True):
+    def common(p, limits=True, formats=True):
         p.add_argument("file", help="presentation in the quiver DSL")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        if formats:
+            p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("-o", "--output", default=None, help="output path (default stdout)")
         p.add_argument("--max-len", type=_positive_int, default=DEFAULT_LENGTH_CAP,
                        help="admissibility enumeration cap")
@@ -233,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(fn=cmd_validate)
 
     p_ar = sub.add_parser("ar", help="enumerate indecomposables and emit the AR quiver")
-    common(p_ar)
+    common(p_ar, formats=False)  # --dot and --json pick the format
     p_ar.add_argument("--dot", nargs="?", const="-", default=None,
                       help="write DOT (to stdout with no argument)")
     p_ar.add_argument("--json", nargs="?", const="-", default=None, dest="json",

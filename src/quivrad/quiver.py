@@ -2,10 +2,9 @@
 
 A presentation is a quiver plus admissible relations over the rationals.
 Path order convention: a :class:`Path` stores its arrows in traversal order
-(first-traversed arrow first).  The classical right-to-left notation writes
-the same path with the first-traversed arrow on the right; ``Path.rtl()``
-renders that form.  The DSL is traversal-ordered: ``alpha*beta`` means
-"alpha, then beta".
+(first-traversed arrow first), the reverse of the classical right-to-left
+notation.  The DSL is traversal-ordered: ``alpha*beta`` means "alpha, then
+beta".
 """
 from __future__ import annotations
 
@@ -100,12 +99,6 @@ class Path:
     def length(self) -> int:
         return len(self.arrows)
 
-    def then(self, other: "Path") -> "Path":
-        """Concatenate: self traversed first, then other."""
-        if other.start != self.end:
-            raise ParseError("paths do not compose")
-        return Path(self.quiver, self.start, self.arrows + other.arrows)
-
     def extend(self, arrow_name: str) -> "Path":
         return Path(self.quiver, self.start, self.arrows + (arrow_name,))
 
@@ -126,12 +119,6 @@ class Path:
 
     def __hash__(self):
         return hash(self.key())
-
-    def rtl(self) -> str:
-        """Right-to-left rendering (first-traversed arrow on the right)."""
-        if not self.arrows:
-            return f"e_{self.start}"
-        return "*".join(reversed(self.arrows))
 
     def __str__(self):
         return f"e_{self.start}" if not self.arrows else "*".join(self.arrows)

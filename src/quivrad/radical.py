@@ -157,15 +157,6 @@ class RadicalFiltration:
 
     # -- node bookkeeping ----------------------------------------------------
 
-    def node_index(self, rep: Representation) -> int:
-        for i, r in enumerate(self.reps):
-            if r is rep:
-                return i
-        for i, r in enumerate(self.reps):
-            if r.same_data(rep):
-                return i
-        raise ValueError("representation is not a filtration node")
-
     def _alias_index(self, key: str) -> int:
         if key not in self.aliases:
             raise ValueError(f"{key} is not among the filtration nodes")
@@ -176,9 +167,6 @@ class RadicalFiltration:
 
     def injective_index(self, a: str) -> int:
         return self._alias_index(f"I_{a}")
-
-    def simple_index(self, a: str) -> int:
-        return self._alias_index(f"S_{a}")
 
     def socle_spaces(self, i: int) -> Dict[str, Subspace]:
         """v -> (soc node_i)_v, computed once per node."""
@@ -244,10 +232,6 @@ class RadicalFiltration:
 
     # -- layers ---------------------------------------------------------------
 
-    def hom_pairs(self) -> list:
-        """Every pair with a nonzero Hom space (computes them all)."""
-        return list(self.hom)
-
     def ensure_depth(self, n: int) -> None:
         for i in self._projective:
             self._row(i, n)
@@ -286,18 +270,6 @@ def _length(filt: RadicalFiltration, i: int, j: int, values: Sequence) -> int:
     while filt.subspace(i, j, n + 1).contains_vector(values):
         n += 1
     return n
-
-
-def morphism_length(f: ModuleMorphism, filt: RadicalFiltration) -> int:
-    """Largest n with f ∈ R^n; 0 for morphisms outside the radical."""
-    if f.is_zero():
-        raise ValueError("the zero morphism has no radical length")
-    i = filt.node_index(f.source)
-    j = filt.node_index(f.target)
-    if not f._intertwines():
-        raise ValueError("morphism does not intertwine (not in the Hom space)")
-    # nonzero, as the generators generate node i
-    return _length(filt, i, j, filt.at_generators(i, f))
 
 
 def canonical_r(filt: RadicalFiltration, a: str) -> int:

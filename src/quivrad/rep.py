@@ -1,6 +1,6 @@
 """Modules as quiver representations.
 
-Hom spaces, radical/top/socle, projective covers, indecomposability and
+Hom spaces, radical and socle, projective covers, indecomposability and
 isomorphism over the rationals.  A projective cover is read off the
 canonical echelon form of the radical: at each vertex its generators go to
 the unit vectors at the non-pivot positions, which lift a basis of the top.
@@ -10,7 +10,6 @@ target component, so the composite along a traversal-ordered path
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Dict, Optional, Sequence
 
@@ -75,35 +74,11 @@ class Representation:
                 return rel
         return None
 
-    def same_data(self, other: "Representation") -> bool:
-        return (self.pres is other.pres and self.dims == other.dims
-                and self.matrices == other.matrices)
-
     def dual(self) -> "Representation":
         """Dual module over the opposite presentation (matrices transpose)."""
         op = self.pres.opposite()
         mats = {a.name: self.matrices[a.name].transpose() for a in self.pres.quiver.arrows}
         return Representation(op, dict(self.dims), mats, check=False)
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dims": {v: self.dims[v] for v in self.pres.quiver.vertices},
-            "matrices": {
-                name: [[str(Fraction(x)) for x in row] for row in m.data]
-                for name, m in sorted(self.matrices.items())
-            },
-        }
-
-    @classmethod
-    def from_json_dict(cls, pres: AlgebraPresentation, data: dict) -> "Representation":
-        dims = {str(k): int(v) for k, v in data["dims"].items()}
-        mats = {}
-        for a in pres.quiver.arrows:
-            rows = data["matrices"].get(a.name, [])
-            mats[a.name] = RatMatrix(rows, cols=dims.get(a.source, 0))
-        return cls(pres, dims, mats)
 
     def __repr__(self):
         return f"Representation(dim={list(self.dim_vector())})"
@@ -111,13 +86,6 @@ class Representation:
 
 def zero_representation(pres: AlgebraPresentation) -> Representation:
     return Representation(pres, {}, {}, check=False)
-
-
-def simple(pres: AlgebraPresentation, a: str) -> Representation:
-    key = ("S", str(a))
-    if key not in pres._cache:
-        pres._cache[key] = Representation(pres, {str(a): 1}, {}, check=False)
-    return pres._cache[key]
 
 
 def projective(pres: AlgebraPresentation, a: str) -> Representation:
@@ -139,29 +107,6 @@ def projective(pres: AlgebraPresentation, a: str) -> Representation:
                 RatMatrix.zeros(0, len(cols))
         else:
             mats[arr.name] = RatMatrix.zeros(dims[arr.target], 0)
-    pres._cache[key] = Representation(pres, dims, mats, check=False)
-    return pres._cache[key]
-
-
-def injective(pres: AlgebraPresentation, a: str) -> Representation:
-    """I_a dual to the path classes into a."""
-    a = str(a)
-    key = ("I", a)
-    if key in pres._cache:
-        return pres._cache[key]
-    model = pres.model()
-    basis = {v: model.basis(v, a) for v in pres.quiver.vertices}
-    dims = {v: len(b) for v, b in basis.items()}
-    mats = {}
-    for arr in pres.quiver.arrows:
-        # dual of: class(q: target -> a)7-> class(q after arr), a map into span(source -> a)
-        rows = []
-        for q in basis[arr.target]:
-            pre = Path(pres.quiver, arr.source, (arr.name,) + q.arrows)
-            rows.append(model.reduce_path(pre))
-        # rows: each length dims[source]; dual map has shape (target_dim x source_dim) transposed
-        m = RatMatrix(rows, cols=dims[arr.source]) if rows else RatMatrix.zeros(0, dims[arr.source])
-        mats[arr.name] = m
     pres._cache[key] = Representation(pres, dims, mats, check=False)
     return pres._cache[key]
 
@@ -255,12 +200,6 @@ class ModuleMorphism:
     def rank(self) -> int:
         return sum(m.rank() for m in self.maps.values())
 
-    def is_mono(self) -> bool:
-        return self.rank() == self.source.total_dim()
-
-    def is_epi(self) -> bool:
-        return self.rank() == self.target.total_dim()
-
     def __repr__(self):
         return f"ModuleMorphism({self.source!r} -> {self.target!r})"
 
@@ -297,13 +236,6 @@ class HomSpace:
     @property
     def dim(self) -> int:
         return self.space.dim
-
-    @property
-    def ambient(self) -> int:
-        return self.space.ambient
-
-    def coords(self, f: ModuleMorphism):
-        return self.space.coords(f.flatten())
 
     def element(self, coords: Sequence) -> ModuleMorphism:
         if len(coords) != self.dim:
@@ -463,11 +395,6 @@ def radical_submodule(M: Representation):
     return subrepresentation(M, radical_spaces(M))
 
 
-def top(M: Representation):
-    """(M / rad M, projection)."""
-    return quotient_representation(M, radical_spaces(M))
-
-
 def socle(M: Representation):
     """Joint kernel of all outgoing arrow maps, with its inclusion."""
     return subrepresentation(M, socle_spaces(M))
@@ -496,32 +423,6 @@ def morphism_from_projective(pres: AlgebraPresentation, a: str, M: Representatio
         maps[v] = RatMatrix(zip(*cols), cols=len(cols)) if cols and M.dims[v] else \
             RatMatrix.zeros(M.dims[v], len(cols))
     return ModuleMorphism(P, M, maps, check=False)
-
-
-def morphism_to_injective(pres: AlgebraPresentation, a: str, M: Representation,
-                          functional: Sequence) -> ModuleMorphism:
-    """The morphism M -> I_a induced by a linear functional on M_a."""
-    a = str(a)
-    model = pres.model()
-    I = injective(pres, a)
-    rows_cache = {(): list(functional)}
-
-    def row(arrows: tuple) -> list:
-        got = rows_cache.get(arrows)
-        if got is None:
-            # functional x -> row(tail)(path-action after first arrow applied)
-            tail = row(arrows[1:])
-            mat = M.matrices[arrows[0]]
-            got = [sum(l * x for l, x in zip(tail, col)) for col in zip(*mat.data)] \
-                if mat.data else [0] * mat.cols
-            rows_cache[arrows] = got
-        return got
-
-    maps = {}
-    for v in pres.quiver.vertices:
-        rows = [row(q.arrows) for q in model.basis(v, a)]
-        maps[v] = RatMatrix(rows, cols=M.dims[v]) if rows else RatMatrix.zeros(0, M.dims[v])
-    return ModuleMorphism(M, I, maps, check=False)
 
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .errors import InconsistencyError, MethodInapplicableError
-from .linalg import RatMatrix, Subspace
+from .linalg import Subspace
 from .quiver import (
     AlgebraPresentation,
-    ToupieShape,
     classify,
     path_basis,
     zero_relation_vertices,
@@ -25,21 +24,9 @@ from .radical import (
     NilpotencyReport,
     RadicalFiltration,
     canonical_r,
-    morphism_length,
     nilpotency_index,
 )
-from .rep import (
-    ModuleMorphism,
-    Representation,
-    end_radical,
-    find_isomorphism,
-    hom_space,
-    is_indecomposable,
-    morphism_from_projective,
-    morphism_to_injective,
-    radical_spaces,
-    simple,
-)
+from .rep import end_radical, radical_spaces
 
 _RELATIONS = ("r_b<=r_a", "r_a<=r_b", "r_a==r_b", "none")
 
@@ -314,93 +301,6 @@ def check_theorem_D(filt: RadicalFiltration) -> ReductionCheck:
             raise InconsistencyError(
                 f"zero-branch vertex {v} outside the relation has r={val} > {rep_value}")
     return _against_direct("D", report, direct, tuple(certs))
-
-
-@dataclass
-class ToupieWitness:
-    """Witness cycle through a zero-relation vertex of a toupie algebra."""
-    vertex: str
-    module: Representation
-    rho: ModuleMorphism          # the cycle module -> module
-    phi: ModuleMorphism          # mono P_vertex -> module
-    psi: ModuleMorphism          # epi module -> I_vertex
-    expected_layer: int          # 2 * (arrow count of the zero-relation branch)
-    rho_layer: int               # actual radical length of the cycle
-    end_dim: int
-
-    def verified(self) -> bool:
-        return (not self.rho.is_zero() and self.rho_layer >= self.expected_layer
-                and self.end_dim == 2)
-
-
-def build_toupie_witness(filt: RadicalFiltration, shape: ToupieShape, i: int) -> ToupieWitness:
-    """Construct the rank-two witness module at the i-th zero-branch vertex.
-
-    The module doubles the zero-relation vertex z_i, with the branch arrow
-    into z_i hitting the second coordinate and the arrow out of z_i reading
-    the first; the cycle factors through S_{z_i} and sits in radical layer
-    2(n3+1) where n3+1 is the zero branch's arrow count.
-    """
-    pres = filt.pres
-    g = shape.grafo
-    if g is None:
-        raise MethodInapplicableError("witness needs the zero-relation toupie pattern")
-    if not (g.j <= i <= g.j + g.t - 1):
-        raise ValueError(f"index {i} is not an involved zero-branch position")
-    branch = shape.branches[g.zero_branch]
-    z = branch.vertices[i - 1]
-    dims = {v: 1 for v in pres.quiver.vertices}
-    dims[z] = 2
-    mats = {}
-    arrow_in = branch.arrows[i - 1]   # ends at z_i
-    arrow_out = branch.arrows[i]      # starts at z_i
-    for arr in pres.quiver.arrows:
-        if arr.name == arrow_in:
-            mats[arr.name] = RatMatrix([[0], [1]])
-        elif arr.name == arrow_out:
-            mats[arr.name] = RatMatrix([[1, 0]])
-        else:
-            rows, cols = dims[arr.target], dims[arr.source]
-            mats[arr.name] = RatMatrix([[1 if r == c else 0 for c in range(cols)]
-                                        for r in range(rows)])
-    M = Representation(pres, dims, mats)  # checks the relations exactly
-    if not is_indecomposable(M):
-        raise InconsistencyError("witness module failed to be indecomposable")
-    end_dim = hom_space(M, M).dim
-    # cycle rho: project onto the top coordinate at z, re-embed into the socle
-    pi_maps = {v: RatMatrix.zeros(1 if v == z else 0, dims[v]) for v in pres.quiver.vertices}
-    pi_maps[z] = RatMatrix([[1, 0]])
-    S = simple(pres, z)
-    pi = ModuleMorphism(M, S, pi_maps)
-    iota_maps = {v: RatMatrix.zeros(dims[v], 1 if v == z else 0) for v in pres.quiver.vertices}
-    iota_maps[z] = RatMatrix([[0], [1]])
-    iota = ModuleMorphism(S, M, iota_maps)
-    rho = iota @ pi
-    # the generator goes to the top coordinate: the socle coordinate would be
-    # killed by the outgoing branch arrow and the map would not be mono
-    phi = morphism_from_projective(pres, z, M, [1, 0])
-    if not phi.is_mono():
-        raise InconsistencyError("canonical inclusion of P into the witness is not mono")
-    psi = None
-    for functional in ([0, 1], [1, 0], [1, 1]):
-        cand = morphism_to_injective(pres, z, M, functional)
-        if cand.is_epi() and not (cand @ rho).is_zero():
-            psi = cand
-            break
-    if psi is None:
-        raise InconsistencyError("no epi onto the injective composing with the cycle")
-    if (rho @ phi).is_zero():
-        raise InconsistencyError("cycle kills the projective generator")
-    expected = 2 * len(branch.arrows)
-    for node_rep in filt.reps:  # pairwise non-isomorphic: the first hit is the node
-        u = find_isomorphism(M, node_rep)  # None at once on another dimension vector
-        if u is not None:
-            break
-    else:
-        raise ValueError("no filtration node is isomorphic to the representation")
-    rho_on_node = u @ rho @ u.inverse()
-    layer = morphism_length(rho_on_node, filt)
-    return ToupieWitness(z, M, rho, phi, psi, expected, layer, end_dim)
 
 
 def check_lemma_32(pres: AlgebraPresentation) -> list:

@@ -12,13 +12,19 @@ P_a -> S_a -> I_a and the witness searches of ``lemma_refe`` as rank tests
 on composites of whole Hom spaces.  The package reads both off one vertex
 space (Yoneda), so this route checks that reading.
 
-Last, the quotient by unit vectors: the projection as the quotient
+Then the quotient by unit vectors: the projection as the quotient
 coordinates of every unit vector, and each arrow of the quotient through a
 dense section matrix.  The package reads the projection off the reduced
 echelon rows and the arrows off the columns, so this route checks both.
+
+Last, modules and lengths the package has no use for: S_a and I_a built on
+path classes (the package finds them among the knitted nodes), mono and epi
+tests, and the radical length of any morphism between two nodes, the
+general form of ``canonical_r``.
 """
 from quivrad.errors import InconsistencyError
 from quivrad.linalg import RatMatrix, Subspace
+from quivrad.quiver import Path
 from quivrad.rep import ModuleMorphism, Representation, end_radical, hom_space, morphism_ambient
 
 
@@ -52,7 +58,7 @@ class DenseFiltration:
             for f in hik.basis:
                 row = []
                 for g in hkj.basis:
-                    coords = hij.coords(g @ f)
+                    coords = hij.space.coords((g @ f).flatten())
                     if coords is None:
                         raise InconsistencyError("composite escaped its Hom space")
                     row.append(coords)
@@ -111,7 +117,7 @@ class DenseFiltration:
 
 def canonical_maps(filt, a):
     """(p, q): the maps P_a -> S_a and S_a -> I_a, each spanning its Hom space."""
-    ip, is_, ii = filt.projective_index(a), filt.simple_index(a), filt.injective_index(a)
+    ip, is_, ii = filt.projective_index(a), filt.aliases[f"S_{a}"], filt.injective_index(a)
     hp, hq = filt.hom.get((ip, is_)), filt.hom.get((is_, ii))
     if hp is None or hp.dim != 1 or hq is None or hq.dim != 1:
         raise InconsistencyError(
@@ -122,14 +128,14 @@ def canonical_maps(filt, a):
 def through_simple(filt, a, j):
     """A spanning list of the morphisms P_a -> node_j factoring through S_a."""
     p, _ = canonical_maps(filt, a)
-    hs = filt.hom.get((filt.simple_index(a), j))
+    hs = filt.hom.get((filt.aliases[f"S_{a}"], j))
     return [h @ p for h in hs.basis] if hs else []
 
 
 def through_simple_dual(filt, b, i):
     """A spanning list of the morphisms node_i -> I_b factoring through S_b."""
     _, q = canonical_maps(filt, b)
-    hs = filt.hom.get((i, filt.simple_index(b)))
+    hs = filt.hom.get((i, filt.aliases[f"S_{b}"]))
     return [q @ h for h in hs.basis] if hs else []
 
 
@@ -181,8 +187,8 @@ def lemma_refe(filt, searches=None):
             hs = filt.hom.get((ip, ib))
             if hs is None:
                 continue
-            through_a = flat_span(through_simple(filt, a, ib), hs.ambient)
-            through_b = flat_span(through_simple_dual(filt, b, ip), hs.ambient)
+            through_a = flat_span(through_simple(filt, a, ib), hs.space.ambient)
+            through_b = flat_span(through_simple_dual(filt, b, ip), hs.space.ambient)
             for f in hs.basis:
                 if through_a.contains_vector(f.flatten()):
                     results.append({"a": a, "b": b, "case": "vacuous"})
@@ -227,3 +233,60 @@ def quotient_by_unit_vectors(M, subspaces):
             for a in quiver.arrows}
     quo = Representation(M.pres, dims, mats, check=False)
     return quo, ModuleMorphism(M, quo, proj, check=False)
+
+
+# -- modules and radical lengths ----------------------------------------------------
+
+def simple(pres, a):
+    """S_a: one dimension at a, every arrow zero."""
+    return Representation(pres, {str(a): 1}, {}, check=False)
+
+
+def injective(pres, a):
+    """I_a dual to the path classes into a."""
+    a = str(a)
+    model = pres.model()
+    basis = {v: model.basis(v, a) for v in pres.quiver.vertices}
+    dims = {v: len(b) for v, b in basis.items()}
+    mats = {}
+    for arr in pres.quiver.arrows:
+        # row q: the class of arr then q, a functional on the paths source -> a
+        rows = [model.reduce_path(Path(pres.quiver, arr.source, (arr.name,) + q.arrows))
+                for q in basis[arr.target]]
+        mats[arr.name] = RatMatrix(rows, cols=dims[arr.source]) if rows else \
+            RatMatrix.zeros(0, dims[arr.source])
+    return Representation(pres, dims, mats, check=False)
+
+
+def is_mono(f):
+    return f.rank() == f.source.total_dim()
+
+
+def is_epi(f):
+    return f.rank() == f.target.total_dim()
+
+
+def node_index(filt, rep):
+    """The index of the filtration node that is ``rep``, or holds the same data."""
+    for i, r in enumerate(filt.reps):
+        if r is rep:
+            return i
+    for i, r in enumerate(filt.reps):
+        if r.pres is rep.pres and r.dims == rep.dims and r.matrices == rep.matrices:
+            return i
+    raise ValueError("representation is not a filtration node")
+
+
+def morphism_length(f, filt):
+    """Largest n with f in R^n; 0 for morphisms outside the radical."""
+    if f.is_zero():
+        raise ValueError("the zero morphism has no radical length")
+    i, j = node_index(filt, f.source), node_index(filt, f.target)
+    if not f._intertwines():
+        raise ValueError("morphism does not intertwine (not in the Hom space)")
+    # nonzero, as the generators generate node i
+    values = filt.at_generators(i, f)
+    n = 0
+    while filt.subspace(i, j, n + 1).contains_vector(values):
+        n += 1
+    return n

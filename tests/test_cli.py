@@ -102,6 +102,16 @@ def test_ar_output_option_with_dot_or_json_is_a_usage_error(options, tmp_path, c
     assert not target.exists()
 
 
+def test_ar_takes_no_format_option(capsys):
+    # --dot and --json choose what ar writes; a --format it would ignore is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["ar", fixture_path("a2"), "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format json" in captured.err
+
+
 def test_ar_output_deterministic(capsys):
     code1, out1, _ = run(capsys, "ar", fixture_path("s3_cycle"), "--dot")
     code2, out2, _ = run(capsys, "ar", fixture_path("s3_cycle"), "--dot")

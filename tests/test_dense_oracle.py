@@ -30,7 +30,7 @@ def _agrees_with_dense(filt, dense, arrows=None):
     # every chain, building the rows of the nodes that are not projective;
     # the oracle's Hom-basis coordinates are mapped to the filtration's by
     # evaluation at the top generators of the source, which is injective
-    assert set(filt.hom_pairs()) == set(dense.hom)
+    assert set(filt.hom) == set(dense.hom)
     for (i, j), hs in dense.hom.items():
         values = [filt.at_generators(i, b) for b in hs.basis]
         ambient = len(values[0])

@@ -10,21 +10,20 @@ from quivrad.radical import (
     choose_method,
     gate_method,
     licensed_vertices,
-    morphism_length,
     nilpotency_index,
 )
-from quivrad.rep import ModuleMorphism, are_isomorphic, injective, projective, simple
+from quivrad.rep import ModuleMorphism, are_isomorphic, projective
 from quivrad import RadicalFiltration, ar_quiver, parse_presentation
 
 from conftest import DATA, FINITE_SAMPLES, load, pipeline, relabelled_filtration, samples
-from dense_oracle import canonical_maps
+from dense_oracle import canonical_maps, injective, morphism_length, simple
 from randgen import random_finite_monomial, random_nakayama
 
 
 def test_a2_second_layer_vanishes(a2_pipeline):
     pres, ar, filt = a2_pipeline
     assert filt.nilpotency_index() == 2
-    for (i, j) in filt.hom_pairs():
+    for (i, j) in filt.hom:
         assert filt.subspace(i, j, 2).is_zero()
 
 
@@ -32,13 +31,13 @@ def test_s2_layers_die_at_fifteen(s2_pipeline):
     pres, ar, filt = s2_pipeline
     assert filt.nilpotency_index() == 15
     assert filt.layers_computed() == 14
-    assert any(not filt.subspace(i, j, 14).is_zero() for (i, j) in filt.hom_pairs())
-    assert all(filt.subspace(i, j, 15).is_zero() for (i, j) in filt.hom_pairs())
+    assert any(not filt.subspace(i, j, 14).is_zero() for (i, j) in filt.hom)
+    assert all(filt.subspace(i, j, 15).is_zero() for (i, j) in filt.hom)
 
 
 def test_layers_weakly_decrease(s3_pipeline):
     pres, ar, filt = s3_pipeline
-    for (i, j) in filt.hom_pairs():
+    for (i, j) in filt.hom:
         n = 1
         while True:
             upper = filt.subspace(i, j, n)
@@ -54,7 +53,7 @@ def test_layer_one_shape(s2_pipeline):
     # of each local endomorphism ring, compared through evaluation at the top
     # generators of node i, which is injective on Hom(i, j)
     pres, ar, filt = s2_pipeline
-    for (i, j) in filt.hom_pairs():
+    for (i, j) in filt.hom:
         hs = filt.hom[(i, j)]
         layer = filt.subspace(i, j, 1)
         hom = Subspace.from_vectors(layer.ambient, [filt.at_generators(i, b) for b in hs.basis])
@@ -357,10 +356,10 @@ def test_licensed_methods_agree_with_direct_on_nakayama_samples(name):
 def test_missing_alias_names_the_key(a2_pipeline):
     pres, ar, filt = a2_pipeline
     partial = relabelled_filtration(ar, range(ar.node_count()),
-                                    {k: i for k, i in filt.aliases.items() if k != "S_2"})
+                                    {k: i for k, i in filt.aliases.items() if k != "I_2"})
     assert partial.projective_index("1") == filt.projective_index("1")
-    with pytest.raises(ValueError, match="S_2 is not among the filtration nodes"):
-        partial.simple_index("2")
+    with pytest.raises(ValueError, match="I_2 is not among the filtration nodes"):
+        partial.injective_index("2")
 
 
 def test_an_identity_piece_trips_the_termination_guard(s2_pipeline):

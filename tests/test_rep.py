@@ -1,4 +1,3 @@
-import json
 import random
 from collections import Counter
 
@@ -17,18 +16,18 @@ from quivrad.rep import (
     end_radical,
     find_isomorphism,
     hom_space,
-    injective,
     is_indecomposable,
     projective,
     projective_cover,
+    quotient_representation,
+    radical_spaces,
     radical_submodule,
-    simple,
     socle,
-    top,
     top_generators,
 )
 
 from conftest import load, pipeline
+from dense_oracle import injective, is_epi, is_mono, simple
 from randgen import random_finite_monomial
 
 
@@ -112,7 +111,7 @@ def test_hom_element_refuses_coordinates_of_the_wrong_length(s2):
 
 def _end_product(end, x, y) -> list:
     """End-basis coordinates of x∘y, for x and y in End-basis coordinates."""
-    return list(end.coords(end.element(x) @ end.element(y)))
+    return list(end.space.coords((end.element(x) @ end.element(y)).flatten()))
 
 
 def _end_of_sum(modules):
@@ -139,7 +138,7 @@ def test_end_radical_of_dual_numbers(s2):
     rad = end_radical(end)
     assert end.dim == 2 and rad.dim == 1
     assert not any(_end_product(end, rad.basis[0], rad.basis[0]))
-    assert not rad.contains_vector(end.coords(ModuleMorphism.identity(P1)))
+    assert not rad.contains_vector(end.space.coords(ModuleMorphism.identity(P1).flatten()))
 
 
 def test_end_radical_of_a_full_matrix_algebra_is_zero(s2):
@@ -216,16 +215,21 @@ def test_end_radical_of_a_direct_sum_of_nodes(name, picks):
         assert f.is_zero()
 
 
+def _top(M):
+    """M / rad M."""
+    return quotient_representation(M, radical_spaces(M))[0]
+
+
 def test_radical_top_socle(s2):
     for a in s2.quiver.vertices:
         P = projective(s2, a)
-        t, _ = top(P)
+        t = _top(P)
         assert are_isomorphic(t, simple(s2, a))
         I = injective(s2, a)
         s, _ = socle(I)
         assert are_isomorphic(s, simple(s2, a))
         rad, incl = radical_submodule(P)
-        assert incl.is_mono()
+        assert is_mono(incl)
         assert all(rad.dims[v] + t.dims[v] == P.dims[v] for v in s2.quiver.vertices)
 
 
@@ -244,10 +248,10 @@ def test_projective_cover_of_simple_and_projective(s2):
     for a in s2.quiver.vertices:
         P, epi, summands = projective_cover(simple(s2, a))
         assert are_isomorphic(P, projective(s2, a)) and summands == (a,)
-        assert epi.is_epi()
+        assert is_epi(epi)
         P2, epi2, summands2 = projective_cover(projective(s2, a))
         assert are_isomorphic(P2, projective(s2, a)) and summands2 == (a,)
-        assert epi2.is_epi() and epi2.is_mono()
+        assert is_epi(epi2) and is_mono(epi2)
 
 
 def test_minimal_presentation_of_s1(s2):
@@ -266,8 +270,8 @@ def _assert_minimal_cover(epi, summands, M):
     """epi: ⊕ P_a -> M is onto, has one summand P_a per top basis vector at
     a, and its kernel lies in the radical of its source."""
     P = epi.source
-    assert Counter(summands) == Counter({a: d for a, d in top(M)[0].dims.items() if d})
-    assert epi.is_epi()
+    assert Counter(summands) == Counter({a: d for a, d in _top(M).dims.items() if d})
+    assert is_epi(epi)
     _, rad_incl = radical_submodule(P)
     for v in M.pres.quiver.vertices:
         rad = rad_incl.maps[v].image()
@@ -347,7 +351,7 @@ def _assert_isomorphism_iff(M, N, expected):
     assert (f is not None) == expected == are_isomorphic(M, N)
     if f is not None:
         assert f.source is M and f.target is N and f.is_invertible()
-        assert hom_space(M, N).coords(f) is not None  # f intertwines
+        assert hom_space(M, N).space.coords(f.flatten()) is not None  # f intertwines
         assert set(f.maps) == set(M.pres.quiver.vertices)
 
 
@@ -469,7 +473,7 @@ def test_decompose_inclusions_split_the_module(s2, s2_pipeline):
     for summand, incl in pairs:
         # a module morphism into the sum (checked on construction), and injective
         ModuleMorphism(summand, total, incl.maps)
-        assert incl.is_mono() and is_indecomposable(summand)
+        assert is_mono(incl) and is_indecomposable(summand)
     # the images together span each vertex space: the sum is internal and direct
     for v in s2.quiver.vertices:
         cols = [col for _, incl in pairs for col in zip(*incl.maps[v].data)]
@@ -604,22 +608,10 @@ def test_decompose_splits_rational_eigenvalue_family():
         assert sum(1 for p in parts if are_isomorphic(p, want)) == 1
 
 
-def test_json_round_trip(s2):
-    P1 = projective(s2, "1")
-    data = json.loads(json.dumps(P1.to_json_dict()))
-    again = Representation.from_json_dict(s2, data)
-    assert P1.same_data(again)
-    # rational entries survive the string encoding
-    M = Representation(s2, {"1": 1, "2": 1, "3": 0},
-                       {"alpha": RatMatrix([["2/3"]])}, check=False)
-    data = M.to_json_dict()
-    assert data["matrices"]["alpha"] == [["2/3"]]
-    assert Representation.from_json_dict(s2, data).same_data(M)
-
-
 def test_dual_round_trip(s2):
     P1 = projective(s2, "1")
-    assert P1.dual().dual().same_data(P1)
+    twice = P1.dual().dual()
+    assert twice.pres is s2 and twice.dims == P1.dims and twice.matrices == P1.matrices
     assert P1.dual().pres is s2.opposite()
 
 

@@ -11,10 +11,12 @@ from quivrad.radical import canonical_r, nilpotency_index
 from quivrad import radical, theorems as T
 from quivrad import ar_quiver
 from quivrad.cli import main
-from quivrad.rep import ModuleMorphism, Representation, hom_space, socle, simple
+from quivrad.rep import ModuleMorphism, Representation, hom_space, socle
 
 import dense_oracle
 from conftest import FINITE_SAMPLES, fixture_path, load, pipeline, relabelled_filtration, samples
+from dense_oracle import is_epi, is_mono, node_index, simple
+from toupie_witness import build_toupie_witness
 
 
 def test_corollary_on_s2(s2_pipeline):
@@ -253,14 +255,14 @@ def test_witness_modules(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     shape = classify(pres).toupie
     for i in (1, 2):
-        w = T.build_toupie_witness(filt, shape, i)
+        w = build_toupie_witness(filt, shape, i)
         assert w.end_dim == 2
         assert w.expected_layer == 6
         assert w.rho_layer == 6          # the cycles sit in layer six exactly
         assert not w.rho.is_zero()
         assert not (w.rho @ w.phi).is_zero()
         assert not (w.psi @ w.rho).is_zero()
-        assert w.phi.is_mono() and w.psi.is_epi()
+        assert is_mono(w.phi) and is_epi(w.psi)
         assert (w.rho @ w.rho).is_zero()
         assert w.verified()
 
@@ -268,7 +270,7 @@ def test_witness_modules(ex45_pipeline):
 def test_witness_factors_through_simple(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     shape = classify(pres).toupie
-    w = T.build_toupie_witness(filt, shape, 1)
+    w = build_toupie_witness(filt, shape, 1)
     S = simple(pres, w.vertex)
     down = hom_space(w.module, S)
     up = hom_space(S, w.module)
@@ -284,7 +286,7 @@ def test_witness_rejects_bad_index(ex45_pipeline):
     pres, ar, filt = ex45_pipeline
     shape = classify(pres).toupie
     with pytest.raises(ValueError):
-        T.build_toupie_witness(filt, shape, 5)
+        build_toupie_witness(filt, shape, 5)
 
 
 def test_lemma_32(s2_pipeline):
@@ -332,7 +334,7 @@ def test_lemma_refe_computes_no_hom_space_that_yoneda_rules_out(name, monkeypatc
             I_b = filt.reps[filt.injective_index(b)]
             count = sum(1 for M, N in calls if M is P_a and N is I_b)
             assert count == (1 if I_b.dims[a] else 0), (a, b)
-    pairs = [(filt.node_index(M), filt.node_index(N)) for M, N in calls]
+    pairs = [(node_index(filt, M), node_index(filt, N)) for M, N in calls]
     injective = {filt.injective_index(a) for a in vertices}
     yoneda = {(filt.projective_index(a), filt.injective_index(b)) for a in vertices
               for b in vertices if filt.reps[filt.injective_index(b)].dims[a]}
@@ -360,7 +362,7 @@ def test_lemma_refe_matches_the_hom_space_reference(name, monkeypatch):
         assert found == dense_oracle.lemma_refe(filt, searches)
         assert len(tests) == len(searches)
         for (vectors, line), (source, comps, through) in zip(tests, searches):
-            i = filt.node_index(source)
+            i = node_index(filt, source)
 
             def span(vecs):
                 return Subspace.from_vectors(len(line), vecs)
@@ -375,8 +377,8 @@ def test_lemma_refe_matches_the_hom_space_reference(name, monkeypatch):
                 if hs is not None:
                     through_a = dense_oracle.through_simple(filt, a, ib)
                     through_b = dense_oracle.through_simple_dual(filt, b, ip)
-                    assert dense_oracle.flat_span(through_a, hs.ambient) == \
-                        dense_oracle.flat_span(through_b, hs.ambient), (a, b)
+                    assert dense_oracle.flat_span(through_a, hs.space.ambient) == \
+                        dense_oracle.flat_span(through_b, hs.space.ambient), (a, b)
 
 
 @pytest.mark.parametrize("name", FINITE_SAMPLES)
