@@ -133,7 +133,7 @@ def transpose(M: Representation) -> Representation:
     target = _rep.direct_sum([projective(op, b) for b, _ in gens1])
     g = sum_of_projectives_morphism(op, summands0, target, images)
     spaces = {v: g.maps[v].image() for v in op.quiver.vertices}
-    tr, _ = quotient_representation(target, spaces)
+    tr, _ = quotient_representation([target], spaces)
     return tr
 
 
@@ -187,20 +187,19 @@ def almost_split_middle(Z: Representation, tau_z: Representation):
             break
     if g is None:
         raise InconsistencyError("no almost split extension class found")
-    total = _rep.direct_sum([tau_z, p0])
     # the image of K -> τZ ⊕ P0, k -> (g(k), -incl(k)): one column per basis vector of K
-    spaces = {v: Subspace.from_vectors(total.dims[v], [
+    spaces = {v: Subspace.from_vectors(tau_z.dims[v] + p0.dims[v], [
         gk + tuple(-x for x in ik)
         for gk, ik in zip(g.maps[v].transpose().data, incl.maps[v].transpose().data)])
         for v in Z.pres.quiver.vertices}
-    middle, _ = quotient_representation(total, spaces)
+    middle, _ = quotient_representation([tau_z, p0], spaces)
     # E -> Z is induced by (0 | epi) on τZ ⊕ P0, read on the quotient's
     # basis: the unit vectors at the non-pivot positions
     maps = {}
     for v in Z.pres.quiver.vertices:
         cols = [c - tau_z.dims[v] for c in spaces[v].nonpivots()]
-        maps[v] = RatMatrix._of([[row[c] if c >= 0 else 0 for c in cols]
-                                 for row in epi.maps[v].data], len(cols))
+        maps[v] = RatMatrix._of_normal([[row[c] if c >= 0 else 0 for c in cols]
+                                        for row in epi.maps[v].data], len(cols))
     return middle, ModuleMorphism(middle, Z, maps, check=False)
 
 
@@ -409,8 +408,8 @@ class _Knitter:
         X = node.rep
         components = self._left_almost_split(x)
         vertices = self.pres.quiver.vertices
-        image = {v: RatMatrix._of([row for _, g in components for row in g.maps[v].data],
-                                  X.dims[v]).image() for v in vertices}
+        image = {v: RatMatrix._of_normal([row for _, g in components for row in g.maps[v].data],
+                                         X.dims[v]).image() for v in vertices}
         kernel = X.total_dim() - sum(s.dim for s in image.values())
         if kernel:
             if kernel != 1 or x in self.tau_inverse:
@@ -421,12 +420,14 @@ class _Knitter:
             self.injectives.add(x)
             return
         targets = [self.nodes[y].rep for y, _ in components]
-        C, proj = quotient_representation(_rep.direct_sum(targets), image)
+        C, proj = quotient_representation(targets, image)
         z, iso = self._orbit_node(C, node, 1)
         if self.tau_inverse.get(x, z) != z or z in self.pieces:
             raise InconsistencyError(f"the cokernel of the left almost split map out of "
                                      f"{node.label} is not its inverse translate")
-        onto = proj if iso is None else iso.inverse() @ proj
+        if iso is not None:
+            inv = iso.inverse()
+            proj = {v: inv.maps[v] @ p for v, p in proj.items()}
         self.link_tau(z, x)
         self.routes["cokernel"] += 1
         Z = self.nodes[z].rep
@@ -436,7 +437,7 @@ class _Knitter:
             maps = {}
             for v in vertices:
                 lo, hi = start[v], start[v] + Y.dims[v]
-                maps[v] = RatMatrix._of([row[lo:hi] for row in onto.maps[v].data], hi - lo)
+                maps[v] = RatMatrix._of_normal([row[lo:hi] for row in proj[v].data], hi - lo)
                 start[v] = hi
             self.pieces[z].append((y, ModuleMorphism(Y, Z, maps, check=False)))
 

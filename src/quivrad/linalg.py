@@ -3,10 +3,24 @@
 Everything downstream (Hom spaces, radical layers, translates) reduces to
 rank/kernel/membership questions here, so arithmetic never rounds: entries
 are Python ints or ``fractions.Fraction``.  Matrices are stored dense, and
-every stored entry is an ``int`` or a ``Fraction`` that is not an integer.
-``RatMatrix(...)`` establishes that invariant for outside input;
-``RatMatrix._of`` builds the results of matrix arithmetic on entries that
-already satisfy it, so it normalises only the entries that are not ``int``.
+every stored entry is an ``int`` or a ``Fraction`` that is not an integer
+(a *normal* entry).  Three constructors keep that invariant:
+
+* ``RatMatrix(...)`` normalises outside input;
+* ``RatMatrix._of`` takes ints and Fractions, the results of arithmetic on
+  normal entries (products, sums), and scans every row, normalising the
+  entries that are not ``int``: a sum such as ``1/2 + 1/2`` is an integral
+  ``Fraction`` and is stored as ``1``;
+* ``RatMatrix._of_normal`` stores its rows as given, so it may take only
+  rows whose entries are known normal: Python ints, stored entries moved
+  without arithmetic (slices, transposes and stacks of stored rows), their
+  negations, and ``_ratio`` output.  Its callers are the structural
+  operations here (``transpose``, negation, ``inverse``, ``zeros``,
+  ``identity``, ``Subspace.quotient_matrix``) and, in ``rep`` and
+  ``artrans``, the direct sum, the socle stack, the unflattened Hom basis,
+  the map E -> Z of the Ext route, and the image stack and the piece slices
+  of a knitting step.  ``Subspace.quotient_columns`` adds multiples of
+  rows, so it keeps the scan.
 
 Elimination is sparse and integral: each row is a dict of its nonzero
 entries, rows are scaled to integers first, reduced one at a time against
@@ -197,12 +211,12 @@ def _trusted_row(r) -> tuple:
 
 @lru_cache(maxsize=1024)
 def _zeros(rows: int, cols: int) -> "RatMatrix":
-    return RatMatrix._of(((0,) * cols,) * rows, cols)
+    return RatMatrix._of_normal(((0,) * cols,) * rows, cols)
 
 
 @lru_cache(maxsize=256)
 def _identity(n: int) -> "RatMatrix":
-    return RatMatrix._of([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
+    return RatMatrix._of_normal([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
 
 class RatMatrix:
@@ -233,8 +247,15 @@ class RatMatrix:
         ``cols`` entries; only the entries that are not int are normalised,
         so a stored entry is an int or a Fraction that is not an integer.
         """
+        return cls._of_normal(map(_trusted_row, rows), cols)
+
+    @classmethod
+    def _of_normal(cls, rows: Iterable[Sequence], cols: int) -> "RatMatrix":
+        """Trusted constructor for rows whose entries are already normal
+        (see the module docstring): every row has ``cols`` entries, each an
+        int or a Fraction that is not an integer.  Nothing is scanned."""
         m = object.__new__(cls)
-        d = tuple(map(_trusted_row, rows))
+        d = tuple(map(tuple, rows))
         object.__setattr__(m, "data", d)
         object.__setattr__(m, "rows", len(d))
         object.__setattr__(m, "cols", cols)
@@ -260,8 +281,8 @@ class RatMatrix:
 
     def transpose(self) -> "RatMatrix":
         if self.rows == 0:
-            return RatMatrix._of([() for _ in range(self.cols)], 0)
-        return RatMatrix._of(zip(*self.data), self.rows)
+            return RatMatrix._of_normal([() for _ in range(self.cols)], 0)
+        return RatMatrix._of_normal(zip(*self.data), self.rows)
 
     def __eq__(self, other):
         return (
@@ -285,7 +306,7 @@ class RatMatrix:
         return self + (-other)
 
     def __neg__(self) -> "RatMatrix":
-        return RatMatrix._of([[-x for x in r] for r in self.data], self.cols)
+        return RatMatrix._of_normal([[-x for x in r] for r in self.data], self.cols)
 
     def scaled(self, c) -> "RatMatrix":
         c = _norm(c)
@@ -335,7 +356,7 @@ class RatMatrix:
         for i, row in enumerate(red):
             p = row[i]
             inv.append([_ratio(row.get(n + j, 0), p) for j in range(n)])
-        return RatMatrix._of(inv, n)
+        return RatMatrix._of_normal(inv, n)
 
     def is_invertible(self) -> bool:
         return self.is_square() and self.rank() == self.rows
@@ -483,19 +504,19 @@ class Subspace:
         for p, piv, off in rows:
             for c, x in off:
                 out[index[c]][p] = _ratio(-x, piv)
-        return RatMatrix._of(out, self.ambient)
+        return RatMatrix._of_normal(out, self.ambient)
 
-    def quotient_columns(self, mat: "RatMatrix", cols: Sequence[int]) -> "RatMatrix":
-        """The quotient coordinates of mat's columns at ``cols``: the
-        projection ``quotient_matrix`` times those columns, read off the
-        reduced basis so that only its nonzero entries are used.
+    def quotient_columns(self, lifted: Sequence[Sequence], width: int) -> "RatMatrix":
+        """The quotient coordinates of the columns of a matrix with ``width``
+        columns, given by its rows ``lifted`` in k^ambient: the projection
+        ``quotient_matrix`` times that matrix, read off the reduced basis so
+        that only its nonzero entries are used.
 
-        Row t starts as mat's row at the t-th non-pivot column c; each basis
-        row b with pivot p adds −b[c]/b[p] times mat's row at p.
+        Row t starts as the row at the t-th non-pivot column c; each basis
+        row b with pivot p adds −b[c]/b[p] times the row at p.
         """
-        if mat.rows != self.ambient:
+        if len(lifted) != self.ambient:
             raise ShapeError("quotient_columns: shape mismatch")
-        lifted = [[row[c] for c in cols] for row in mat.data]
         rows, nonpivots = self._reduction()
         index = {c: t for t, c in enumerate(nonpivots)}
         out = [lifted[c] for c in nonpivots]
@@ -505,7 +526,7 @@ class Subspace:
                 for c, x in off:
                     k, t = _ratio(-x, piv), index[c]
                     out[t] = [y + k * z for y, z in zip(out[t], src)]
-        return RatMatrix._of(out, len(cols))
+        return RatMatrix._of(out, width)
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"

@@ -214,7 +214,7 @@ def _unflatten(M: Representation, N: Representation, vec: Sequence) -> Dict[str,
     for v in M.pres.quiver.vertices:
         r, c = N.dims[v], M.dims[v]
         rows = [vec[pos + i * c: pos + (i + 1) * c] for i in range(r)]
-        maps[v] = RatMatrix._of(rows, c)
+        maps[v] = RatMatrix._of_normal(rows, c)
         pos += r * c
     return maps
 
@@ -345,24 +345,44 @@ def subrepresentation(M: Representation, subspaces: Dict[str, Subspace]):
     return sub, inclusion
 
 
-def quotient_representation(M: Representation, subspaces: Dict[str, Subspace]):
-    """(quotient, projection) by arrow-invariant per-vertex subspaces.
+def quotient_representation(summands: Sequence[Representation],
+                            subspaces: Dict[str, Subspace]):
+    """(quotient, projection) of E = ⊕ summands by arrow-invariant per-vertex
+    subspaces; the projection is one matrix per vertex, from E_v.
 
     The basis of the quotient at v is the image of the unit vectors at the
     non-pivot positions of ``subspaces[v]``, so an arrow acts on it by the
-    quotient coordinates of its matrix's columns at those positions
+    quotient coordinates of E's arrow matrix at those columns
     (``Subspace.quotient_columns``); the projection is
-    ``Subspace.quotient_matrix``.
+    ``Subspace.quotient_matrix``.  E's arrows are block-diagonal, so those
+    columns are read block by block off the summands: a row of block k is
+    zero off the source columns of block k.  E is never built.
     """
-    quiver = M.pres.quiver
+    quiver = summands[0].pres.quiver
     nonp = {v: subspaces[v].nonpivots() for v in quiver.vertices}
     dims = {v: len(cols) for v, cols in nonp.items()}
-    mats = {a.name: subspaces[a.target].quotient_columns(M.matrices[a.name], nonp[a.source])
-            for a in quiver.arrows}
-    quo = Representation(M.pres, dims, mats, check=False)
-    proj = {v: subspaces[v].quotient_matrix() for v in quiver.vertices}
-    projection = ModuleMorphism(M, quo, proj, check=False)
-    return quo, projection
+    # v -> per summand: (first and last+1 position in nonp[v], its columns
+    # there as columns of the summand)
+    blocks = {}
+    for v, cols in nonp.items():
+        out, i, offset = [], 0, 0
+        for Y in summands:
+            j, end = i, offset + Y.dims[v]
+            while j < len(cols) and cols[j] < end:
+                j += 1
+            out.append((i, j, [c - offset for c in cols[i:j]]))
+            i, offset = j, end
+        blocks[v] = out
+    mats = {}
+    for a in quiver.arrows:
+        width = dims[a.source]
+        lifted = []
+        for Y, (i, j, cols) in zip(summands, blocks[a.source]):
+            head, tail = [0] * i, [0] * (width - j)
+            lifted += [head + [row[c] for c in cols] + tail for row in Y.matrices[a.name].data]
+        mats[a.name] = subspaces[a.target].quotient_columns(lifted, width)
+    quo = Representation(summands[0].pres, dims, mats, check=False)
+    return quo, {v: subspaces[v].quotient_matrix() for v in quiver.vertices}
 
 
 def radical_spaces(M: Representation) -> Dict[str, Subspace]:
@@ -386,7 +406,7 @@ def socle_spaces(M: Representation) -> Dict[str, Subspace]:
         rows = []
         for a in quiver.out_arrows(v):
             rows.extend(M.matrices[a.name].data)
-        out[v] = RatMatrix._of(rows, M.dims[v]).kernel()
+        out[v] = RatMatrix._of_normal(rows, M.dims[v]).kernel()
     return out
 
 
@@ -443,7 +463,7 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
                     data[ro + i][co + j] = x
             ro += r.dims[a.target]
             co += r.dims[a.source]
-        mats[a.name] = RatMatrix._of(data, cols)
+        mats[a.name] = RatMatrix._of_normal(data, cols)
     return Representation(pres, dims, mats, check=False)
 
 

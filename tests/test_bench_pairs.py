@@ -43,6 +43,7 @@ def test_main_runs_ten_alternating_pairs_of_every_declared_workload(tmp_path, mo
         return _result(1.0 if checkout == str(parent) else 0.5, 20.0)
 
     monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    monkeypatch.setattr(bench_pairs, "parent_commit", lambda checkout: "abc123")
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "x",
                       "--seed", "3", "--note", "n", "--host", "h"])
@@ -52,6 +53,26 @@ def test_main_runs_ten_alternating_pairs_of_every_declared_workload(tmp_path, mo
     assert firsts == [str(parent), str(change)] * 5
     doc = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert doc["pairs"] == 10
+    assert doc["parent_commit"] == "abc123"
     assert doc["command"] == \
         "python3 perfbench/run.py --workload {w1,w2} --seed 3 --seconds 7 --trace 0"
     assert doc["workloads"]["w2"]["summary"]["op_ref"]["change_better_pairs"] == 10
+
+
+def test_a_parent_without_git_exits_2_before_any_run(tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w1"}], "run_seconds": 7, "end_to_end": []}))
+    calls = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: calls.append(a))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "x",
+                          "--seed", "3", "--note", "n", "--host", "h"])
+    assert exc.value.code == 2
+    assert "git worktree add" in capsys.readouterr().err
+    assert not calls
+    assert not (tmp_path / "BENCH_x.json").exists()

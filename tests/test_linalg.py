@@ -1,13 +1,19 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from quivrad import artrans
+from quivrad import rep as R
+from quivrad.artrans import EnumerationLimits
 from quivrad.errors import ShapeError
 from quivrad.linalg import (
     RatMatrix,
     Subspace,
 )
+
+from conftest import samples
 
 
 def bareiss_solve(rows, rhs):
@@ -107,3 +113,94 @@ def test_coords_membership():
         rebuilt = [x + c * y for x, y in zip(rebuilt, row)]
     assert rebuilt == [1, 2, 1]
     assert s.coords([0, 0, 1]) is None
+
+
+# -- the normal-entry constructor: its callers keep the invariant -----------------
+
+def _normal(x) -> bool:
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def _entries(m):
+    return [x for row in m.data for x in row]
+
+
+def _rebased(M, rng):
+    """M in a new basis at each vertex, changed by an upper triangular
+    integer matrix with diagonal entries 1 to 3, so that its arrows hold
+    Fractions."""
+    change = {}
+    for v, d in M.dims.items():
+        rows = [[rng.randint(1, 3) if i == j else rng.randint(-2, 2) if i < j else 0
+                 for j in range(d)] for i in range(d)]
+        change[v] = RatMatrix(rows, cols=d)
+    mats = {a.name: change[a.target] @ M.matrices[a.name] @ change[a.source].inverse()
+            for a in M.pres.quiver.arrows}
+    return R.Representation(M.pres, M.dims, mats, check=False)
+
+
+def test_quotient_matrix_entries_are_normal_on_fraction_pivots():
+    rng = random.Random(3)
+    fractions = 0
+    for _ in range(30):
+        vecs = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(rng.randint(1, 4))]
+        space = Subspace.from_vectors(6, vecs)
+        entries = _entries(space.quotient_matrix())
+        assert all(map(_normal, entries))
+        fractions += sum(type(x) is Fraction for x in entries)
+    assert fractions
+
+
+def test_normal_entry_constructor_callers_keep_the_invariant(monkeypatch):
+    # knit from seeds given in a changed basis, so that the pieces and the
+    # cokernels of the walk hold Fractions; Tr D keeps the path-class
+    # projectives it presents with
+    pres, ar = samples("ex_4_5")[0]
+    rng = random.Random(5)
+    real_projective = artrans.projective
+    rebased = {a: _rebased(real_projective(pres, a), rng) for a in pres.quiver.vertices}
+
+    def seed(p, a):
+        if sys._getframe(1).f_code.co_name == "run":
+            return rebased[a]
+        return real_projective(p, a)
+
+    monkeypatch.setattr(artrans, "projective", seed)
+    real_of_normal = RatMatrix._of_normal.__func__
+    seen = []
+
+    def checked(cls, rows, cols):
+        rows = [tuple(r) for r in rows]
+        assert all(_normal(x) for r in rows for x in r)
+        seen.extend(x for r in rows for x in r if type(x) is Fraction)
+        return real_of_normal(cls, rows, cols)
+
+    monkeypatch.setattr(RatMatrix, "_of_normal", classmethod(checked))
+    steps = []
+    real_quotient = artrans.quotient_representation
+
+    def recorded(summands, spaces):
+        quo, proj = real_quotient(summands, spaces)
+        steps.append(proj)
+        return quo, proj
+
+    monkeypatch.setattr(artrans, "quotient_representation", recorded)
+    knit = artrans._Knitter(pres, EnumerationLimits()).run()
+    assert sorted(n.rep.dim_vector() for n in knit.nodes) == \
+        sorted(n.rep.dim_vector() for n in ar.nodes)
+    assert knit.routes["cokernel"] and seen
+    projections = [_entries(m) for proj in steps for m in proj.values()]
+    pieces = [_entries(m) for ps in knit.pieces.values() for _, g in ps for m in g.maps.values()]
+    for entries in projections + pieces:
+        assert all(map(_normal, entries))
+    assert any(type(x) is Fraction for entries in projections for x in entries)
+    assert any(type(x) is Fraction for entries in pieces for x in entries)
+
+
+def test_quotient_columns_stores_a_cancelling_sum_as_an_int():
+    # span of (2, 1): row 0 of the quotient at the non-pivot 1 is
+    # lifted[1] − 1/2·lifted[0] = 1/2 + 1/2
+    space = Subspace.from_vectors(2, [[2, 1]])
+    got = space.quotient_columns([[-1, 0], [Fraction(1, 2), 3]], 2)
+    assert got.data == ((1, 3),)
+    assert type(got.data[0][0]) is int

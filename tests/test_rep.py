@@ -217,7 +217,7 @@ def test_end_radical_of_a_direct_sum_of_nodes(name, picks):
 
 def _top(M):
     """M / rad M."""
-    return quotient_representation(M, radical_spaces(M))[0]
+    return quotient_representation([M], radical_spaces(M))[0]
 
 
 def test_radical_top_socle(s2):

@@ -16,6 +16,11 @@ a drift in host speed falls on both sides alike.  Writes
 * per workload, the CLI calls attempted and failed, summed over the runs;
 * the command, seed, pair order, parent commit and a free-text host note.
 
+The parent checkout must be a git checkout (``git clone`` or
+``git worktree add``): its commit is read with ``git rev-parse HEAD``
+before the first run, and the script exits 2 when that fails, as in a
+``git archive`` export.
+
 Usage, from anywhere:
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --label NAME \\
@@ -49,6 +54,21 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
         raise SystemExit(f"bench_pairs: {' '.join(argv[1:])} in {checkout} exited "
                          f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
     return json.loads(lines[-1])
+
+
+def parent_commit(checkout: str) -> str:
+    """The commit checked out at the top of the git checkout ``checkout``;
+    exits 2 when ``checkout`` is not the top of one."""
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True)
+    lines = proc.stdout.split()
+    if proc.returncode != 0 or len(lines) != 2 or \
+            Path(lines[0]).resolve() != Path(checkout).resolve():
+        print(f"bench_pairs: {checkout} is not the top of a git checkout, so its commit "
+              "is unknown; make the parent with git clone or git worktree add",
+              file=sys.stderr)
+        raise SystemExit(2)
+    return lines[1]
 
 
 def iqr(values: list) -> float:
@@ -89,8 +109,7 @@ def main(argv=None) -> int:
     workloads = [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    parent_commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=args.parent,
-                                   capture_output=True, text=True).stdout.strip()
+    commit = parent_commit(args.parent)
     runs = {w: {"parent": [], "change": []} for w in workloads}
     for k in range(PAIRS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
@@ -102,7 +121,7 @@ def main(argv=None) -> int:
                 print(f"pair {k + 1} {workload} {side}: op_ref {op_ref:.4f}", flush=True)
     doc = {
         "change": args.note,
-        "parent_commit": parent_commit,
+        "parent_commit": commit,
         "command": f"python3 perfbench/run.py --workload {{{','.join(workloads)}}} "
                    f"--seed {args.seed} --seconds {seconds} --trace 0",
         "seed": args.seed,
