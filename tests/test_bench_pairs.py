@@ -31,7 +31,9 @@ def test_summary_counts_better_pairs_by_direction_and_ties_for_neither():
 
 def test_main_runs_ten_alternating_pairs_of_every_declared_workload(tmp_path, monkeypatch):
     parent, change = tmp_path / "parent", tmp_path / "change"
-    parent.mkdir()
+    (parent / "src" / "pkg" / "__pycache__").mkdir(parents=True)
+    (parent / "src" / "pkg" / "__pycache__" / "m.cpython-311.pyc").write_bytes(b"")
+    (parent / "src" / "pkg" / "m.py").write_text("")
     change.mkdir()
     bench = {"workloads": [{"name": "w1"}, {"name": "w2"}], "run_seconds": 7,
              "end_to_end": [{"name": "op_ref", "better": "lower"}]}
@@ -48,6 +50,8 @@ def test_main_runs_ten_alternating_pairs_of_every_declared_workload(tmp_path, mo
     bench_pairs.main(["--parent", str(parent), "--change", str(change), "--label", "x",
                       "--seed", "3", "--note", "n", "--host", "h"])
     assert len(calls) == 2 * 2 * bench_pairs.PAIRS == 40
+    assert not list(parent.rglob("__pycache__"))  # both sides start without bytecode
+    assert (parent / "src" / "pkg" / "m.py").exists()
     assert {c[1:] for c in calls} == {("w1", 3, 7), ("w2", 3, 7)}
     firsts = [calls[i][0] for i in range(0, len(calls), 4)]  # first run of each pair
     assert firsts == [str(parent), str(change)] * 5

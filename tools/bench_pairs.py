@@ -19,7 +19,11 @@ a drift in host speed falls on both sides alike.  Writes
 The parent checkout must be a git checkout (``git clone`` or
 ``git worktree add``): its commit is read with ``git rev-parse HEAD``
 before the first run, and the script exits 2 when that fails, as in a
-``git archive`` export.
+``git archive`` export.  Before the first run it also deletes every
+``__pycache__`` directory in both checkouts, so that both sides start
+without bytecode: with ``PYTHONDONTWRITEBYTECODE`` set, a checkout left
+with bytecode by an earlier run imports without compiling, and its
+``setup_s`` and ``peak_rss_mb`` read lower than a fresh checkout's.
 
 Usage, from anywhere:
 
@@ -35,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -69,6 +74,12 @@ def parent_commit(checkout: str) -> str:
               file=sys.stderr)
         raise SystemExit(2)
     return lines[1]
+
+
+def clear_bytecode(checkout: str) -> None:
+    """Delete every ``__pycache__`` directory under ``checkout``."""
+    for cache in list(Path(checkout).rglob("__pycache__")):
+        shutil.rmtree(cache)
 
 
 def iqr(values: list) -> float:
@@ -110,6 +121,8 @@ def main(argv=None) -> int:
     seconds = bench["run_seconds"]
     metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
     commit = parent_commit(args.parent)
+    for checkout in (args.parent, args.change):
+        clear_bytecode(checkout)
     runs = {w: {"parent": [], "change": []} for w in workloads}
     for k in range(PAIRS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
