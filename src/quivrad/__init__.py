@@ -39,7 +39,6 @@ from .rep import (
     projective,
     projective_cover,
     radical_submodule,
-    socle,
 )
 from .artrans import (
     ARQuiver,

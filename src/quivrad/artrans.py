@@ -9,8 +9,10 @@ Enumeration is the knitting procedure (ASS IV.3-IV.4; ARS V.5), from the
 projectives, the seeds.  The knitting keeps the right almost split map into
 every node, one piece per indecomposable summand read on the node
 isomorphic to it; the AR arrows are the summand multiplicities.  A
-projective's map is rad P -> P, whose summands are matched to the nodes or
-stay loose until a node added later matches them.  Each node X then takes
+projective's map is rad P_a -> P_a, split into the images αA of the arrows
+α: a -> t when their sum is direct (by Fitting's lemma otherwise); a summand
+that is not P_t is matched to the nodes, or stays loose until a node added
+later matches it.  Each node X then takes
 one step, once its own mesh and that of τ⁻¹W, for each predecessor W, are
 knit: the pieces out of X into the projectives and into τ⁻¹W, for each
 non-injective predecessor W, form its left minimal almost split map
@@ -62,7 +64,8 @@ from .rep import (
     projective_cover,
     quotient_representation,
     radical_submodule,
-    socle,
+    socle_spaces,
+    subrepresentation,
     sum_of_projectives_morphism,
     top_generators,
     zero_representation,
@@ -317,8 +320,9 @@ class _Knitter:
     def _match(self, rep: Representation) -> Optional[tuple]:
         """(k, iso: node k -> rep) for the node k isomorphic to rep, or None.
 
-        Called only on cokernels, on translates and on the summands that
-        ``decompose`` splits off rad P and the Ext route's middle terms.
+        Called only on cokernels, on translates, on the summands αA of rad P
+        that are not P_t, and on the summands that ``decompose`` splits off
+        rad P and the Ext route's middle terms.
         Nodes and rep are indecomposable, so the basis test of
         ``find_isomorphism`` decides."""
         for k in self.buckets.get(rep.dim_vector(), ()):
@@ -354,17 +358,50 @@ class _Knitter:
         self.tau_inverse[x] = y
 
     def _knit(self, j: int, source: Representation, into: ModuleMorphism) -> None:
-        """Keep the right almost split map source -> node j as pieces: each
-        indecomposable summand of source is matched to a node, or stays loose
-        until a node added later matches it."""
+        """Keep the right almost split map source -> node j as pieces, one
+        per indecomposable summand of source (see ``_place``)."""
         self.pieces[j] = []
         for Z, incl in ([] if source.is_zero() else decompose(source)):
-            g = into @ incl
-            found = self._match(Z)
-            if found is None:
-                self.loose.append((j, Z, g))
+            self._place(j, Z, into @ incl)
+
+    def _place(self, j: int, Z: Representation, g: ModuleMorphism) -> None:
+        """Match the indecomposable summand g: Z -> node j to a node, or keep
+        it loose until a node added later matches it."""
+        found = self._match(Z)
+        if found is None:
+            self.loose.append((j, Z, g))
+        else:
+            self.pieces[j].append((found[0], g @ found[1]))
+
+    def _knit_projective(self, p: int) -> None:
+        """Keep rad P -> P for the seed p = P_a as pieces, one per arrow
+        α: a -> t when rad P = ⊕ αA (ASS III.2), else by ``decompose``.
+
+        h_α: P_t -> P, q -> αq, is read off the path model, and αA = im h_α.
+        The αA span rad P, so the sum is direct iff their dimensions add up
+        to dim P - 1.  Each αA is cyclic, so indecomposable: h_α is the piece
+        from the seed P_t when it is mono, and otherwise αA is placed.
+        """
+        quiver, model, P = self.pres.quiver, self.pres.model(), self.nodes[p].rep
+        a = quiver.vertices[p]
+        arrows = []
+        for alpha in quiver.out_arrows(a):
+            h = {}
+            for v in quiver.vertices:
+                cols = [model.reduce_path(Path(quiver, a, (alpha.name,) + q.arrows))
+                        for q in model.basis(alpha.target, v)]
+                h[v] = RatMatrix(zip(*cols), cols=len(cols)) if cols else \
+                    RatMatrix.zeros(P.dims[v], 0)
+            arrows.append((quiver._vindex[alpha.target], h, sum(m.rank() for m in h.values())))
+        if sum(rank for _, _, rank in arrows) != P.total_dim() - 1:
+            return self._knit(p, *radical_submodule(P))
+        self.pieces[p] = []
+        for t, h, rank in arrows:
+            Pt = self.nodes[t].rep
+            if rank == Pt.total_dim():
+                self.pieces[p].append((t, ModuleMorphism(Pt, P, h, check=False)))
             else:
-                self.pieces[j].append((found[0], g @ found[1]))
+                self._place(p, *subrepresentation(P, {v: m.image() for v, m in h.items()}))
 
     def _owes_step(self, x: int) -> bool:
         """Whether τ⁻¹ of node x is undecided, or known with its mesh not yet knit."""
@@ -508,7 +545,7 @@ class _Knitter:
             self.add(projective(pres, a), f"P_{a}", 0)
         for p in self.projectives:
             self.routes["projective"] += 1
-            self._knit(p, *radical_submodule(self.nodes[p].rep))
+            self._knit_projective(p)
         while True:
             x = self._next_ready()
             if x is not None:
@@ -525,11 +562,13 @@ class _Knitter:
         run over the vertices in order, P before I before S; a module with
         no node gets no key.  The injective nodes are certified first: one
         per vertex, with simple socles at distinct vertices, and of total
-        dimension Σ dim P_a = dim A.
+        dimension Σ dim P_a = dim A.  Their socle spaces are kept in
+        ``socles`` for the filtration.
         """
         vertices = self.pres.quiver.vertices
         injectives = [k for k in range(len(self.nodes)) if k not in self.tau_inverse]
-        injective_at = {socle(self.nodes[k].rep)[0].dim_vector(): k for k in injectives}
+        self.socles = {k: socle_spaces(self.nodes[k].rep) for k in injectives}
+        injective_at = {tuple(self.socles[k][v].dim for v in vertices): k for k in injectives}
         simple = [tuple(int(v == a) for v in vertices) for a in vertices]
         if len(injectives) != len(vertices) or set(injective_at) != set(simple):
             raise InconsistencyError("the nodes with no inverse translate do not have "
@@ -553,5 +592,6 @@ def ar_quiver(pres: AlgebraPresentation,
     aliases = knit.alias_table()
     for key, idx in aliases.items():
         knit.nodes[idx].aliases += (key,)
-    filt = RadicalFiltration(pres, [n.rep for n in knit.nodes], knit.pieces, aliases)
+    filt = RadicalFiltration(pres, [n.rep for n in knit.nodes], knit.pieces, aliases,
+                             knit.socles)
     return ARQuiver(knit.nodes, knit.tau, knit.tau_inverse, filt)

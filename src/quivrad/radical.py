@@ -135,7 +135,8 @@ class RadicalFiltration:
 
     ``pieces`` maps every node to its right almost split map as
     ``[(k, node_k -> node)]`` and ``aliases`` maps ``P_a``/``I_a``/``S_a`` to
-    the node isomorphic to it; the knitting builds both.  Layers are
+    the node isomorphic to it; the knitting builds both, and hands over the
+    socle spaces it read, as ``socles``.  Layers are
     computed on demand, row by row; ``ensure_complete`` iterates the
     projective rows until every chain has reached zero, which must happen
     for representation-finite input (a row that stops shrinking while
@@ -143,7 +144,8 @@ class RadicalFiltration:
     """
 
     def __init__(self, pres: AlgebraPresentation, nodes: Sequence[Representation],
-                 pieces: Dict[int, list], aliases: Dict[str, int]):
+                 pieces: Dict[int, list], aliases: Dict[str, int],
+                 socles: Optional[Dict[int, Dict[str, Subspace]]] = None):
         self.pres = pres
         self.reps = list(nodes)
         self.hom = _HomTable(self.reps)
@@ -152,7 +154,7 @@ class RadicalFiltration:
         self._projective = sorted({i for key, i in self.aliases.items() if key[0] == "P"})
         self._rows: Dict[int, _Row] = {}
         self._gens: Dict[int, list] = {}
-        self._socles: Dict[int, Dict[str, Subspace]] = {}
+        self._socles: Dict[int, Dict[str, Subspace]] = dict(socles or {})
         self._canonical_r: Dict[str, int] = {}  # r_a, kept once its socle line passed
 
     # -- node bookkeeping ----------------------------------------------------

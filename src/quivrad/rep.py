@@ -415,11 +415,6 @@ def radical_submodule(M: Representation):
     return subrepresentation(M, radical_spaces(M))
 
 
-def socle(M: Representation):
-    """Joint kernel of all outgoing arrow maps, with its inclusion."""
-    return subrepresentation(M, socle_spaces(M))
-
-
 # -- projective covers ------------------------------------------------------
 
 def morphism_from_projective(pres: AlgebraPresentation, a: str, M: Representation,

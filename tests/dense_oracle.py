@@ -17,7 +17,8 @@ coordinates of every unit vector, and each arrow of the quotient through a
 dense section matrix.  The package reads the projection off the reduced
 echelon rows and the arrows off the columns, so this route checks both.
 
-Last, modules and lengths the package has no use for: S_a and I_a built on
+Last, modules and lengths the package has no use for: the socle as a
+submodule (the package reads only its spaces), S_a and I_a built on
 path classes (the package finds them among the knitted nodes), mono and epi
 tests, and the radical length of any morphism between two nodes, the
 general form of ``canonical_r``.
@@ -25,7 +26,8 @@ general form of ``canonical_r``.
 from quivrad.errors import InconsistencyError
 from quivrad.linalg import RatMatrix, Subspace
 from quivrad.quiver import Path
-from quivrad.rep import ModuleMorphism, Representation, end_radical, hom_space, morphism_ambient
+from quivrad.rep import (ModuleMorphism, Representation, end_radical, hom_space, morphism_ambient,
+                         socle_spaces, subrepresentation)
 
 
 class DenseFiltration:
@@ -236,6 +238,11 @@ def quotient_by_unit_vectors(M, subspaces):
 
 
 # -- modules and radical lengths ----------------------------------------------------
+
+def socle(M):
+    """soc M, the joint kernel of the arrows out of each vertex, with its inclusion."""
+    return subrepresentation(M, socle_spaces(M))
+
 
 def simple(pres, a):
     """S_a: one dimension at a, every arrow zero."""

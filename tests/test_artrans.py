@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from quivrad import artrans
+from quivrad import artrans, radical
 from quivrad.artrans import (
     EnumerationLimits,
     almost_split_middle,
@@ -15,17 +15,19 @@ from quivrad.artrans import (
 from quivrad.cli import main
 from quivrad.errors import InconsistencyError, LimitsExceededError
 from quivrad.linalg import RatMatrix, Subspace
-from quivrad.quiver import parse_presentation
+from quivrad.quiver import Path, parse_presentation
 from quivrad.rep import (
     ModuleMorphism,
     are_isomorphic,
     hom_space,
     morphism_ambient,
+    morphism_from_projective,
     projective,
     radical_submodule,
+    socle_spaces,
 )
 
-from conftest import fixture_path, load, pipeline
+from conftest import FINITE_SAMPLES, fixture_path, load, pipeline, samples
 from dense_oracle import injective, is_epi, simple
 from randgen import random_finite_monomial, random_nakayama
 
@@ -161,11 +163,28 @@ def test_each_translate_link_is_derived_once(name, monkeypatch):
         assert len(by_fn["projective_cover"]) == translates + knit.routes["extension"]
 
 
+def _overlapping(pres) -> list:
+    """The vertices a at which the arrow submodules αA of rad P_a, one per
+    arrow α: a -> t, overlap: they span rad P_a, and their dimensions add
+    up to more than its.  αA is the image of P_t -> P_a, generator to α."""
+    model, quiver = pres.model(), pres.quiver
+    out = []
+    for a in quiver.vertices:
+        P = projective(pres, a)
+        dims = sum(morphism_from_projective(
+            pres, alpha.target, P, model.reduce_path(Path(quiver, a, (alpha.name,)))).rank()
+            for alpha in quiver.out_arrows(a))
+        if dims > P.total_dim() - 1:
+            out.append(a)
+    return out
+
+
 @pytest.mark.parametrize("name", FINITE_FIXTURES + ("ex_2_5", "random"))
 def test_knitting_decomposes_each_right_almost_split_source_once(name, monkeypatch):
-    # only rad P and the Ext route's middle term are decomposed; the cokernel
-    # route reads its summands off the nodes, and successors need no step of
-    # their own (a successor is a seed or the inverse translate of a predecessor)
+    # rad P is split by decompose only where its arrow submodules overlap,
+    # and the Ext route's middle term always is; the cokernel route reads
+    # its summands off the nodes, and successors need no step of their own
+    # (a successor is a seed or the inverse translate of a predecessor)
     calls = Counter()
 
     def counted(fn):
@@ -176,20 +195,51 @@ def test_knitting_decomposes_each_right_almost_split_source_once(name, monkeypat
             return real(*args)
         return wrapper
 
-    for fn in ("decompose", "almost_split_middle"):
+    for fn in ("decompose", "almost_split_middle", "radical_submodule"):
         monkeypatch.setattr(artrans, fn, counted(fn))
     for pres in _presentations(name):
+        overlapping = len(_overlapping(pres))
         calls.clear()
         knit = artrans._Knitter(pres, EnumerationLimits()).run()
         vertices = pres.quiver.vertices
-        with_radical = sum(1 for a in vertices if projective(pres, a).total_dim() > 1)
-        assert calls["decompose"] == with_radical + calls["almost_split_middle"]
+        assert calls["radical_submodule"] == overlapping
+        assert calls["decompose"] == overlapping + calls["almost_split_middle"]
         assert calls["almost_split_middle"] == knit.routes["extension"]
         assert knit.routes["projective"] == len(vertices)
         meshes = ("projective", "cokernel", "extension")
         assert sum(knit.routes[route] for route in meshes) == len(knit.nodes)
         if name in NO_FALLBACK:
             assert knit.routes["extension"] == 0
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES + ("ex_2_5", "kronecker"))
+def test_projective_meshes_split_by_fitting_only_on_commutativity(name):
+    # the arrow submodules overlap only at a commutativity relation: at one
+    # projective each of ex_2_5 and ex_4_5, so the CLI still enters
+    # radical_submodule and decompose on the fixtures
+    assert len(_overlapping(load(name))) == {"ex_2_5": 1, "ex_4_5": 1}.get(name, 0)
+
+
+def _fitting_only(monkeypatch, pres):
+    """The AR quiver knit with every rad P split by ``decompose``."""
+    with monkeypatch.context() as patch:
+        patch.setattr(artrans._Knitter, "_knit_projective",
+                      lambda self, p: self._knit(p, *radical_submodule(self.nodes[p].rep)))
+        return ar_quiver(pres)
+
+
+@pytest.mark.parametrize("name", FINITE_SAMPLES)
+def test_arrow_and_fitting_routes_knit_the_same_projective_meshes(name, monkeypatch):
+    # rad P_a read off the arrows out of a against its Fitting split, matched
+    # to the nodes: the same dim Irr(k, P_a) for every node k, and the same
+    # ar --json
+    for pres, ar in samples(name):
+        fitting = _fitting_only(monkeypatch, pres)
+        assert fitting.to_json_dict() == ar.to_json_dict()
+        for p, a in enumerate(pres.quiver.vertices):  # node p is P_a on both walks
+            arrow_irr, fitting_irr = (Counter(knit.nodes[k].label for k, _ in
+                                              knit.filtration.pieces(p)) for knit in (ar, fitting))
+            assert arrow_irr == fitting_irr, a
 
 
 def _mutate_first_mesh(monkeypatch, mutate) -> list:
@@ -553,6 +603,21 @@ def test_alias_lookups_share_one_error_contract(a2_pipeline):
     for lookup, key in ((filt.projective_index, "P_9"), (filt.injective_index, "I_9")):
         with pytest.raises(ValueError, match=f"^{key} is not among the filtration nodes$"):
             lookup("9")
+
+
+@pytest.mark.parametrize("name", FINITE_FIXTURES)
+def test_socle_lines_read_the_socle_spaces_of_the_alias_table(name, monkeypatch):
+    # the alias table reads each injective's socle spaces and hands them to
+    # the filtration, so socle_line computes none of them again
+    pres = load(name)
+    filt = ar_quiver(pres).filtration
+    computed = []
+    monkeypatch.setattr(radical, "socle_spaces", lambda M: computed.append(M) or socle_spaces(M))
+    for a in pres.quiver.vertices:
+        filt.socle_line(a)
+        i = filt.injective_index(a)
+        assert filt.socle_spaces(i) == socle_spaces(filt.reps[i])
+    assert computed == []
 
 
 def test_dot_output_is_deterministic_and_labeled(s2_pipeline):

@@ -22,12 +22,11 @@ from quivrad.rep import (
     quotient_representation,
     radical_spaces,
     radical_submodule,
-    socle,
     top_generators,
 )
 
 from conftest import load, pipeline
-from dense_oracle import injective, is_epi, is_mono, simple
+from dense_oracle import injective, is_epi, is_mono, simple, socle
 from randgen import random_finite_monomial
 
 

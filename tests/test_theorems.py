@@ -11,11 +11,11 @@ from quivrad.radical import canonical_r, nilpotency_index
 from quivrad import radical, theorems as T
 from quivrad import ar_quiver
 from quivrad.cli import main
-from quivrad.rep import ModuleMorphism, Representation, hom_space, socle
+from quivrad.rep import ModuleMorphism, Representation, hom_space
 
 import dense_oracle
 from conftest import FINITE_SAMPLES, fixture_path, load, pipeline, relabelled_filtration, samples
-from dense_oracle import is_epi, is_mono, node_index, simple
+from dense_oracle import is_epi, is_mono, node_index, simple, socle
 from toupie_witness import build_toupie_witness
 
 
