@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-len", type=_positive_int, default=DEFAULT_LENGTH_CAP,
                        help="admissibility enumeration cap")
         if limits:
-            p.add_argument("--max-modules", type=_positive_int, default=10_000)
-            p.add_argument("--max-total-dim", type=_positive_int, default=10_000)
+            guard = EnumerationLimits()
+            p.add_argument("--max-modules", type=_positive_int, default=guard.max_modules)
+            p.add_argument("--max-total-dim", type=_positive_int, default=guard.max_total_dim)
 
     p_val = sub.add_parser("validate", help="parse and certify admissibility")
     common(p_val, limits=False)

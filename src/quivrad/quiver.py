@@ -435,11 +435,9 @@ class _QuotientModel:
     above it certifies the model.
     """
 
-    def __init__(self, pres: AlgebraPresentation, max_len: int = DEFAULT_LENGTH_CAP,
-                 max_paths: int = DEFAULT_PATH_CAP):
+    def __init__(self, pres: AlgebraPresentation, max_len: int = DEFAULT_LENGTH_CAP):
         self.pres = pres
         self.max_len = max_len
-        self.max_paths = max_paths
         self.pair_paths: dict = {}   # (i, j) -> [Path, ...] discovery (length-major) order
         self.path_index: dict = {}   # (start, arrows) -> index within its pair
         self.elims: dict = {}        # (i, j) -> _Elim
@@ -519,7 +517,7 @@ class _QuotientModel:
                     q = p.extend(a.name)
                     self._register(q)
                     new.append(q)
-            if len(self.path_index) > self.max_paths:
+            if len(self.path_index) > DEFAULT_PATH_CAP:
                 raise NotAdmissibleError("path enumeration exceeded the path cap")
             self._generate_multiples(length)
             alive = [p for p in new if self._class_nonzero(p)]
@@ -650,17 +648,16 @@ def sinks_and_sources(quiver: Quiver):
     return sinks, sources, middle
 
 
+def zero_relation_interiors(pres: AlgebraPresentation) -> list:
+    """[(k, interior vertices)] per zero-relation, k its index among the relations."""
+    return [(k, rel.terms[0][1].interior_vertices())
+            for k, rel in enumerate(pres.relations) if rel.is_zero_relation()]
+
+
 def zero_relation_vertices(pres: AlgebraPresentation) -> tuple:
     """Vertices involved in zero-relations: interior start vertices s(α_i), i ≥ 2."""
-    seen = []
-    for rel in pres.relations:
-        if not rel.is_zero_relation():
-            continue
-        for v in rel.terms[0][1].interior_vertices():
-            if v not in seen:
-                seen.append(v)
-    order = {v: i for i, v in enumerate(pres.quiver.vertices)}
-    return tuple(sorted(seen, key=lambda v: order[v]))
+    involved = {v for _, inner in zero_relation_interiors(pres) for v in inner}
+    return tuple(v for v in pres.quiver.vertices if v in involved)
 
 
 @dataclass(frozen=True)

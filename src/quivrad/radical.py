@@ -6,19 +6,20 @@ sequence ending at Y), one per indecomposable summand, read on the node Z_k
 isomorphic to that summand; Z occurs dim Irr(Z, Y) times among the Z_k.
 The knitting in ``artrans`` is the one source of these pieces and of the
 ``P_a``/``I_a``/``S_a`` node table.  Every radical map into Y factors
-through that map, so for each source node X
+through that map, so for each vertex a
 
-    R^0(X, Y) = Hom(X, Y),    R^{n+1}(X, Y) = Σ_k g_k ∘ R^n(X, Z_k),
+    R^0(P_a, Y) = Hom(P_a, Y),    R^{n+1}(P_a, Y) = Σ_k g_k ∘ R^n(P_a, Z_k),
 
-and the layers of one row R^n(X, -) depend on that row alone.  A morphism
-out of X is determined by its values at the top generators of X, on which
-g_k acts vertex by vertex, so a row is kept in these coordinates.  For
-X = P_a the values range over all of Y_a (Yoneda), so a projective row
-needs no Hom space.  R^m = 0 exactly when R^m(P_a, -) = 0 for every vertex
-a, since every module is a quotient of a projective.  So each row is built
-when it is first asked for and advanced only as deep as it is asked, and
-r_A is one more than the longest chain of the projective rows.  Subspaces
-are in canonical echelon form, so membership and equality are exact.
+and the layers of one row R^n(P_a, -) depend on that row alone.  A morphism
+out of P_a is determined by its value at the generator of P_a, which ranges
+over all of Y_a (Yoneda), and g_k acts on that value by its matrix at a; so
+a row is kept in these coordinates and needs no Hom space.  R^m = 0 exactly
+when R^m(P_a, -) = 0 for every vertex a, since every module is a quotient
+of a projective, and r_a is read in the row of P_a; these rows are all the
+filtration keeps.  Each is built when it is first asked for and advanced
+only as deep as it is asked, and r_A is one more than the longest chain of
+the rows.  Subspaces are in canonical echelon form, so membership and
+equality are exact.
 """
 from __future__ import annotations
 
@@ -33,13 +34,10 @@ from .quiver import (
     AlgebraPresentation,
     classify,
     sinks_and_sources,
+    zero_relation_interiors,
     zero_relation_vertices,
 )
-from .rep import HomSpace, ModuleMorphism, Representation, hom_space, socle_spaces, top_generators
-
-_INCONSISTENT = ("the pieces are not the right almost split maps of a complete "
-                 "set of indecomposables")
-_OUTLIVED = f"radical filtration outlived its projective rows; {_INCONSISTENT}"
+from .rep import HomSpace, ModuleMorphism, Representation, hom_space, top_generators
 
 
 class _HomTable(Mapping):
@@ -74,19 +72,18 @@ class _HomTable(Mapping):
 
 
 class _Row:
-    """The layers R^n(node_i, -) of one source node i, n = 0, 1, ...
+    """The layers R^n(P_a, -) of one projective node P_a, n = 0, 1, ...
 
-    Each layer R^n(i, j) is a subspace of the spaces of node j at the top
-    generators (a_1, c_1), ..., (a_m, c_m) of node i, stacked: the values
-    there of its morphisms.  ``maps[j]`` is (that dimension, [(k, blocks)])
-    with one entry per piece g_k into node j, ``blocks`` the matrices of g_k
-    at a_1, ..., a_m.  ``chains[j]`` holds the nonzero layers R^0(i, j) =
-    Hom(i, j), R^1(i, j), ...; layers up to ``depth`` have been computed.
+    Each layer R^n(P_a, j) is a subspace of (node j)_a: the values of its
+    morphisms at the generator of P_a.  ``maps[j]`` has one entry (k, g_k
+    at a) per piece g_k into node j.  ``chains[j]`` holds the nonzero layers
+    R^0(P_a, j) = (node j)_a, R^1(P_a, j), ...; layers up to ``depth`` have
+    been computed.
     """
 
     __slots__ = ("maps", "chains", "depth")
 
-    def __init__(self, maps: Dict[int, tuple], chains: Dict[int, list]):
+    def __init__(self, maps: Dict[int, list], chains: Dict[int, list]):
         self.maps = maps
         self.chains = chains
         self.depth = 0
@@ -101,51 +98,47 @@ class _Row:
             self.next_layer()
 
     def next_layer(self) -> None:
-        """Compute layer depth+1 as Σ_k g_k R^depth(i, k)."""
+        """Compute layer depth+1 as Σ_k g_k R^depth(P_a, k)."""
         n = self.depth
         new = {}
-        for j, (dim, pieces) in self.maps.items():
+        for j, pieces in self.maps.items():
             vecs = []
-            for k, blocks in pieces:
+            for k, m in pieces:
                 chain = self.chains.get(k, ())
-                if len(chain) <= n:
-                    continue
-                for v in chain[n].basis:
-                    out, pos = [], 0
-                    for m in blocks:
-                        seg = v[pos:pos + m.cols]
-                        out.extend(sum(map(mul, row, seg)) for row in m.data)
-                        pos += m.cols
-                    vecs.append(out)
+                if len(chain) > n:
+                    vecs.extend([sum(map(mul, row, v)) for row in m.data] for v in chain[n].basis)
             if vecs:
-                sub = Subspace.from_vectors(dim, vecs)
+                sub = Subspace.from_vectors(self.chains[j][0].ambient, vecs)
                 if sub.dim:
                     new[j] = sub
         live = [j for j, c in self.chains.items() if len(c) > n]
         if live and all(new.get(j) == self.chains[j][-1] for j in live):
             # the next layer is a function of this one, so the row never shrinks again
-            raise InconsistencyError(f"radical filtration failed to terminate; {_INCONSISTENT}")
+            raise InconsistencyError("radical filtration failed to terminate; the pieces are "
+                                     "not the right almost split maps of a complete set of "
+                                     "indecomposables")
         for j, sub in new.items():
             self.chains[j].append(sub)
         self.depth += 1
 
 
 class RadicalFiltration:
-    """Descending chains R ⊇ R² ⊇ … for every ordered pair of nodes.
+    """Descending chains R ⊇ R² ⊇ … out of every projective node.
 
     ``pieces`` maps every node to its right almost split map as
     ``[(k, node_k -> node)]`` and ``aliases`` maps ``P_a``/``I_a``/``S_a`` to
     the node isomorphic to it; the knitting builds both, and hands over the
-    socle spaces it read, as ``socles``.  Layers are
-    computed on demand, row by row; ``ensure_complete`` iterates the
-    projective rows until every chain has reached zero, which must happen
+    socle spaces of the injective nodes it read, as ``socles``.  Layers are
+    computed on demand, one row R^n(P_a, -) at a time; ``ensure_complete``
+    iterates the rows until every chain has reached zero, which must happen
     for representation-finite input (a row that stops shrinking while
-    nonzero turns a non-terminating run into an error).
+    nonzero turns a non-terminating run into an error).  ``hom`` serves the
+    rule checkers; the layers need no Hom space.
     """
 
     def __init__(self, pres: AlgebraPresentation, nodes: Sequence[Representation],
                  pieces: Dict[int, list], aliases: Dict[str, int],
-                 socles: Optional[Dict[int, Dict[str, Subspace]]] = None):
+                 socles: Dict[int, Dict[str, Subspace]]):
         self.pres = pres
         self.reps = list(nodes)
         self.hom = _HomTable(self.reps)
@@ -153,8 +146,8 @@ class RadicalFiltration:
         self._pieces = pieces
         self._projective = sorted({i for key, i in self.aliases.items() if key[0] == "P"})
         self._rows: Dict[int, _Row] = {}
-        self._gens: Dict[int, list] = {}
-        self._socles: Dict[int, Dict[str, Subspace]] = dict(socles or {})
+        self._gens: Dict[int, tuple] = {}
+        self._socles = socles
         self._canonical_r: Dict[str, int] = {}  # r_a, kept once its socle line passed
 
     # -- node bookkeeping ----------------------------------------------------
@@ -171,9 +164,7 @@ class RadicalFiltration:
         return self._alias_index(f"I_{a}")
 
     def socle_spaces(self, i: int) -> Dict[str, Subspace]:
-        """v -> (soc node_i)_v, computed once per node."""
-        if i not in self._socles:
-            self._socles[i] = socle_spaces(self.reps[i])
+        """v -> (soc node_i)_v for an injective node i, as the knitting read it."""
         return self._socles[i]
 
     def socle_line(self, a: str) -> tuple:
@@ -188,47 +179,38 @@ class RadicalFiltration:
         """(k, g: node_k -> node_j) per summand of the right almost split map into node j."""
         return self._pieces[j]
 
-    def _generators(self, i: int) -> list:
+    def _generator(self, i: int) -> tuple:
+        """(a, c): the generator of the projective node i is unit vector c at a."""
         if i not in self._gens:
-            self._gens[i] = top_generators(self.reps[i])
+            if i not in self._projective:
+                raise ValueError(f"node {i} is not projective; it has no row")
+            (self._gens[i],) = top_generators(self.reps[i])
         return self._gens[i]
 
     def at_generators(self, i: int, f: ModuleMorphism) -> list:
-        """The values of f: node_i -> Y at the top generators of node i,
-        stacked in the coordinates of ``subspace(i, j, n)``; they determine f."""
-        return [row[c] for a, c in self._generators(i) for row in f.maps[a].data]
+        """The value of f: P_a -> Y at the generator of P_a = node i, in the
+        coordinates of ``subspace(i, j, n)``; it determines f (Yoneda)."""
+        a, c = self._generator(i)
+        return [row[c] for row in f.maps[a].data]
 
     # -- rows -----------------------------------------------------------------
 
     def _build_row(self, i: int) -> _Row:
-        """Row i at layer zero: Hom(i, j) at the top generators of node i, all
-        of node j at a for the projective node P_a (Yoneda)."""
-        gens = self._generators(i)
+        """Row i at layer zero: all of (node j)_a for P_a = node i (Yoneda)."""
+        a, _ = self._generator(i)
         maps, chains = {}, {}
         for j, rep in enumerate(self.reps):
-            dim = sum(rep.dims[a] for a, _ in gens)
-            if not dim:
-                continue
-            maps[j] = (dim, [(k, [g.maps[a] for a, _ in gens]) for k, g in self.pieces(j)])
-            if i in self._projective:
-                chains[j] = [Subspace.full(dim)]
-            elif (hs := self.hom.get((i, j))) is not None:
-                chains[j] = [Subspace.from_vectors(dim, [self.at_generators(i, b)
-                                                         for b in hs.basis])]
+            if rep.dims[a]:
+                maps[j] = [(k, g.maps[a]) for k, g in self.pieces(j)]
+                chains[j] = [Subspace.full(rep.dims[a])]
         return _Row(maps, chains)
 
     def _row(self, i: int, depth: Optional[int] = None) -> _Row:
         """Row i, built on first use and advanced to ``depth`` layers (to zero
-        for None).  A row that is not projective is advanced to zero when it
-        is built, which must happen before layer r_A."""
-        row = self._rows.get(i)
-        if row is None:
-            row = self._build_row(i)
-            if i not in self._projective:
-                row.advance(self.nilpotency_index())
-                if row.alive():
-                    raise InconsistencyError(_OUTLIVED)
-            self._rows[i] = row
+        for None)."""
+        if i not in self._rows:
+            self._rows[i] = self._build_row(i)
+        row = self._rows[i]
         row.advance(depth)
         return row
 
@@ -247,12 +229,12 @@ class RadicalFiltration:
                    default=1) - 1
 
     def subspace(self, i: int, j: int, n: int) -> Subspace:
-        """R^n(node_i, node_j) in the coordinates of ``at_generators(i, -)``."""
+        """R^n(node_i, node_j) for a projective node i, in the coordinates of
+        ``at_generators(i, -)``; ValueError for any other node i."""
         if n < 1:
             raise ValueError("layers are numbered from 1")
-        row = self._row(i, n)
-        chain = row.chains.get(j, ())
-        return chain[n] if n < len(chain) else Subspace.zero(row.maps.get(j, (0,))[0])
+        chain = self._row(i, n).chains.get(j, [Subspace.zero(0)])
+        return chain[n] if n < len(chain) else Subspace.zero(chain[0].ambient)
 
     def dim_irr(self, i: int, j: int) -> int:
         """dim Irr(node_i, node_j): the multiplicity of node i in the right
@@ -260,7 +242,6 @@ class RadicalFiltration:
         return sum(1 for k, _ in self.pieces(j) if k == i)
 
     def nilpotency_index(self) -> int:
-        # every other row was admitted shorter than the projective rows
         self.ensure_complete()
         return 1 + self.layers_computed()
 
@@ -315,13 +296,8 @@ METHODS = ("direct", "v-set", "zero-relations", "one-per-relation", "toupie", "a
 
 
 def _vertex_once_per_relation(pres: AlgebraPresentation) -> bool:
-    counts: Dict[str, int] = {}
-    for rel in pres.relations:
-        if not rel.is_zero_relation():
-            continue
-        for v in rel.terms[0][1].interior_vertices():
-            counts[v] = counts.get(v, 0) + 1
-    return all(c == 1 for c in counts.values())
+    involved = [v for _, inner in zero_relation_interiors(pres) for v in inner]
+    return len(involved) == len(set(involved))
 
 
 def licensed_vertices(pres: AlgebraPresentation, method: str) -> tuple:
@@ -352,9 +328,7 @@ def licensed_vertices(pres: AlgebraPresentation, method: str) -> tuple:
             raise MethodInapplicableError(
                 "a vertex is involved in more than one zero-relation (or repeatedly in one); "
                 "per-relation representatives are not valid here")
-        interiors = (rel.terms[0][1].interior_vertices() for rel in pres.relations
-                     if rel.is_zero_relation())
-        return tuple(inner[0] for inner in interiors if inner)
+        return tuple(inner[0] for _, inner in zero_relation_interiors(pres) if inner)
     if cls.toupie is None or cls.toupie.grafo is None:
         raise MethodInapplicableError(
             "toupie method requires the three-branch shape with one zero-relation "

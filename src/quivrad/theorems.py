@@ -18,6 +18,7 @@ from .quiver import (
     AlgebraPresentation,
     classify,
     path_basis,
+    zero_relation_interiors,
     zero_relation_vertices,
 )
 from .radical import (
@@ -241,20 +242,16 @@ def check_theorem_B(filt: RadicalFiltration) -> ReductionCheck:
 
 def _zero_relation_certificates(filt: RadicalFiltration) -> tuple:
     certs = []
-    for k, rel in enumerate(filt.pres.relations):
-        if not rel.is_zero_relation():
-            continue
-        vertices = []
-        for v in rel.terms[0][1].interior_vertices():
-            if v not in vertices:
-                vertices.append(v)
+    for k, inner in zero_relation_interiors(filt.pres):
+        vertices = tuple(dict.fromkeys(inner))
         if not vertices:
             continue
+        rel = filt.pres.relations[k]
         values = {v: canonical_r(filt, v) for v in vertices}
         if len(set(values.values())) != 1:
             raise InconsistencyError(
                 f"rule C: vertices of zero-relation {rel} have unequal r values {values}")
-        certs.append(RelationCertificate(k, str(rel), tuple(vertices), values))
+        certs.append(RelationCertificate(k, str(rel), vertices, values))
     return tuple(certs)
 
 

@@ -49,16 +49,30 @@ def samples(name: str) -> list:
     return [(pres, ar)]
 
 
-def relabelled_filtration(ar, order, aliases=None):
+def projective_pairs(filt) -> list:
+    """(i, j) per nonzero Hom(node_i, node_j) with node i projective: the
+    pairs the filtration keeps layers for."""
+    projective = sorted({filt.projective_index(a) for a in filt.pres.quiver.vertices})
+    return [(i, j) for i in projective for j in range(len(filt.reps)) if (i, j) in filt.hom]
+
+
+def knitted_socles(filt) -> dict:
+    """Node -> socle spaces of every injective node, as the knitting read them."""
+    return {i: filt.socle_spaces(i) for key, i in filt.aliases.items() if key[0] == "I"}
+
+
+def relabelled_filtration(ar, order, aliases=None, socles=None):
     """A fresh filtration over the AR quiver's nodes listed in ``order`` (old
-    indices), with the knitted pieces and the alias table (or ``aliases``)
-    renumbered to match."""
+    indices), with the knitted pieces, the alias table (or ``aliases``) and
+    the knitted socle spaces (with ``socles`` added) renumbered to match."""
     new = {old: k for k, old in enumerate(order)}
     filt = ar.filtration
     pieces = {new[j]: [(new[k], g) for k, g in filt.pieces(j)] for j in order}
     table = filt.aliases if aliases is None else aliases
+    spaces = {**knitted_socles(filt), **(socles or {})}
     return RadicalFiltration(filt.pres, [ar.nodes[i].rep for i in order], pieces,
-                             {key: new[i] for key, i in table.items()})
+                             {key: new[i] for key, i in table.items()},
+                             {new[i]: s for i, s in spaces.items() if i in new})
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ distinct nodes plus the radical of each endomorphism algebra (trace-form
 kernel); layer n+1 is spanned by composites of a layer-n morphism after a
 layer-one morphism, summed over all intermediate nodes.  It computes every
 pair and knows nothing of almost split sequences, so it checks the sparse
-filtration in ``quivrad.radical`` independently.  Too slow for ``ex_2_5``.
+filtration in ``quivrad.radical`` independently.  It takes about half a
+minute on ``ex_2_5``, so ``morphism_length`` builds it once per filtration.
 
 Below it, the Hom-space route through the simples: the composites
 P_a -> S_a -> I_a and the witness searches of ``lemma_refe`` as rank tests
@@ -21,7 +22,7 @@ Last, modules and lengths the package has no use for: the socle as a
 submodule (the package reads only its spaces), S_a and I_a built on
 path classes (the package finds them among the knitted nodes), mono and epi
 tests, and the radical length of any morphism between two nodes, the
-general form of ``canonical_r``.
+general form of ``canonical_r``, read in the dense chains.
 """
 from quivrad.errors import InconsistencyError
 from quivrad.linalg import RatMatrix, Subspace
@@ -284,16 +285,25 @@ def node_index(filt, rep):
     raise ValueError("representation is not a filtration node")
 
 
+_DENSE = {}  # id(filt) -> (filt, the dense oracle over its nodes)
+
+
 def morphism_length(f, filt):
-    """Largest n with f in R^n; 0 for morphisms outside the radical."""
+    """Largest n with f in R^n, read in the dense oracle's chain of its pair
+    over the filtration's nodes; 0 for morphisms outside the radical."""
     if f.is_zero():
         raise ValueError("the zero morphism has no radical length")
     i, j = node_index(filt, f.source), node_index(filt, f.target)
     if not f._intertwines():
         raise ValueError("morphism does not intertwine (not in the Hom space)")
-    # nonzero, as the generators generate node i
-    values = filt.at_generators(i, f)
+    if id(filt) not in _DENSE:
+        _DENSE[id(filt)] = (filt, DenseFiltration(filt.reps))
+    dense = _DENSE[id(filt)][1]
+    coords = dense.hom[(i, j)].space.coords(f.flatten())
     n = 0
-    while filt.subspace(i, j, n + 1).contains_vector(values):
+    while True:
+        dense.ensure_depth(n + 1)
+        chain = dense.chains.get((i, j), ())
+        if n == len(chain) or not chain[n].contains_vector(coords):
+            return n
         n += 1
-    return n

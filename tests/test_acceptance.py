@@ -15,7 +15,7 @@ from quivrad.rep import end_radical
 from quivrad import theorems as T
 from quivrad.artrans import EnumerationLimits, ar_quiver
 
-from conftest import load
+from conftest import load, projective_pairs
 from dense_oracle import is_epi, is_mono, morphism_length
 from randgen import random_finite_monomial
 from toupie_witness import build_toupie_witness
@@ -174,8 +174,9 @@ def _brute_force_layers_agree(filt):
     """Exhaustive n-fold composition of radical basis elements, every n.
 
     Layer one comes from the Hom bases and the endomorphism radicals, not
-    from the filtration; spans are compared through evaluation at the top
-    generators of the source, the coordinates of ``filt.subspace``.
+    from the filtration; spans out of each projective node, the rows the
+    filtration keeps, are compared through evaluation at its generator,
+    the coordinates of ``filt.subspace``.
     """
     pairs = list(filt.hom)
     rad1 = {}
@@ -192,7 +193,7 @@ def _brute_force_layers_agree(filt):
     r_a = filt.nilpotency_index()
     while n < r_a:
         # compare spans of explicit composites with the iterative layer
-        for (i, j) in pairs:
+        for (i, j) in projective_pairs(filt):
             iterative = filt.subspace(i, j, n)
             brute = Subspace.from_vectors(
                 iterative.ambient,

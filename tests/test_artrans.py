@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from quivrad import artrans, radical
+from quivrad import artrans, rep
 from quivrad.artrans import (
     EnumerationLimits,
     almost_split_middle,
@@ -612,7 +612,7 @@ def test_socle_lines_read_the_socle_spaces_of_the_alias_table(name, monkeypatch)
     pres = load(name)
     filt = ar_quiver(pres).filtration
     computed = []
-    monkeypatch.setattr(radical, "socle_spaces", lambda M: computed.append(M) or socle_spaces(M))
+    monkeypatch.setattr(rep, "socle_spaces", lambda M: computed.append(M) or socle_spaces(M))
     for a in pres.quiver.vertices:
         filt.socle_line(a)
         i = filt.injective_index(a)

@@ -6,7 +6,7 @@ from quivrad.errors import InconsistencyError
 from quivrad.linalg import Subspace
 from quivrad.radical import canonical_r
 
-from conftest import load, relabelled_filtration
+from conftest import load, projective_pairs, relabelled_filtration
 from dense_oracle import DenseFiltration
 from randgen import random_finite_monomial, random_nakayama
 
@@ -27,21 +27,23 @@ def _agrees_with_dense(filt, dense, arrows=None):
         d += 1
     depth = filt.layers_computed()
     assert filt.nilpotency_index() == 1 + depth
-    # every chain, building the rows of the nodes that are not projective;
-    # the oracle's Hom-basis coordinates are mapped to the filtration's by
-    # evaluation at the top generators of the source, which is injective
+    # every chain out of a projective node P_a, the rows the filtration
+    # keeps; the oracle's Hom-basis coordinates are mapped to the
+    # filtration's by evaluation at the generator of P_a, which is onto
+    # (node j)_a and injective (Yoneda)
     assert set(filt.hom) == set(dense.hom)
-    for (i, j), hs in dense.hom.items():
+    for (i, j) in projective_pairs(filt):
+        hs = dense.hom[(i, j)]
         values = [filt.at_generators(i, b) for b in hs.basis]
         ambient = len(values[0])
-        assert Subspace.from_vectors(ambient, values).dim == hs.dim, (i, j)
+        assert Subspace.from_vectors(ambient, values).dim == hs.dim == ambient, (i, j)
         chain = [Subspace.from_vectors(
                      ambient, [filt.at_generators(i, hs.element(row)) for row in sub.basis])
                  for sub in dense.chains.get((i, j), [])]
         got = [filt.subspace(i, j, n) for n in range(1, len(chain) + 2)]
         assert got[:len(chain)] == chain, (i, j)
         assert got[len(chain)].is_zero(), (i, j)
-    assert filt.layers_computed() == depth  # the lazily built rows are no longer
+    assert filt.layers_computed() == depth
     expected = sorted((i, j, dense.dim_irr(i, j)) for (i, j) in dense.hom
                       if dense.dim_irr(i, j))
     for (i, j) in dense.hom:

@@ -15,7 +15,8 @@ from quivrad.radical import (
 from quivrad.rep import ModuleMorphism, are_isomorphic, projective
 from quivrad import RadicalFiltration, ar_quiver, parse_presentation
 
-from conftest import DATA, FINITE_SAMPLES, load, pipeline, relabelled_filtration, samples
+from conftest import (DATA, FINITE_SAMPLES, knitted_socles, load, pipeline, projective_pairs,
+                      relabelled_filtration, samples)
 from dense_oracle import canonical_maps, injective, morphism_length, simple
 from randgen import random_finite_monomial, random_nakayama
 
@@ -23,7 +24,7 @@ from randgen import random_finite_monomial, random_nakayama
 def test_a2_second_layer_vanishes(a2_pipeline):
     pres, ar, filt = a2_pipeline
     assert filt.nilpotency_index() == 2
-    for (i, j) in filt.hom:
+    for (i, j) in projective_pairs(filt):
         assert filt.subspace(i, j, 2).is_zero()
 
 
@@ -31,13 +32,14 @@ def test_s2_layers_die_at_fifteen(s2_pipeline):
     pres, ar, filt = s2_pipeline
     assert filt.nilpotency_index() == 15
     assert filt.layers_computed() == 14
-    assert any(not filt.subspace(i, j, 14).is_zero() for (i, j) in filt.hom)
-    assert all(filt.subspace(i, j, 15).is_zero() for (i, j) in filt.hom)
+    pairs = projective_pairs(filt)
+    assert any(not filt.subspace(i, j, 14).is_zero() for (i, j) in pairs)
+    assert all(filt.subspace(i, j, 15).is_zero() for (i, j) in pairs)
 
 
 def test_layers_weakly_decrease(s3_pipeline):
     pres, ar, filt = s3_pipeline
-    for (i, j) in filt.hom:
+    for (i, j) in projective_pairs(filt):
         n = 1
         while True:
             upper = filt.subspace(i, j, n)
@@ -49,11 +51,11 @@ def test_layers_weakly_decrease(s3_pipeline):
 
 
 def test_layer_one_shape(s2_pipeline):
-    # layer one is all of Hom(i, j) between distinct nodes and a hyperplane
-    # of each local endomorphism ring, compared through evaluation at the top
-    # generators of node i, which is injective on Hom(i, j)
+    # layer one is all of Hom(P_a, j) for j other than P_a and a hyperplane
+    # of the local endomorphism ring of P_a, compared through evaluation at
+    # the generator of P_a, which is injective on Hom(P_a, j)
     pres, ar, filt = s2_pipeline
-    for (i, j) in filt.hom:
+    for (i, j) in projective_pairs(filt):
         hs = filt.hom[(i, j)]
         layer = filt.subspace(i, j, 1)
         hom = Subspace.from_vectors(layer.ambient, [filt.at_generators(i, b) for b in hs.basis])
@@ -369,26 +371,25 @@ def test_an_identity_piece_trips_the_termination_guard(s2_pipeline):
     j = filt.projective_index(pres.quiver.vertices[0])
     pieces = {i: list(filt.pieces(i)) for i in range(ar.node_count())}
     pieces[j].append((j, ModuleMorphism.identity(ar.nodes[j].rep)))
-    bad = RadicalFiltration(pres, ar.reps, pieces, filt.aliases)
+    bad = RadicalFiltration(pres, ar.reps, pieces, filt.aliases, knitted_socles(filt))
     with pytest.raises(InconsistencyError,
                        match="the pieces are not the right almost split maps of a complete"):
         bad.nilpotency_index()
 
 
-def test_a_row_that_outlives_the_projective_rows_is_refused(a3_rel_pipeline):
-    # on a3_rel only the row of P_2 has a chain of length 2 (to I_2, which is
-    # P_1); the rows of P_1 and P_3 reach layer 1.  Without P_2 among the
-    # projective rows the index comes out 2, and the row of P_2, no longer
-    # projective, is still nonzero at layer 2
-    pres, ar, filt = a3_rel_pipeline
-    p2, i2 = filt.projective_index("2"), filt.injective_index("2")
-    assert not filt.subspace(p2, i2, 2).is_zero()
-    partial = relabelled_filtration(ar, range(ar.node_count()),
-                                    {k: i for k, i in filt.aliases.items() if k != "P_2"})
-    assert partial.nilpotency_index() == 2
-    with pytest.raises(InconsistencyError, match="^radical filtration outlived its projective rows; "
-                                                 "the pieces are not the right almost split maps"):
-        partial.subspace(p2, i2, 2)
+def test_a_node_that_is_not_projective_has_no_row(s2_pipeline):
+    # the filtration keeps the rows R^n(P_a, -) alone: a layer or a value at
+    # the generator out of any other node is refused, and no row is built
+    pres, ar, filt = s2_pipeline
+    projective = {filt.projective_index(a) for a in pres.quiver.vertices}
+    others = [i for i in range(ar.node_count()) if i not in projective]
+    assert others
+    for i in others:
+        with pytest.raises(ValueError, match=f"^node {i} is not projective; "):
+            filt.subspace(i, i, 1)
+        with pytest.raises(ValueError, match=f"^node {i} is not projective; "):
+            filt.at_generators(i, ModuleMorphism.identity(ar.nodes[i].rep))
+    assert set(filt._rows) <= projective
 
 
 def _fixture_method_pairs() -> list:
@@ -427,10 +428,10 @@ def test_a_reduction_builds_only_its_licensed_projective_rows(name, method, monk
 
 
 def test_projective_rows_compute_no_hom_space(monkeypatch):
-    # a projective row starts from all of node j at a (Yoneda), so completing
-    # the filtration looks up no Hom space, and neither does canonical_r,
-    # which reads the socle line of I_a at a in the row of P_a; a row that is
-    # not projective starts from its Hom bases, which shows the count is live
+    # a row starts from all of node j at a (Yoneda), so completing the
+    # filtration looks up no Hom space, and neither does canonical_r, which
+    # reads the socle line of I_a at a in the row of P_a; one lookup in the
+    # Hom table shows the count is live
     ars = [pipeline(name)[1] for name in LIST_FIXTURES + ("ex_2_5",)]
     ars += [ar for _, _, ar in random_finite_monomial(20) + random_nakayama()]
     calls = []
@@ -446,10 +447,8 @@ def test_projective_rows_compute_no_hom_space(monkeypatch):
         for a in fresh.pres.quiver.vertices:
             assert canonical_r(fresh, a) == canonical_r(ar.filtration, a)
         assert calls == []
-    projective = {fresh.projective_index(a) for a in fresh.pres.quiver.vertices}
-    other = next(i for i in range(len(fresh.reps)) if i not in projective)
-    fresh.subspace(other, other, 1)
-    assert calls
+    assert fresh.hom[(0, 0)].dim
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("dim", (0, 2))
@@ -464,7 +463,8 @@ def test_canonical_r_refuses_an_injective_alias_without_a_socle_line(dim):
         if hits:
             break
     a, k = hits[0]
-    bad = relabelled_filtration(ar, range(ar.node_count()), {**filt.aliases, f"I_{a}": k})
+    bad = relabelled_filtration(ar, range(ar.node_count()), {**filt.aliases, f"I_{a}": k},
+                                {k: R.socle_spaces(filt.reps[k])})
     for _ in range(2):  # a refused r_a is not kept: the check fires on every call
         with pytest.raises(InconsistencyError,
                            match=f"^the socle of I_{a} at {a} has dimension {dim}, not one$"):

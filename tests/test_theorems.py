@@ -8,13 +8,14 @@ from quivrad.errors import InconsistencyError, MethodInapplicableError
 from quivrad.linalg import RatMatrix, Subspace
 from quivrad.quiver import classify, parse_presentation
 from quivrad.radical import canonical_r, nilpotency_index
-from quivrad import radical, theorems as T
+from quivrad import artrans, radical, theorems as T
+from quivrad import rep as R
 from quivrad import ar_quiver
 from quivrad.cli import main
 from quivrad.rep import ModuleMorphism, Representation, hom_space
 
 import dense_oracle
-from conftest import FINITE_SAMPLES, fixture_path, load, pipeline, relabelled_filtration, samples
+from conftest import FINITE_SAMPLES, fixture_path, load, pipeline, samples
 from dense_oracle import is_epi, is_mono, node_index, simple, socle
 from toupie_witness import build_toupie_witness
 
@@ -65,7 +66,7 @@ def test_factorization_rule_none_without_irreducible(s2_pipeline):
 
 def _in_hom_coordinates(filt, i, j, n):
     """R^n(i, j) over the basis of Hom(i, j): the elements whose values at the
-    top generators of node i lie in the layer."""
+    generator of the projective node i lie in the layer."""
     hs, layer = filt.hom[(i, j)], filt.subspace(i, j, n)
     residues = [layer.quotient_coords(filt.at_generators(i, b)) for b in hs.basis]
     pulled = RatMatrix(list(zip(*residues)), cols=hs.dim).kernel()
@@ -384,11 +385,11 @@ def test_lemma_refe_matches_the_hom_space_reference(name, monkeypatch):
 @pytest.mark.parametrize("name", FINITE_SAMPLES)
 def test_check_all_takes_each_r_a_and_socle_once(name, monkeypatch):
     # check_all asks for r_a per arrow, per rule and per certificate: the
-    # filtration keeps it, so canonical_r walks the layers once per vertex,
-    # and the socle spaces of each node are computed once for socle_line
-    # and lemma_refe together
+    # filtration keeps it, so canonical_r walks the layers once per vertex;
+    # the socle spaces are computed once per injective node, by the alias
+    # table, and socle_line and lemma_refe read them there
     walks, socles = [], []
-    real_length, real_socle = radical._length, radical.socle_spaces
+    real_length, real_socle = radical._length, R.socle_spaces
 
     def length(filt, i, j, values):
         if sys._getframe(1).f_code.co_name == "canonical_r":
@@ -396,10 +397,11 @@ def test_check_all_takes_each_r_a_and_socle_once(name, monkeypatch):
         return real_length(filt, i, j, values)
 
     monkeypatch.setattr(radical, "_length", length)
-    monkeypatch.setattr(radical, "socle_spaces", lambda M: socles.append(M) or real_socle(M))
-    for pres, ar in samples(name):
+    for module in (artrans, R):
+        monkeypatch.setattr(module, "socle_spaces", lambda M: socles.append(M) or real_socle(M))
+    for pres, _ in samples(name):
         del walks[:], socles[:]
-        filt = relabelled_filtration(ar, range(ar.node_count()))
+        filt = ar_quiver(pres).filtration
         T.check_all(filt)
         assert sorted(set(walks)) == sorted(walks)
         assert len(walks) == len(pres.quiver.vertices)
