@@ -22,15 +22,19 @@ every stored entry is an ``int`` or a ``Fraction`` that is not an integer
   of a knitting step.  ``Subspace.quotient_columns`` adds multiples of
   rows, so it keeps the scan.
 
-Elimination is sparse and integral: each row is a dict of its nonzero
-entries, rows are scaled to integers first, reduced one at a time against
-the pivot rows found so far, and divided by their content after every
-update, with a positive pivot; back-substitution comes last.  The result is
-the canonical reduced echelon form with primitive integer rows and positive
-pivots, so subspace equality is a plain data comparison.  Kernels, subspace
-coordinates and quotient coordinates are computed in integers over one
-common denominator, and a ``Fraction`` is built only for a value that is
-not an integer.
+Elimination lives here alone, in ``Echelon``: sparse integer rows, each a
+dict of its nonzero entries, primitive and positive at its pivot, the lowest
+column.  ``add`` reduces a row against the pivot rows found so far, dividing
+by the content after every update, and keeps what is left; ``reduce``
+answers membership; ``reduced()`` back-substitutes once, last pivot first.
+Its result is the canonical reduced echelon form, so subspace equality is a
+plain data comparison.  ``Subspace`` is built from those rows,
+``RatMatrix.rank`` counts them, and ``quiver``'s path-class model keeps one
+``Echelon`` per pair of vertices.  Rational rows are scaled to integers
+first.  Kernels (``Subspace.kernel_of``, for ``RatMatrix.kernel`` and the
+Hom spaces of ``rep``), subspace coordinates and quotient coordinates are
+computed in integers over one common denominator, and a ``Fraction`` is
+built only for a value that is not an integer.
 """
 from __future__ import annotations
 
@@ -62,21 +66,33 @@ def _ratio(num: int, den: int):
     return q if not r else Fraction(num, den)
 
 
-def _row_lcm_den(row) -> int:
-    d = 1
-    for x in row:
-        if not type(x) is int:
-            d = d * x.denominator // gcd(d, x.denominator)
-    return d
-
-
 def _int_vector(vec) -> tuple:
     """(w, d): d > 0 is the lcm of the denominators and w = d·vec in integers."""
     if all(type(x) is int for x in vec):
         return list(vec), 1
     v = [_norm(x) for x in vec]
-    d = _row_lcm_den(v)
+    d = 1
+    for x in v:
+        if type(x) is not int:
+            d = d * x.denominator // gcd(d, x.denominator)
     return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in v], d
+
+
+def _int_row(entries) -> dict:
+    """A positive multiple of a rational row, given as (column, entry) pairs,
+    as a dict of its nonzero integer entries."""
+    row, d = {}, 1
+    for c, x in entries:
+        if type(x) is not int:
+            x = _norm(x)
+            if type(x) is not int:
+                d = d * x.denominator // gcd(d, x.denominator)
+        if x:
+            row[c] = x
+    if d > 1:
+        for c, x in row.items():
+            row[c] = x * d if type(x) is int else x.numerator * (d // x.denominator)
+    return row
 
 
 def _make_primitive(row: dict, pivot: int | None = None) -> None:
@@ -105,78 +121,88 @@ def _eliminate(row: dict, prow: dict, c: int) -> None:
             del row[k]
 
 
-def _echelon_sparse(rows: Iterable, reduced: bool = True) -> tuple:
-    """Sparse integer elimination: (rows as dicts, pivot columns), rows primitive.
+class Echelon:
+    """Incremental sparse integer echelon form; a row's pivot is its lowest
+    column.
 
-    ``rows`` holds integer rows, as dicts of nonzero entries or as dense
-    sequences.  The output rows are sorted by pivot column and have positive
-    pivots; with ``reduced`` they are also zero at every other pivot column,
-    which makes them the canonical basis of the row space.
+    ``rows`` maps each pivot column to its row: a dict of nonzero integer
+    entries, primitive, zero left of the pivot and positive at it.
+    ``reduced()`` clears every other pivot column by back-substitution, which
+    makes the rows the canonical basis of their span.
     """
-    prow: dict = {}  # pivot column -> primitive row with a positive pivot
-    for r in rows:
-        row = dict(r) if isinstance(r, dict) else {c: x for c, x in enumerate(r) if x}
-        # Pivot rows vanish left of their pivot, so clearing pivot columns in
+
+    __slots__ = ("rows",)
+
+    def __init__(self):
+        self.rows: dict = {}  # pivot column -> row
+
+    def reduce(self, row: dict) -> dict:
+        """Remainder of an integer row modulo the span, primitive with a
+        positive pivot; empty exactly when the row lies in the span."""
+        rows = self.rows
+        row = {c: x for c, x in row.items() if x}
+        # Rows vanish left of their pivot, so clearing pivot columns in
         # increasing order never brings back a column already cleared.
-        heap = [c for c in row if c in prow]
+        heap = [c for c in row if c in rows]
         heapify(heap)
         while heap and row:
             c = heappop(heap)
             if c not in row:
                 continue
-            for k in prow[c]:
-                if k not in row and k in prow:
+            for k in rows[c]:
+                if k not in row and k in rows:
                     heappush(heap, k)
-            _eliminate(row, prow[c], c)
+            _eliminate(row, rows[c], c)
             if row:
                 _make_primitive(row)
         if row:
-            c = min(row)
-            _make_primitive(row, c)
-            prow[c] = row
-    pivots = sorted(prow)
-    if reduced:
-        # Back-substitution, last pivot first: a row used here is already zero
-        # at every other pivot column, so each step clears exactly one.
-        for p in reversed(pivots):
-            row = prow[p]
-            for c in [k for k in row if k != p and k in prow]:
-                _eliminate(row, prow[c], c)
+            _make_primitive(row, min(row))
+        return row
+
+    def add(self, row: dict) -> bool:
+        """Add a row to the span; False when it was in the span already."""
+        row = self.reduce(row)
+        if row:
+            self.rows[min(row)] = row
+        return bool(row)
+
+    def reduced(self) -> dict:
+        """The rows in reduced echelon form, ordered by pivot."""
+        rows = self.rows = dict(sorted(self.rows.items()))
+        # Last pivot first: a row used here is already zero at every other
+        # pivot column, so each step clears exactly one.
+        for p in reversed(rows):
+            row = rows[p]
+            for c in [k for k in row if k != p and k in rows]:
+                _eliminate(row, rows[c], c)
             _make_primitive(row, p)
-    return [prow[p] for p in pivots], pivots
+        return rows
 
 
-def _echelon_int(rows: list, ncols: int, reduced: bool = True):
-    """Integer Gauss-Jordan: returns (dense rows, pivot columns), rows primitive.
-
-    The reduced form is canonical for the row space; see ``_echelon_sparse``.
-    """
-    red, pivots = _echelon_sparse(rows, reduced)
-    out = []
-    for row in red:
-        dense = [0] * ncols
-        for c, x in row.items():
-            dense[c] = x
-        out.append(dense)
-    return out, pivots
+def _echelon_sparse(rows: Iterable) -> dict:
+    """The canonical basis of the span of integer rows given as dicts:
+    pivot column -> primitive row with a positive pivot, ordered by pivot."""
+    echelon = Echelon()
+    for row in rows:
+        echelon.add(row)
+    return echelon.reduced()
 
 
-def _kernel_int(rows: Iterable, ncols: int) -> list:
-    """Primitive integer basis of {x : rows·x = 0} as dicts, ordered by free column.
+def _kernel_int(red: dict, ncols: int) -> list:
+    """Primitive integer basis of the kernel of reduced rows, as dicts,
+    ordered by free column.
 
     Each basis vector has a positive entry at its free column.
     """
-    red, pivots = _echelon_sparse(rows, reduced=True)
-    pivset = set(pivots)
     by_free: dict = {}  # free column -> [(pivot column, entry, pivot entry)]
-    for p, row in zip(pivots, red):
+    for p, row in red.items():
         piv = row[p]
         for c, x in row.items():
             if c != p:
                 by_free.setdefault(c, []).append((p, x, piv))
     basis = []
     for free in range(ncols):
-        if free in pivset:
+        if free in red:
             continue
         entries = by_free.get(free, ())
         d = 1
@@ -190,15 +216,6 @@ def _kernel_int(rows: Iterable, ncols: int) -> list:
             vec = {c: x // g for c, x in vec.items()}
         basis.append(vec)
     return basis
-
-
-def _sparse_int_rows(data) -> list:
-    """Rational rows as sparse integer rows, each a positive multiple."""
-    out = []
-    for r in data:
-        w, _ = _int_vector(r)
-        out.append({c: x for c, x in enumerate(w) if x})
-    return out
 
 
 def _trusted_row(r) -> tuple:
@@ -330,13 +347,14 @@ class RatMatrix:
         return [sum(a * b for a, b in zip(row, vec)) for row in self.data]
 
     def rank(self) -> int:
-        _, piv = _echelon_sparse(_sparse_int_rows(self.data), reduced=False)
-        return len(piv)
+        echelon = Echelon()
+        for r in self.data:
+            echelon.add(_int_row(enumerate(r)))
+        return len(echelon.rows)
 
     def kernel(self) -> "Subspace":
         """Right kernel {x : Ax = 0} as a subspace of k^cols."""
-        rows = _sparse_int_rows(self.data)
-        return Subspace._from_int_vectors(self.cols, _kernel_int(rows, self.cols))
+        return Subspace.kernel_of(self.cols, (enumerate(r) for r in self.data))
 
     def image(self) -> "Subspace":
         """Column space as a subspace of k^rows."""
@@ -347,13 +365,12 @@ class RatMatrix:
         if not self.is_square():
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
-        aug = _sparse_int_rows(list(row) + [1 if i == j else 0 for j in range(n)]
-                               for i, row in enumerate(self.data))
-        red, piv = _echelon_sparse(aug, reduced=True)
-        if list(piv[:n]) != list(range(n)) or len(piv) != n:
+        red = _echelon_sparse(_int_row(enumerate(list(row) + [0] * i + [1]))
+                              for i, row in enumerate(self.data))
+        if list(red) != list(range(n)):
             raise ShapeError("matrix is singular")
         inv = []
-        for i, row in enumerate(red):
+        for i, row in red.items():
             p = row[i]
             inv.append([_ratio(row.get(n + j, 0), p) for j in range(n)])
         return RatMatrix._of_normal(inv, n)
@@ -373,40 +390,55 @@ class Subspace:
     objects componentwise.
     """
 
-    __slots__ = ("ambient", "basis", "pivots", "_reducer")
+    __slots__ = ("ambient", "basis", "pivots", "_rows", "_nonpivots")
 
-    def __init__(self, ambient: int, basis, pivots):
+    def __init__(self, ambient: int, red: dict):
+        """The span of the rows ``red`` of ``Echelon.reduced()``.
+
+        ``_rows`` holds each row as (pivot, pivot entry, nonzero entries off
+        the pivot), and ``_nonpivots`` the columns that are no pivot.
+        """
+        basis = []
+        for row in red.values():
+            dense = [0] * ambient
+            for c, x in row.items():
+                dense[c] = x
+            basis.append(tuple(dense))
         object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "_reducer", None)
+        object.__setattr__(self, "basis", tuple(basis))
+        object.__setattr__(self, "pivots", tuple(red))
+        object.__setattr__(self, "_rows", tuple(
+            (p, row[p], tuple((c, x) for c, x in row.items() if c != p))
+            for p, row in red.items()))
+        object.__setattr__(self, "_nonpivots",
+                           tuple(c for c in range(ambient) if c not in red))
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def _from_int_vectors(cls, ambient: int, vectors) -> "Subspace":
-        """Canonical span of integer vectors, given dense or as sparse dicts."""
-        red, piv = _echelon_int(vectors, ambient, reduced=True)
-        return cls(ambient, tuple(tuple(r) for r in red), tuple(piv))
-
-    @classmethod
     def from_vectors(cls, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
-        ints = []
+        rows = []
         for v in vectors:
             if len(v) != ambient:
                 raise ShapeError("vector length != ambient")
-            ints.append(_int_vector(v)[0])
-        return cls._from_int_vectors(ambient, ints)
+            rows.append(_int_row(enumerate(v)))
+        return cls(ambient, _echelon_sparse(rows))
+
+    @classmethod
+    def kernel_of(cls, ambient: int, rows: Iterable) -> "Subspace":
+        """{x in k^ambient : r·x = 0 for every row r}, each row given as
+        (column, rational entry) pairs."""
+        red = _echelon_sparse(map(_int_row, rows))
+        return cls(ambient, _echelon_sparse(_kernel_int(red, ambient)))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, (), ())
+        return cls(ambient, {})
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        rows = tuple(tuple(1 if i == j else 0 for j in range(ambient)) for i in range(ambient))
-        return cls(ambient, rows, tuple(range(ambient)))
+        return cls(ambient, {c: {c: 1} for c in range(ambient)})
 
     @property
     def dim(self) -> int:
@@ -425,18 +457,6 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, self.basis))
 
-    def _reduction(self) -> tuple:
-        """(rows, non-pivot columns), cached; the basis rows as (pivot, pivot
-        entry, nonzero entries off the pivots)."""
-        if self._reducer is None:
-            pset = set(self.pivots)
-            rows = tuple((p, row[p], tuple((c, x) for c, x in enumerate(row)
-                                           if x and c not in pset))
-                         for row, p in zip(self.basis, self.pivots))
-            nonpivots = tuple(c for c in range(self.ambient) if c not in pset)
-            object.__setattr__(self, "_reducer", (rows, nonpivots))
-        return self._reducer
-
     def _residue(self, vec: Sequence, what: str) -> tuple:
         """Reduce vec by the basis, in integers: (w, d, res, den).
 
@@ -448,12 +468,11 @@ class Subspace:
         if len(vec) != self.ambient:
             raise ShapeError(f"{what}: length mismatch")
         w, d = _int_vector(vec)
-        rows, nonpivots = self._reduction()
-        terms = [(w[p], piv, off) for p, piv, off in rows if w[p]]
+        terms = [(w[p], piv, off) for p, piv, off in self._rows if w[p]]
         den = 1
         for x, piv, _ in terms:
             den = den * piv // gcd(den, piv)
-        res = {c: w[c] * den for c in nonpivots}
+        res = {c: w[c] * den for c in self._nonpivots}
         for x, piv, off in terms:
             k = x * (den // piv)
             for c, y in off:
@@ -465,8 +484,7 @@ class Subspace:
         w, d, res, _ = self._residue(vec, "coords")
         if any(res.values()):
             return None
-        return tuple(_ratio(w[p], d * row[p]) if w[p] else 0
-                     for row, p in zip(self.basis, self.pivots))
+        return tuple(_ratio(w[p], d * piv) if w[p] else 0 for p, piv, _ in self._rows)
 
     def contains_vector(self, vec: Sequence) -> bool:
         return self.coords(vec) is not None
@@ -474,10 +492,11 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ShapeError("ambient mismatch")
-        return Subspace._from_int_vectors(self.ambient, list(self.basis) + list(other.basis))
+        return Subspace(self.ambient, _echelon_sparse(
+            _int_row(enumerate(b)) for b in self.basis + other.basis))
 
     def nonpivots(self) -> tuple:
-        return self._reduction()[1]
+        return self._nonpivots
 
     def quotient_coords(self, vec: Sequence) -> tuple:
         """Coordinates of vec in k^ambient modulo this subspace.
@@ -496,12 +515,11 @@ class Subspace:
         pivot p of each basis row b, 0 elsewhere: the residue of the unit
         vector at p is −b/b[p] off the pivots.
         """
-        rows, nonpivots = self._reduction()
-        index = {c: t for t, c in enumerate(nonpivots)}
-        out = [[0] * self.ambient for _ in nonpivots]
-        for t, c in enumerate(nonpivots):
+        index = {c: t for t, c in enumerate(self._nonpivots)}
+        out = [[0] * self.ambient for _ in index]
+        for c, t in index.items():
             out[t][c] = 1
-        for p, piv, off in rows:
+        for p, piv, off in self._rows:
             for c, x in off:
                 out[index[c]][p] = _ratio(-x, piv)
         return RatMatrix._of_normal(out, self.ambient)
@@ -517,10 +535,9 @@ class Subspace:
         """
         if len(lifted) != self.ambient:
             raise ShapeError("quotient_columns: shape mismatch")
-        rows, nonpivots = self._reduction()
-        index = {c: t for t, c in enumerate(nonpivots)}
-        out = [lifted[c] for c in nonpivots]
-        for p, piv, off in rows:
+        index = {c: t for t, c in enumerate(self._nonpivots)}
+        out = [lifted[c] for c in self._nonpivots]
+        for p, piv, off in self._rows:
             src = lifted[p]
             if any(src):
                 for c, x in off:

@@ -11,10 +11,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import NotAdmissibleError, ParseError
-from .linalg import _eliminate, _int_vector, _make_primitive
+from .errors import InconsistencyError, NotAdmissibleError, ParseError
+from .linalg import Echelon
 
 DEFAULT_LENGTH_CAP = 64
 DEFAULT_PATH_CAP = 200_000
@@ -375,53 +376,6 @@ def parse_presentation(text: str) -> AlgebraPresentation:
 # ---------------------------------------------------------------------------
 # Quotient model: path classes modulo the relation ideal
 
-class _Elim:
-    """Incremental integer echelon with pivot = highest column (longest path).
-
-    Rows are primitive with a positive pivot and fully reduced: no row
-    contains another row's pivot column, so a vector is in the span iff it
-    reduces to the empty remainder, and a unit vector at a pivot p reduces
-    in one step, to −row/row[p] off the pivot.  Reduction and
-    back-substitution use linalg's integer steps ``_eliminate`` and
-    ``_make_primitive``.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows: dict = {}  # pivot column -> {column: int}
-
-    def reduce_int(self, vec: dict) -> dict:
-        """Primitive remainder of an integer vector modulo the row space,
-        positive at its highest column."""
-        vec = {c: v for c, v in vec.items() if v}
-        while vec:
-            pcols = [c for c in vec if c in self.rows]
-            if not pcols:
-                break
-            p = max(pcols)
-            _eliminate(vec, self.rows[p], p)
-        if vec:
-            _make_primitive(vec, max(vec))
-        return vec
-
-    def add(self, vec: dict) -> bool:
-        vec = self.reduce_int(vec)
-        if not vec:
-            return False
-        p = max(vec)
-        for q, row in self.rows.items():
-            if p in row:
-                _eliminate(row, vec, p)
-                _make_primitive(row, q)
-        self.rows[p] = vec
-        return True
-
-    @property
-    def pivots(self):
-        return set(self.rows)
-
-
 def _survivors(max_len: int) -> NotAdmissibleError:
     return NotAdmissibleError(
         f"paths of length {max_len} still survive: ideal not "
@@ -430,6 +384,14 @@ def _survivors(max_len: int) -> NotAdmissibleError:
 
 class _QuotientModel:
     """Path classes of kQ/I by bounded enumeration and echelonized multiples.
+
+    The paths of each pair of vertices are registered in length-major order,
+    and the one with index k is column −k of the pair's ``Echelon`` of
+    relation multiples, so each row is led by its longest path, the one
+    registered last.  The rows are reduced once, after the enumeration and
+    the late kills; a pair's basis is then its paths that lead no row (the
+    standard monomials), and ``reduce_path`` reads a leading path's class
+    off its row.
 
     ``stop_len`` is the first length at which no path survives; a cap at or
     above it certifies the model.
@@ -440,7 +402,7 @@ class _QuotientModel:
         self.max_len = max_len
         self.pair_paths: dict = {}   # (i, j) -> [Path, ...] discovery (length-major) order
         self.path_index: dict = {}   # (start, arrows) -> index within its pair
-        self.elims: dict = {}        # (i, j) -> _Elim
+        self.elims: dict = {}        # (i, j) -> Echelon, path index k at column -k
         self._by_len_end: dict = {}  # (length, end vertex) -> [Path]
         self._by_len_start: dict = {}
         self._alive_by_len: dict = {}
@@ -464,7 +426,8 @@ class _QuotientModel:
         for rel in self.pres.relations:
             m = rel.max_term_length()
             src, tgt = rel.source, rel.target
-            coeffs, _ = _int_vector([c for c, _ in rel.terms])  # cleared to integers
+            d = lcm(*(c.denominator for c, _ in rel.terms))
+            coeffs = [int(c * d) for c, _ in rel.terms]  # cleared to integers
             for lp in range(0, total - m + 1):
                 lq = total - m - lp
                 ps = self._by_len_end.get((lp, src), ())
@@ -478,10 +441,10 @@ class _QuotientModel:
                             key = (p.start, p.arrows + tpath.arrows + q.arrows)  # p·tpath·q
                             idx = self.path_index.get(key)
                             if idx is not None:
-                                ivec[idx] = ivec.get(idx, 0) + c
+                                ivec[-idx] = ivec.get(-idx, 0) + c
                         if any(ivec.values()):
                             pair = (p.start, q.end)
-                            self.elims.setdefault(pair, _Elim()).add(ivec)
+                            self.elims.setdefault(pair, Echelon()).add(ivec)
 
     def _class_nonzero(self, path: Path) -> bool:
         pair = (path.start, path.end)
@@ -489,7 +452,7 @@ class _QuotientModel:
         if elim is None:
             return True
         idx = self.path_index[path.key()]
-        return bool(elim.reduce_int({idx: 1}))
+        return bool(elim.reduce({-idx: 1}))
 
     def _build(self) -> None:
         for rel in self.pres.relations:
@@ -529,6 +492,8 @@ class _QuotientModel:
                 break
             frontier = alive
         self._propagate_dead()
+        for elim in self.elims.values():
+            elim.reduced()
         # final aliveness & nilpotency degree (late multiples may kill more)
         deg = 1
         for n in range(1, length + 1):
@@ -537,9 +502,9 @@ class _QuotientModel:
         self.nilpotency_degree = deg
         for pair, paths in self.pair_paths.items():
             elim = self.elims.get(pair)
-            pivots = elim.pivots if elim else set()
+            pivots = elim.rows if elim else {}
             self._basis[pair] = [p for i, p in enumerate(paths)
-                                 if i not in pivots and p.length < deg]
+                                 if -i not in pivots and p.length < deg]
 
     def _propagate_dead(self) -> None:
         """Late kills: a registered path containing a dead subword is dead too.
@@ -566,7 +531,7 @@ class _QuotientModel:
                     if any(qa[k:k + n] == da for k in range(len(qa) - n + 1)):
                         pair = (q.start, q.end)
                         idx = self.path_index[q.key()]
-                        if self.elims.setdefault(pair, _Elim()).add({idx: 1}):
+                        if self.elims.setdefault(pair, Echelon()).add({-idx: 1}):
                             changed = True
 
     # -- queries -------------------------------------------------------------
@@ -592,15 +557,15 @@ class _QuotientModel:
             # an unregistered path has a dead prefix, hence zero class
             return coords
         elim = self.elims.get(pair)
-        row = elim.rows.get(idx) if elim else None
+        row = elim.rows.get(-idx) if elim else None
         if row is None:
-            residue = {idx: Fraction(1)}
+            residue = {-idx: Fraction(1)}
         else:
-            residue = {c: Fraction(-x, row[idx]) for c, x in row.items() if c != idx}
-        pos = {self.path_index[p.key()]: k for k, p in enumerate(basis)}
+            residue = {c: Fraction(-x, row[-idx]) for c, x in row.items() if c != -idx}
+        pos = {-self.path_index[p.key()]: k for k, p in enumerate(basis)}
         for c, v in residue.items():
             if c not in pos:
-                raise RuntimeError("path residue escaped the quotient basis")
+                raise InconsistencyError("path residue escaped the quotient basis")
             coords[pos[c]] = v
         return coords
 

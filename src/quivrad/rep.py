@@ -13,13 +13,8 @@ from __future__ import annotations
 from operator import mul
 from typing import Dict, Optional, Sequence
 
-from .errors import ShapeError, SplitFieldNeededError
-from .linalg import (
-    RatMatrix,
-    Subspace,
-    _int_vector,
-    _kernel_int,
-)
+from .errors import InconsistencyError, ShapeError, SplitFieldNeededError
+from .linalg import RatMatrix, Subspace
 from .quiver import AlgebraPresentation, Path
 
 
@@ -264,7 +259,7 @@ def hom_space(M: Representation, N: Representation) -> HomSpace:
     for v in quiver.vertices:
         offsets[v] = pos
         pos += M.dims[v] * N.dims[v]
-    rows = []  # sparse: column -> coefficient
+    rows = []  # sparse, as (column, coefficient) pairs
     for a in quiver.arrows:
         s, t = a.source, a.target
         Ma, Na = M.matrices[a.name], N.matrices[a.name]
@@ -289,13 +284,8 @@ def hom_space(M: Representation, N: Representation) -> HomSpace:
                             row[col] = x
                         else:
                             del row[col]
-                if not row:
-                    continue
-                if any(type(x) is not int for x in row.values()):
-                    row = dict(zip(row, _int_vector(row.values())[0]))
-                rows.append(row)
-    kernel = Subspace._from_int_vectors(ambient, _kernel_int(rows, ambient))
-    return HomSpace(M, N, kernel)
+                rows.append(row.items())
+    return HomSpace(M, N, Subspace.kernel_of(ambient, rows))
 
 
 def end_radical(end: HomSpace) -> Subspace:
@@ -496,7 +486,7 @@ def projective_cover(M: Representation):
         raise ValueError("zero module has no projective cover")
     gens = top_generators(M)
     if not gens:
-        raise RuntimeError("nonzero module with zero top")
+        raise InconsistencyError("nonzero module with zero top")
     units = [[int(k == c) for k in range(M.dims[a])] for a, c in gens]
     summands = tuple(a for a, _ in gens)
     epi = sum_of_projectives_morphism(M.pres, summands, M, units)

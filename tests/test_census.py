@@ -17,6 +17,7 @@ that exists and is not entered.  So a helper no CLI call reaches, added or
 left behind, fails this test until it is deleted, moved under ``tests/`` or
 given a reason here.
 """
+import ast
 import contextlib
 import inspect
 import io
@@ -30,7 +31,7 @@ from quivrad.cli import main
 from conftest import DATA
 
 _PERFBENCH = "read by perfbench/child.py"
-_TRACED = "wrapped by perfbench/tracing.py, which fails on a missing name"
+_TRACED = "wrapped by perfbench/tracing.py, which reports a missing name as absent and its span as 0"
 _CHECKED = "runs only with check=True, which validates input built outside the package"
 _VALUE = "operator of a value type"
 _PREDICATE = "predicate of a value type, like Representation.is_zero on the CLI path"
@@ -161,3 +162,25 @@ def test_every_package_function_is_entered_or_kept(tmp_path):
     reached = sorted(set(KEEP) & entered_names)
     assert not reached, f"KEEP names functions the CLI enters: {reached}"
     assert all(KEEP.values())
+
+
+LINALG_NAMES = {"Echelon", "RatMatrix", "Subspace"}
+
+
+def test_elimination_stays_behind_linalg():
+    """Outside ``linalg.py`` the package imports from linalg only the names
+    in ``LINALG_NAMES``: its integer elimination steps stay private to it."""
+    for path in sorted(Path(quivrad.__file__).parent.glob("*.py")):
+        if path.stem == "linalg":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = {alias.name for alias in node.names}
+            module = getattr(node, "module", None) or ""
+            if isinstance(node, ast.ImportFrom) and node.level:
+                module = ".".join(filter(None, ("quivrad", module)))
+            if module == "quivrad.linalg":
+                assert names <= LINALG_NAMES, (path.name, sorted(names - LINALG_NAMES))
+            else:  # no module object that would reach the rest of linalg
+                assert not {"linalg", "quivrad.linalg"} & names, (path.name, node.lineno)

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from quivrad.cli import main
+from quivrad.quiver import _QuotientModel
 
 from conftest import fixture_path
 from randgen import random_nakayama
@@ -132,6 +133,21 @@ def test_ar_kronecker_limits_exit_3(capsys):
                          "--max-total-dim", "60")
     assert code == 3
     assert "representation-infinite" in err
+
+
+def test_a_corrupt_path_basis_is_an_internal_inconsistency(monkeypatch, capsys):
+    # drop the arrow a: 1 -> 2 from the basis of its pair: the class of a
+    # then escapes the basis, and the refusal is exit 5, not a traceback
+    build = _QuotientModel._build
+
+    def corrupt(model):
+        build(model)
+        model._basis[("1", "2")] = []
+
+    monkeypatch.setattr(_QuotientModel, "_build", corrupt)
+    code, out, err = run(capsys, "ar", fixture_path("a2"))
+    assert (code, out) == (5, "")
+    assert err == "internal inconsistency: path residue escaped the quotient basis\n"
 
 
 @pytest.mark.parametrize("command", ("ar", "index", "check"))

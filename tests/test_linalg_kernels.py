@@ -10,9 +10,9 @@ from math import gcd
 import pytest
 
 from quivrad.linalg import (
+    Echelon,
     RatMatrix,
     Subspace,
-    _echelon_int,
     _kernel_int,
 )
 from quivrad.rep import hom_space
@@ -112,6 +112,20 @@ def fraction_quotient_coords(space: Subspace, vec):
     return tuple(v[c] for c in space.nonpivots())
 
 
+def engine(rows) -> Echelon:
+    """An ``Echelon`` with the dense integer rows added in order."""
+    echelon = Echelon()
+    for r in rows:
+        echelon.add({c: x for c, x in enumerate(r) if x})
+    return echelon
+
+
+def engine_echelon(rows, ncols) -> tuple:
+    """The engine's ``reduced()`` rows as dense rows, and their pivots."""
+    red = engine(rows).reduced()
+    return [[row.get(c, 0) for c in range(ncols)] for row in red.values()], list(red)
+
+
 # -- random systems -----------------------------------------------------------
 
 def _random_int_rows(rng, nrows, ncols, density=0.6, bound=9):
@@ -166,11 +180,30 @@ SYSTEMS = _systems()
 def test_sparse_echelon_matches_dense_reference(k):
     rows = SYSTEMS[k]
     ncols = len(rows[0])
-    assert _echelon_int(rows, ncols, reduced=True) == dense_echelon(rows, ncols, reduced=True)
-    _, piv = _echelon_int(rows, ncols, reduced=False)
+    assert engine_echelon(rows, ncols) == dense_echelon(rows, ncols, reduced=True)
+    echelon = Echelon()
+    added = [echelon.add({c: x for c, x in enumerate(r) if x}) for r in rows]
     _, ref_piv = dense_echelon(rows, ncols, reduced=False)
-    assert piv == ref_piv
+    # before back-substitution: the same pivots, one for each row that was new
+    assert sorted(echelon.rows) == ref_piv and sum(added) == len(ref_piv)
     assert RatMatrix(rows).rank() == len(ref_piv)
+
+
+@pytest.mark.parametrize("k", range(len(SYSTEMS)))
+def test_engine_reduced_rows_do_not_depend_on_the_order_rows_are_added(k):
+    """The reduced echelon form is canonical: shuffling the rows changes
+    neither the ``reduced()`` rows, nor their order, nor the dense reference."""
+    rows = SYSTEMS[k]
+    ncols = len(rows[0])
+    rng = random.Random(k)
+    outputs = []
+    for _ in range(4):
+        order = list(rows)
+        rng.shuffle(order)
+        outputs.append(list(engine(order).reduced().items()))
+    assert all(out == outputs[0] for out in outputs)
+    dense = [[row.get(c, 0) for c in range(ncols)] for _, row in outputs[0]]
+    assert (dense, [p for p, _ in outputs[0]]) == dense_echelon(rows, ncols)
 
 
 def test_sparse_echelon_matches_dense_reference_on_rational_rows():
@@ -180,7 +213,7 @@ def test_sparse_echelon_matches_dense_reference_on_rational_rows():
         ints = [_int_row(r) for r in rows]
         ncols = len(rows[0])
         ref, ref_piv = dense_echelon(ints, ncols, reduced=True)
-        assert _echelon_int(ints, ncols, reduced=True) == (ref, ref_piv)
+        assert engine_echelon(ints, ncols) == (ref, ref_piv)
         sub = Subspace.from_vectors(ncols, rows)
         assert [list(r) for r in sub.basis] == ref and list(sub.pivots) == ref_piv
         assert RatMatrix(rows).rank() == len(ref_piv)
@@ -196,7 +229,7 @@ def test_kernel_vectors_are_exact_and_complete(k):
     assert ker.basis == dense_kernel_space(rows, ncols)
     for x in ker.basis:
         assert all(sum(a * b for a, b in zip(row, x)) == 0 for row in rows)
-    for vec in _kernel_int(rows, ncols):
+    for vec in _kernel_int(engine(rows).reduced(), ncols):
         dense = [vec.get(c, 0) for c in range(ncols)]
         assert all(sum(a * b for a, b in zip(row, dense)) == 0 for row in rows)
 

@@ -152,24 +152,43 @@ def test_path_basis_dims_sum_to_algebra_dim():
         assert total == report.algebra_dim
 
 
-@pytest.mark.parametrize("name", ["a2", "a3", "a3_rel", "ex_2_5", "ex_4_5", "kronecker",
-                                  "s2_cyclic", "s3_cycle", "s4_final"])
+MODEL_FIXTURES = ["a2", "a3", "a3_rel", "ex_2_5", "ex_4_5", "kronecker",
+                  "s2_cyclic", "s3_cycle", "s4_final"]
+
+
+@pytest.mark.parametrize("name", MODEL_FIXTURES)
 def test_registered_paths_minus_their_coordinates_lie_in_the_relations(name):
     """p − Σ c_k b_k, for the coordinates c of p over the basis paths b,
-    reduces to zero against the echelonized relation multiples."""
+    reduces to zero against the echelonized relation multiples, where the
+    path with index k sits at column −k."""
     model = load(name).model()
     for pair, paths in model.pair_paths.items():
         elim = model.elims.get(pair)
         for p in paths:
-            vec = {model.path_index[p.key()]: Fraction(1)}
+            vec = {-model.path_index[p.key()]: Fraction(1)}
             for c, b in zip(model.reduce_path(p), model.basis(*pair)):
-                k = model.path_index[b.key()]
+                k = -model.path_index[b.key()]
                 vec[k] = vec.get(k, 0) - c
             den = 1
             for x in vec.values():
                 den = den * x.denominator // gcd(den, x.denominator)
             ivec = {k: int(x * den) for k, x in vec.items() if x}
-            assert (elim.reduce_int(ivec) if elim else ivec) == {}, (name, str(p))
+            assert (elim.reduce(ivec) if elim else ivec) == {}, (name, str(p))
+
+
+@pytest.mark.parametrize("name", MODEL_FIXTURES)
+def test_path_coordinates_lie_on_basis_paths_registered_no_later(name):
+    """The basis is the standard monomials: each relation row is led by its
+    longest path, the one registered last in its pair, so every registered
+    path is a combination of basis paths registered no later than it."""
+    model = load(name).model()
+    for pair, paths in model.pair_paths.items():
+        basis = model.basis(*pair)
+        for p in paths:
+            i = model.path_index[p.key()]
+            later = [str(b) for c, b in zip(model.reduce_path(p), basis)
+                     if c and model.path_index[b.key()] > i]
+            assert not later, (name, str(p), later)
 
 
 def test_sinks_and_sources():
