@@ -41,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -71,28 +71,20 @@ def _int_vector(vec) -> tuple:
     if all(type(x) is int for x in vec):
         return list(vec), 1
     v = [_norm(x) for x in vec]
-    d = 1
-    for x in v:
-        if type(x) is not int:
-            d = d * x.denominator // gcd(d, x.denominator)
-    return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in v], d
+    d = lcm(*(x.denominator for x in v))
+    return [x.numerator * (d // x.denominator) for x in v], d
 
 
-def _int_row(entries) -> dict:
-    """A positive multiple of a rational row, given as (column, entry) pairs,
-    as a dict of its nonzero integer entries."""
-    row, d = {}, 1
-    for c, x in entries:
-        if type(x) is not int:
-            x = _norm(x)
-            if type(x) is not int:
-                d = d * x.denominator // gcd(d, x.denominator)
-        if x:
-            row[c] = x
-    if d > 1:
-        for c, x in row.items():
-            row[c] = x * d if type(x) is int else x.numerator * (d // x.denominator)
-    return row
+def _int_row(row) -> dict:
+    """A positive multiple of a rational row, given dense or as a dict of its
+    nonzero entries, as a dict of its nonzero integer entries."""
+    if not isinstance(row, dict):
+        row = {c: x for c, x in enumerate(row) if x}
+    if all(type(x) is int for x in row.values()):
+        return row
+    row = {c: y for c, x in row.items() if (y := _norm(x))}
+    d = lcm(*(x.denominator for x in row.values()))
+    return {c: x.numerator * (d // x.denominator) for c, x in row.items()}
 
 
 def _make_primitive(row: dict, pivot: int | None = None) -> None:
@@ -137,10 +129,11 @@ class Echelon:
         self.rows: dict = {}  # pivot column -> row
 
     def reduce(self, row: dict) -> dict:
-        """Remainder of an integer row modulo the span, primitive with a
-        positive pivot; empty exactly when the row lies in the span."""
+        """Remainder of an integer row, given by its nonzero entries, modulo
+        the span: primitive with a positive pivot, and empty exactly when the
+        row lies in the span."""
         rows = self.rows
-        row = {c: x for c, x in row.items() if x}
+        row = dict(row)
         # Rows vanish left of their pivot, so clearing pivot columns in
         # increasing order never brings back a column already cleared.
         heap = [c for c in row if c in rows]
@@ -168,20 +161,21 @@ class Echelon:
 
     def reduced(self) -> dict:
         """The rows in reduced echelon form, ordered by pivot."""
-        rows = self.rows = dict(sorted(self.rows.items()))
-        # Last pivot first: a row used here is already zero at every other
-        # pivot column, so each step clears exactly one.
-        for p in reversed(rows):
-            row = rows[p]
-            for c in [k for k in row if k != p and k in rows]:
-                _eliminate(row, rows[c], c)
-            _make_primitive(row, p)
-        return rows
+        if len(self.rows) > 1:  # a single row is reduced already
+            rows = self.rows = dict(sorted(self.rows.items()))
+            # Last pivot first: a row used here is already zero at every
+            # other pivot column, so each step clears exactly one.
+            for p in reversed(rows):
+                row = rows[p]
+                for c in [k for k in row if k != p and k in rows]:
+                    _eliminate(row, rows[c], c)
+                _make_primitive(row, p)
+        return self.rows
 
 
 def _echelon_sparse(rows: Iterable) -> dict:
-    """The canonical basis of the span of integer rows given as dicts:
-    pivot column -> primitive row with a positive pivot, ordered by pivot."""
+    """The canonical basis of the span of integer rows, each a dict of its
+    nonzero entries: ``Echelon.reduced()`` after adding every row."""
     echelon = Echelon()
     for row in rows:
         echelon.add(row)
@@ -205,15 +199,11 @@ def _kernel_int(red: dict, ncols: int) -> list:
         if free in red:
             continue
         entries = by_free.get(free, ())
-        d = 1
-        for _, _, piv in entries:
-            d = d * piv // gcd(d, piv)
+        d = lcm(*(piv for _, _, piv in entries))
         vec = {free: d}
         for p, x, piv in entries:
             vec[p] = -x * (d // piv)
-        g = gcd(*vec.values())
-        if g > 1:
-            vec = {c: x // g for c, x in vec.items()}
+        _make_primitive(vec)
         basis.append(vec)
     return basis
 
@@ -349,12 +339,12 @@ class RatMatrix:
     def rank(self) -> int:
         echelon = Echelon()
         for r in self.data:
-            echelon.add(_int_row(enumerate(r)))
+            echelon.add(_int_row(r))
         return len(echelon.rows)
 
     def kernel(self) -> "Subspace":
         """Right kernel {x : Ax = 0} as a subspace of k^cols."""
-        return Subspace.kernel_of(self.cols, (enumerate(r) for r in self.data))
+        return Subspace.kernel_of(self.cols, self.data)
 
     def image(self) -> "Subspace":
         """Column space as a subspace of k^rows."""
@@ -365,7 +355,7 @@ class RatMatrix:
         if not self.is_square():
             raise ShapeError("inverse of non-square matrix")
         n = self.rows
-        red = _echelon_sparse(_int_row(enumerate(list(row) + [0] * i + [1]))
+        red = _echelon_sparse(_int_row(list(row) + [0] * i + [1])
                               for i, row in enumerate(self.data))
         if list(red) != list(range(n)):
             raise ShapeError("matrix is singular")
@@ -390,14 +380,10 @@ class Subspace:
     objects componentwise.
     """
 
-    __slots__ = ("ambient", "basis", "pivots", "_rows", "_nonpivots")
+    __slots__ = ("ambient", "basis", "pivots", "_red", "_reducer")
 
     def __init__(self, ambient: int, red: dict):
-        """The span of the rows ``red`` of ``Echelon.reduced()``.
-
-        ``_rows`` holds each row as (pivot, pivot entry, nonzero entries off
-        the pivot), and ``_nonpivots`` the columns that are no pivot.
-        """
+        """The span of the rows ``red`` of ``Echelon.reduced()``."""
         basis = []
         for row in red.values():
             dense = [0] * ambient
@@ -407,11 +393,8 @@ class Subspace:
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "pivots", tuple(red))
-        object.__setattr__(self, "_rows", tuple(
-            (p, row[p], tuple((c, x) for c, x in row.items() if c != p))
-            for p, row in red.items()))
-        object.__setattr__(self, "_nonpivots",
-                           tuple(c for c in range(ambient) if c not in red))
+        object.__setattr__(self, "_red", red)
+        object.__setattr__(self, "_reducer", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -422,13 +405,13 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise ShapeError("vector length != ambient")
-            rows.append(_int_row(enumerate(v)))
+            rows.append(_int_row(v))
         return cls(ambient, _echelon_sparse(rows))
 
     @classmethod
     def kernel_of(cls, ambient: int, rows: Iterable) -> "Subspace":
-        """{x in k^ambient : r·x = 0 for every row r}, each row given as
-        (column, rational entry) pairs."""
+        """{x in k^ambient : r·x = 0 for every rational row r}, each row
+        given dense or as a dict of its nonzero entries."""
         red = _echelon_sparse(map(_int_row, rows))
         return cls(ambient, _echelon_sparse(_kernel_int(red, ambient)))
 
@@ -457,6 +440,17 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient, self.basis))
 
+    def _reduction(self) -> tuple:
+        """(rows, non-pivot columns), cached; the basis rows as (pivot, pivot
+        entry, nonzero entries off the pivots), read off the sparse rows."""
+        if self._reducer is None:
+            red = self._red
+            rows = tuple((p, row[p], tuple((c, x) for c, x in row.items() if c != p))
+                         for p, row in red.items())
+            nonpivots = tuple(c for c in range(self.ambient) if c not in red)
+            object.__setattr__(self, "_reducer", (rows, nonpivots))
+        return self._reducer
+
     def _residue(self, vec: Sequence, what: str) -> tuple:
         """Reduce vec by the basis, in integers: (w, d, res, den).
 
@@ -468,11 +462,12 @@ class Subspace:
         if len(vec) != self.ambient:
             raise ShapeError(f"{what}: length mismatch")
         w, d = _int_vector(vec)
-        terms = [(w[p], piv, off) for p, piv, off in self._rows if w[p]]
+        rows, nonpivots = self._reduction()
+        terms = [(w[p], piv, off) for p, piv, off in rows if w[p]]
         den = 1
         for x, piv, _ in terms:
             den = den * piv // gcd(den, piv)
-        res = {c: w[c] * den for c in self._nonpivots}
+        res = {c: w[c] * den for c in nonpivots}
         for x, piv, off in terms:
             k = x * (den // piv)
             for c, y in off:
@@ -484,7 +479,8 @@ class Subspace:
         w, d, res, _ = self._residue(vec, "coords")
         if any(res.values()):
             return None
-        return tuple(_ratio(w[p], d * piv) if w[p] else 0 for p, piv, _ in self._rows)
+        return tuple(_ratio(w[p], d * row[p]) if w[p] else 0
+                     for row, p in zip(self.basis, self.pivots))
 
     def contains_vector(self, vec: Sequence) -> bool:
         return self.coords(vec) is not None
@@ -492,11 +488,10 @@ class Subspace:
     def __add__(self, other: "Subspace") -> "Subspace":
         if self.ambient != other.ambient:
             raise ShapeError("ambient mismatch")
-        return Subspace(self.ambient, _echelon_sparse(
-            _int_row(enumerate(b)) for b in self.basis + other.basis))
+        return Subspace(self.ambient, _echelon_sparse(map(_int_row, self.basis + other.basis)))
 
     def nonpivots(self) -> tuple:
-        return self._nonpivots
+        return self._reduction()[1]
 
     def quotient_coords(self, vec: Sequence) -> tuple:
         """Coordinates of vec in k^ambient modulo this subspace.
@@ -515,11 +510,12 @@ class Subspace:
         pivot p of each basis row b, 0 elsewhere: the residue of the unit
         vector at p is −b/b[p] off the pivots.
         """
-        index = {c: t for t, c in enumerate(self._nonpivots)}
-        out = [[0] * self.ambient for _ in index]
-        for c, t in index.items():
+        rows, nonpivots = self._reduction()
+        index = {c: t for t, c in enumerate(nonpivots)}
+        out = [[0] * self.ambient for _ in nonpivots]
+        for t, c in enumerate(nonpivots):
             out[t][c] = 1
-        for p, piv, off in self._rows:
+        for p, piv, off in rows:
             for c, x in off:
                 out[index[c]][p] = _ratio(-x, piv)
         return RatMatrix._of_normal(out, self.ambient)
@@ -535,9 +531,10 @@ class Subspace:
         """
         if len(lifted) != self.ambient:
             raise ShapeError("quotient_columns: shape mismatch")
-        index = {c: t for t, c in enumerate(self._nonpivots)}
-        out = [lifted[c] for c in self._nonpivots]
-        for p, piv, off in self._rows:
+        rows, nonpivots = self._reduction()
+        index = {c: t for t, c in enumerate(nonpivots)}
+        out = [lifted[c] for c in nonpivots]
+        for p, piv, off in rows:
             src = lifted[p]
             if any(src):
                 for c, x in off:

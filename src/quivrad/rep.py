@@ -259,7 +259,7 @@ def hom_space(M: Representation, N: Representation) -> HomSpace:
     for v in quiver.vertices:
         offsets[v] = pos
         pos += M.dims[v] * N.dims[v]
-    rows = []  # sparse, as (column, coefficient) pairs
+    rows = []  # sparse: column -> coefficient
     for a in quiver.arrows:
         s, t = a.source, a.target
         Ma, Na = M.matrices[a.name], N.matrices[a.name]
@@ -284,7 +284,7 @@ def hom_space(M: Representation, N: Representation) -> HomSpace:
                             row[col] = x
                         else:
                             del row[col]
-                rows.append(row.items())
+                rows.append(row)
     return HomSpace(M, N, Subspace.kernel_of(ambient, rows))
 
 
