@@ -31,7 +31,7 @@ from quivrad.cli import main
 from conftest import DATA
 
 _PERFBENCH = "read by perfbench/child.py"
-_TRACED = "wrapped by perfbench/tracing.py, which reports a missing name as absent and its span as 0"
+_TRACED = "wrapped by perfbench/tracing.py, which reports a missing name as absent (span 0)"
 _CHECKED = "runs only with check=True, which validates input built outside the package"
 _VALUE = "operator of a value type"
 _PREDICATE = "predicate of a value type, like Representation.is_zero on the CLI path"
