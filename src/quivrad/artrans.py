@@ -1,27 +1,29 @@
 """Auslander-Reiten translate and enumeration of indecomposables.
 
 The translate is computed from the projective cover of M and the top
-generators of its kernel ΩM: the images of those generators in the cover,
-read as a matrix of path classes, are transported to the opposite
-presentation; the cokernel there is the transpose, and dualizing it gives τM.
+generators of its kernel ΩM: their classes on each summand P_a of the cover,
+reversed into the opposite presentation, fix a map out of P^op_a, whose
+images span the relations (``rep._generator_images``, the one builder of
+maps out of projectives); the cokernel there is the transpose, and
+dualizing it gives τM.
 
 Enumeration is the knitting procedure (ASS IV.3-IV.4; ARS V.5), from the
 projectives, the seeds.  The knitting keeps the right almost split map into
-every node, one piece per indecomposable summand read on the node
-isomorphic to it; the AR arrows are the summand multiplicities.  A
-projective's map is rad P_a -> P_a, split into the images αA of the arrows
-α: a -> t when their sum is direct (by Fitting's lemma otherwise); a summand
-that is not P_t is matched to the nodes, or stays loose until a node added
-later matches it.  Each node X then takes
-one step, once its own mesh and that of τ⁻¹W, for each predecessor W, are
-knit: the pieces out of X into the projectives and into τ⁻¹W, for each
-non-injective predecessor W, form its left minimal almost split map
-f: X -> E.  One rank test decides the step.  If f is mono, its cokernel is
-τ⁻¹X, matched to the nodes or added to X's orbit, and the blocks of
-E -> τ⁻¹X are the pieces of its mesh.  Otherwise X is injective, and the
-kernel of f is its simple socle.  Successors need no step of their own: a
-successor Y of a node X is projective, so a seed, or τ⁻¹ of τY, and
-τY -> X is irreducible, so τY is a predecessor of X.
+every node, one piece per indecomposable summand read on the node isomorphic
+to it; the AR arrows are the summand multiplicities.  A projective's map is
+rad P_a -> P_a, split into the images αA of the maps P_t -> P_a, generator
+to α, one per arrow α: a -> t, when their sum is direct (by Fitting's lemma
+otherwise); a summand that is not P_t is matched to the nodes, or stays
+loose until a node added later matches it.  Each node X then takes one step,
+once its own mesh and that of τ⁻¹W, for each predecessor W, are knit: the
+pieces out of X into the projectives and into τ⁻¹W, for each non-injective
+predecessor W, form its left minimal almost split map f: X -> E.  One rank
+test decides the step.  If f is mono, its cokernel is τ⁻¹X, matched to the
+nodes or added to X's orbit, and the blocks of E -> τ⁻¹X are the pieces of
+its mesh.  Otherwise X is injective, and the kernel of f is its simple
+socle.  Successors need no step of their own: a successor Y of a node X is
+projective, so a seed, or τ⁻¹ of τY, and τY -> X is irreducible, so τY is a
+predecessor of X.
 
 When no node is ready, which happens on cycles of the AR quiver, the walk
 falls back, in order: the first node whose τ⁻¹ is undecided, or whose τ is
@@ -66,7 +68,6 @@ from .rep import (
     radical_submodule,
     socle_spaces,
     subrepresentation,
-    sum_of_projectives_morphism,
     top_generators,
     zero_representation,
 )
@@ -84,30 +85,16 @@ class EnumerationLimits:
             raise ValueError("limits must be positive")
 
 
-def _op_path(model_op, p: Path) -> Path:
-    return Path(model_op.pres.quiver, p.end, tuple(reversed(p.arrows)))
-
-
-def _reversed_class_coords(model_fwd, model_op, a: str, b: str, coeffs) -> list:
-    """Carry coordinates over basis(a,b) to the opposite-side basis(b,a)."""
-    op_basis = model_op.basis(b, a)
-    out = [0] * len(op_basis)
-    for c, p in zip(coeffs, model_fwd.basis(a, b)):
-        if not c:
-            continue
-        for k, x in enumerate(model_op.reduce_path(_op_path(model_op, p))):
-            out[k] = out[k] + c * x
-    return out
-
-
 def transpose(M: Representation) -> Representation:
     """Transpose of M, a module over the opposite presentation; zero when M
     is projective.
 
     With P0 -> M the projective cover and K its kernel, the presentation
     P1 -> P0 -> M takes one summand P_b of P1 per top generator u of K at b,
-    and sends its generator to incl_b(u) in P0.  Those columns, reversed
-    into the opposite presentation, present Tr M as a cokernel.
+    and sends its generator to incl_b(u) in P0.  Reversed into the opposite
+    presentation, the classes of u on each summand P_a of P0 are the image
+    of the generator of P^op_a in ⊕ P^op_b, and the images along its paths
+    (``rep._generator_images``) span the relations; Tr M is the cokernel.
     """
     if M.is_zero():
         raise ValueError("zero module has no transpose")
@@ -120,22 +107,25 @@ def transpose(M: Representation) -> Representation:
     model = pres.model()
     model_op = op.model()
     gens1 = top_generators(K)
-    # the generator of P^op_{a_i} goes to the coordinates of each syzygy
-    # generator's image on the P0 summand P_{a_i}, reversed into P^op_{b_j}
-    images = []
-    start = dict.fromkeys(pres.quiver.vertices, 0)  # where P_{a_i} begins in (P0)_v
+    target = _rep.direct_sum([projective(op, b) for b, _ in gens1])
+    cols = {v: [] for v in op.quiver.vertices}
+    rows = {v: iter(incl.maps[v].data) for v in pres.quiver.vertices}  # (P0)_v, P_a by P_a
     for a in summands0:
+        block = {v: [next(rows[v]) for _ in model.basis(a, v)] for v in pres.quiver.vertices}
+        # each syzygy generator's class on P_a, over basis(a, b), carried to
+        # basis^op(b, a) path by reversed path
         vec = []
         for b, c in gens1:
-            lo = start[b]
-            sigma = [row[c] for row in incl.maps[b].data[lo:lo + len(model.basis(a, b))]]
-            vec.extend(_reversed_class_coords(model, model_op, a, b, sigma))
-        images.append(vec)
-        for v in pres.quiver.vertices:
-            start[v] += len(model.basis(a, v))
-    target = _rep.direct_sum([projective(op, b) for b, _ in gens1])
-    g = sum_of_projectives_morphism(op, summands0, target, images)
-    spaces = {v: g.maps[v].image() for v in op.quiver.vertices}
+            out = [0] * len(model_op.basis(b, a))
+            for row, p in zip(block[b], model.basis(a, b)):
+                if row[c]:
+                    reversed_p = Path(op.quiver, b, p.arrows[::-1])
+                    for k, x in enumerate(model_op.reduce_path(reversed_p)):
+                        out[k] += row[c] * x
+            vec += out
+        for v, images in _rep._generator_images(target, a, vec).items():
+            cols[v] += images
+    spaces = {v: Subspace.from_vectors(target.dims[v], images) for v, images in cols.items()}
     tr, _ = quotient_representation([target], spaces)
     return tr
 
@@ -377,21 +367,19 @@ class _Knitter:
         """Keep rad P -> P for the seed p = P_a as pieces, one per arrow
         α: a -> t when rad P = ⊕ αA (ASS III.2), else by ``decompose``.
 
-        h_α: P_t -> P, q -> αq, is read off the path model, and αA = im h_α.
-        The αA span rad P, so the sum is direct iff their dimensions add up
-        to dim P - 1.  Each αA is cyclic, so indecomposable: h_α is the piece
-        from the seed P_t when it is mono, and otherwise αA is placed.
+        h_α: P_t -> P, q -> αq, sends the generator of P_t to the class of
+        α in P_t (``rep._generator_images``), and αA = im h_α.  The αA span
+        rad P, so the sum is direct iff their dimensions add up to dim P - 1.
+        Each αA is cyclic, so indecomposable: h_α is the piece from the seed
+        P_t when it is mono, and otherwise αA is placed.
         """
         quiver, model, P = self.pres.quiver, self.pres.model(), self.nodes[p].rep
         a = quiver.vertices[p]
         arrows = []
         for alpha in quiver.out_arrows(a):
-            h = {}
-            for v in quiver.vertices:
-                cols = [model.reduce_path(Path(quiver, a, (alpha.name,) + q.arrows))
-                        for q in model.basis(alpha.target, v)]
-                h[v] = RatMatrix(zip(*cols), cols=len(cols)) if cols else \
-                    RatMatrix.zeros(P.dims[v], 0)
+            alpha_class = model.reduce_path(Path(quiver, a, (alpha.name,)))
+            h = {v: RatMatrix(images, cols=P.dims[v]).transpose() for v, images
+                 in _rep._generator_images(P, alpha.target, alpha_class).items()}
             arrows.append((quiver._vindex[alpha.target], h, sum(m.rank() for m in h.values())))
         if sum(rank for _, _, rank in arrows) != P.total_dim() - 1:
             return self._knit(p, *radical_submodule(P))

@@ -4,6 +4,10 @@ Hom spaces, radical and socle, projective covers, indecomposability and
 isomorphism over the rationals.  A projective cover is read off the
 canonical echelon form of the radical: at each vertex its generators go to
 the unit vectors at the non-pivot positions, which lift a basis of the top.
+A map out of P_a is fixed by where its generator goes (Yoneda), and
+``_generator_images`` reads its columns off that image; the cover, Tr D and
+the meshes of the projectives in ``artrans`` all build their maps out of
+projectives with it.
 Matrix convention: the matrix of an arrow maps the source component to the
 target component, so the composite along a traversal-ordered path
 (a1, a2, ...) is ``M_a2 @ M_a1`` and so on.
@@ -94,14 +98,8 @@ def projective(pres: AlgebraPresentation, a: str) -> Representation:
     dims = {v: len(b) for v, b in basis.items()}
     mats = {}
     for arr in pres.quiver.arrows:
-        cols = []
-        for p in basis[arr.source]:
-            cols.append(model.reduce_path(p.extend(arr.name)))
-        if cols:
-            mats[arr.name] = RatMatrix(zip(*cols), cols=len(cols)) if dims[arr.target] else \
-                RatMatrix.zeros(0, len(cols))
-        else:
-            mats[arr.name] = RatMatrix.zeros(dims[arr.target], 0)
+        images = [model.reduce_path(p.extend(arr.name)) for p in basis[arr.source]]
+        mats[arr.name] = RatMatrix(images, cols=dims[arr.target]).transpose()
     pres._cache[key] = Representation(pres, dims, mats, check=False)
     return pres._cache[key]
 
@@ -407,12 +405,10 @@ def radical_submodule(M: Representation):
 
 # -- projective covers ------------------------------------------------------
 
-def morphism_from_projective(pres: AlgebraPresentation, a: str, M: Representation,
-                             vec: Sequence) -> ModuleMorphism:
-    """The morphism P_a -> M sending the trivial-path generator to vec in M_a."""
-    a = str(a)
-    model = pres.model()
-    P = projective(pres, a)
+def _generator_images(M: Representation, a: str, vec: Sequence) -> Dict[str, list]:
+    """v -> the images of vec in M_a along the paths of basis(a, v): the
+    columns at v of the map P_a -> M that sends the generator to vec (Yoneda,
+    ASS III.2).  Each prefix is walked once, one arrow matrix at a time."""
     images = {(): list(vec)}
 
     def img(arrows: tuple) -> list:
@@ -422,12 +418,8 @@ def morphism_from_projective(pres: AlgebraPresentation, a: str, M: Representatio
             images[arrows] = got
         return got
 
-    maps = {}
-    for v in pres.quiver.vertices:
-        cols = [img(p.arrows) for p in model.basis(a, v)]
-        maps[v] = RatMatrix(zip(*cols), cols=len(cols)) if cols and M.dims[v] else \
-            RatMatrix.zeros(M.dims[v], len(cols))
-    return ModuleMorphism(P, M, maps, check=False)
+    model = M.pres.model()
+    return {v: [img(p.arrows) for p in model.basis(a, v)] for v in M.pres.quiver.vertices}
 
 
 def direct_sum(reps: Sequence[Representation]) -> Representation:
@@ -452,26 +444,6 @@ def direct_sum(reps: Sequence[Representation]) -> Representation:
     return Representation(pres, dims, mats, check=False)
 
 
-def sum_of_projectives_morphism(pres: AlgebraPresentation, summands: Sequence[str],
-                                target: Representation,
-                                gen_images: Sequence[Sequence]) -> ModuleMorphism:
-    """Morphism ⊕_i P_{a_i} -> target from the images of the generators."""
-    pieces = [morphism_from_projective(pres, a, target, img)
-              for a, img in zip(summands, gen_images)]
-    P = direct_sum([p.source for p in pieces])
-    maps = {}
-    for v in pres.quiver.vertices:
-        blocks = [p.maps[v] for p in pieces]
-        data = []
-        for i in range(target.dims[v]):
-            row = []
-            for b in blocks:
-                row.extend(b.data[i] if b.data else [])
-            data.append(row)
-        maps[v] = RatMatrix(data, cols=P.dims[v]) if data else RatMatrix.zeros(0, P.dims[v])
-    return ModuleMorphism(P, target, maps, check=False)
-
-
 def top_generators(M: Representation) -> list:
     """(a, c) for each unit vector of M_a at a non-pivot position c of the
     canonical echelon form of rad M_a; those unit vectors lift a basis of
@@ -481,16 +453,21 @@ def top_generators(M: Representation) -> list:
 
 def projective_cover(M: Representation):
     """(P, epi, summands): one summand P_a per top generator at a (see
-    ``top_generators``), and epi sends its generator to that unit vector."""
+    ``top_generators``), and epi sends its generator to that unit vector;
+    its columns are the generators' images (``_generator_images``)."""
     if M.is_zero():
         raise ValueError("zero module has no projective cover")
     gens = top_generators(M)
     if not gens:
         raise InconsistencyError("nonzero module with zero top")
-    units = [[int(k == c) for k in range(M.dims[a])] for a, c in gens]
+    cols = {v: [] for v in M.pres.quiver.vertices}
+    for a, c in gens:
+        for v, images in _generator_images(M, a, [int(k == c) for k in range(M.dims[a])]).items():
+            cols[v] += images
     summands = tuple(a for a, _ in gens)
-    epi = sum_of_projectives_morphism(M.pres, summands, M, units)
-    return epi.source, epi, summands
+    P = direct_sum([projective(M.pres, a) for a in summands])
+    maps = {v: RatMatrix(images, cols=M.dims[v]).transpose() for v, images in cols.items()}
+    return P, ModuleMorphism(P, M, maps, check=False), summands
 
 
 def kernel_submodule(f: ModuleMorphism):

@@ -18,9 +18,10 @@ coordinates of every unit vector, and each arrow of the quotient through a
 dense section matrix.  The package reads the projection off the reduced
 echelon rows and the arrows off the columns, so this route checks both.
 
-Last, modules and lengths the package has no use for: the socle as a
+Last, modules, maps and lengths the package has no use for: the socle as a
 submodule (the package reads only its spaces), S_a and I_a built on
-path classes (the package finds them among the knitted nodes), mono and epi
+path classes (the package finds them among the knitted nodes), the map out
+of P_a as a morphism (the package reads only its columns), mono and epi
 tests, and the radical length of any morphism between two nodes, the
 general form of ``canonical_r``, read in the dense chains.
 """
@@ -28,7 +29,7 @@ from quivrad.errors import InconsistencyError
 from quivrad.linalg import RatMatrix, Subspace
 from quivrad.quiver import Path
 from quivrad.rep import (ModuleMorphism, Representation, end_radical, hom_space, morphism_ambient,
-                         socle_spaces, subrepresentation)
+                         projective, socle_spaces, subrepresentation)
 
 
 class DenseFiltration:
@@ -264,6 +265,19 @@ def injective(pres, a):
         mats[arr.name] = RatMatrix(rows, cols=dims[arr.source]) if rows else \
             RatMatrix.zeros(0, dims[arr.source])
     return Representation(pres, dims, mats, check=False)
+
+
+def morphism_from_projective(pres, a, M, vec):
+    """The morphism P_a -> M sending the trivial-path generator to vec in M_a:
+    each path of basis(a, v) applied to vec as one product of its arrow
+    matrices (``Representation.path_matrix``)."""
+    a = str(a)
+    maps = {}
+    for v in pres.quiver.vertices:
+        cols = [M.path_matrix(p).apply(vec) for p in pres.model().basis(a, v)]
+        maps[v] = RatMatrix(zip(*cols), cols=len(cols)) if cols and M.dims[v] else \
+            RatMatrix.zeros(M.dims[v], len(cols))
+    return ModuleMorphism(projective(pres, a), M, maps, check=False)
 
 
 def is_mono(f):

@@ -26,7 +26,7 @@ from quivrad.rep import (
 )
 
 from conftest import load, pipeline
-from dense_oracle import injective, is_epi, is_mono, simple, socle
+from dense_oracle import injective, is_epi, is_mono, morphism_from_projective, simple, socle
 from randgen import random_finite_monomial
 
 
@@ -314,6 +314,33 @@ def test_minimal_presentation_of_random_monomial_nodes_is_minimal():
     for _, _, ar in random_finite_monomial(20):
         for M in ar.reps:
             _assert_minimal_presentation(M)
+
+
+@pytest.mark.parametrize("name", ["a2", "a3", "a3_rel", "ex_4_5", "s2_cyclic",
+                                  "s3_cycle", "s4_final", "ex_2_5"])
+def test_generator_images_are_the_map_out_of_the_projective(name):
+    # Yoneda: for each unit vector w of M_a, the columns the builder gives
+    # intertwine (checked on construction), send the generator of P_a to w,
+    # lie in Hom(P_a, M) and match the dense route, one product of arrow
+    # matrices per path; the cover built from them is a minimal epi
+    pres, ar, _ = pipeline(name)
+    for M in ar.reps:
+        for a in pres.quiver.vertices:
+            P = projective(pres, a)
+            hom = hom_space(P, M)
+            trivial = [p.arrows for p in pres.model().basis(a, a)].index(())
+            for k in range(M.dims[a]):
+                w = [int(i == k) for i in range(M.dims[a])]
+                maps = {v: RatMatrix(images, cols=M.dims[v]).transpose()
+                        for v, images in R._generator_images(M, a, w).items()}
+                f = ModuleMorphism(P, M, maps, check=True)
+                assert [row[trivial] for row in f.maps[a].data] == w
+                assert hom.space.contains_vector(f.flatten())
+                assert f.maps == morphism_from_projective(pres, a, M, w).maps
+        P0, epi, summands = projective_cover(M)
+        assert all(epi.maps[v].rank() == M.dims[v] for v in pres.quiver.vertices)
+        assert len(summands) == M.total_dim() - radical_submodule(M)[0].total_dim()
+        assert R.kernel_submodule(epi)[0].total_dim() == P0.total_dim() - M.total_dim()
 
 
 def test_projective_cover_of_zero_fails(s2):

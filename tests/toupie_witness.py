@@ -16,10 +16,10 @@ from quivrad.rep import (
     find_isomorphism,
     hom_space,
     is_indecomposable,
-    morphism_from_projective,
 )
 
-from dense_oracle import injective, is_epi, is_mono, morphism_length, simple
+from dense_oracle import (injective, is_epi, is_mono, morphism_from_projective,
+                          morphism_length, simple)
 
 
 def morphism_to_injective(pres, a, M, functional):
