@@ -2,11 +2,12 @@
 
 Layer one over a complete list of indecomposables is every Hom space between
 distinct nodes plus the radical of each endomorphism algebra (trace-form
-kernel); layer n+1 is spanned by composites of a layer-n morphism after a
-layer-one morphism, summed over all intermediate nodes.  It computes every
-pair and knows nothing of almost split sequences, so it checks the sparse
-filtration in ``quivrad.radical`` independently.  It takes about half a
-minute on ``ex_2_5``, so ``morphism_length`` builds it once per filtration.
+kernel); layer n+1 is spanned by composites of a layer-one morphism after a
+layer-n morphism, summed over all intermediate nodes.  It builds the rows
+of every source node it is asked for and knows nothing of almost split
+sequences, so it checks the sparse filtration in ``quivrad.radical``
+independently.  ``morphism_length`` asks only for the row of the morphism's
+source, and keeps one oracle per filtration.
 
 Below it, the Hom-space route through the simples: the composites
 P_a -> S_a -> I_a and the witness searches of ``lemma_refe`` as rank tests
@@ -33,25 +34,33 @@ from quivrad.rep import (ModuleMorphism, Representation, end_radical, hom_space,
 
 
 class DenseFiltration:
+    """R^n(i, j) for nodes i, j as a chain of subspaces of Hom(i, j) in its
+    basis coordinates, one source row at a time: R(i, j) is Hom(i, j), or
+    rad End(i) when i = j, and R^{n+1}(i, j) is spanned by the composites
+    R(k, j) ∘ R^n(i, k) over every node k.  A row is built only when asked
+    for, with the Hom spaces out of the nodes it reaches."""
+
     def __init__(self, reps):
         self.reps = list(reps)
-        n = len(self.reps)
-        self.hom = {}
-        for i in range(n):
-            for j in range(n):
-                hs = hom_space(self.reps[i], self.reps[j])
-                if hs.dim:
-                    self.hom[(i, j)] = hs
-        self.chains = {}
-        self._rad1_out = {}
-        for (i, j), hs in self.hom.items():
-            first = end_radical(hs) if i == j else Subspace.full(hs.dim)
-            if first.dim:
-                self.chains[(i, j)] = [first]
-                self._rad1_out.setdefault(i, []).append((j, first))
-        self.depth = 1
-        self.complete = not self.chains
+        self.hom = {}  # (i, j) -> nonzero Hom(i, j), filled source by source
+        self.chains = {}  # (i, j) -> [R(i, j), R²(i, j), ...], the nonzero layers
+        self._rad1_out = {}  # k -> [(j, R(k, j))], the nonzero ones
+        self._depth = {}  # row i -> layers computed; the last one was zero once done
+        self._done = set()
         self._tensors = {}
+
+    def _out(self, k):
+        """Layer one of row k, computing the Hom spaces out of node k."""
+        if k not in self._rad1_out:
+            self._rad1_out[k] = []
+            for j, target in enumerate(self.reps):
+                hs = hom_space(self.reps[k], target)
+                if hs.dim:
+                    self.hom[(k, j)] = hs
+                    first = end_radical(hs) if k == j else Subspace.full(hs.dim)
+                    if first.dim:
+                        self._rad1_out[k].append((j, first))
+        return self._rad1_out[k]
 
     def _tensor(self, i, k, j):
         """coords in Hom(i, j) of (basis v of Hom(k, j)) ∘ (basis u of Hom(i, k))."""
@@ -70,49 +79,64 @@ class DenseFiltration:
             self._tensors[key] = tensor
         return self._tensors[key]
 
-    def _advance(self):
-        """Layer depth+1 of every pair from layer depth and layer one."""
-        n = self.depth
-        cur_by_src = {}
-        for (k, j), chain in self.chains.items():
-            if len(chain) >= n:
-                cur_by_src.setdefault(k, []).append((j, chain[n - 1]))
+    def _advance(self, i):
+        """Layer depth+1 of row i from its layer depth and layer one."""
+        n = self._depth[i]
+        acc = {}
+        for k, _ in self._out(i):
+            chain = self.chains[(i, k)]
+            if len(chain) < n:
+                continue
+            for j, s1 in self._out(k):
+                if (i, j) not in self.hom:
+                    continue
+                tensor = self._tensor(i, k, j)
+                vecs = acc.setdefault(j, [])
+                for fu in chain[n - 1].basis:
+                    for gv in s1.basis:
+                        out = [0] * self.hom[(i, j)].dim
+                        for u, cu in enumerate(fu):
+                            for v, cv in enumerate(gv):
+                                if cu and cv:
+                                    for t, x in enumerate(tensor[u][v]):
+                                        out[t] += cu * cv * x
+                        vecs.append(out)
         grew = False
-        for i, outs in self._rad1_out.items():
-            acc = {}
-            for k, s1 in outs:
-                for j, sn in cur_by_src.get(k, ()):
-                    if (i, j) not in self.hom:
-                        continue
-                    tensor = self._tensor(i, k, j)
-                    vecs = acc.setdefault(j, [])
-                    for fu in s1.basis:
-                        for gv in sn.basis:
-                            out = [0] * self.hom[(i, j)].dim
-                            for u, cu in enumerate(fu):
-                                for v, cv in enumerate(gv):
-                                    if cu and cv:
-                                        for t, x in enumerate(tensor[u][v]):
-                                            out[t] += cu * cv * x
-                            vecs.append(out)
-            for j, vecs in acc.items():
-                sub = Subspace.from_vectors(self.hom[(i, j)].dim, vecs)
-                if sub.dim:
-                    self.chains[(i, j)].append(sub)
-                    grew = True
-        self.depth += 1
-        self.complete = not grew
+        for j, vecs in acc.items():
+            sub = Subspace.from_vectors(self.hom[(i, j)].dim, vecs)
+            if sub.dim:
+                self.chains[(i, j)].append(sub)
+                grew = True
+        self._depth[i] = n + 1
+        if not grew:
+            self._done.add(i)
+
+    def ensure_row(self, i, n):
+        """Layers 1..n of row i, or all of them when fewer are nonzero."""
+        if i not in self._depth:
+            for j, first in self._out(i):
+                self.chains[(i, j)] = [first]
+            self._depth[i] = 1
+            if not self._rad1_out[i]:
+                self._done.add(i)
+        while i not in self._done and self._depth[i] < n:
+            self._advance(i)
 
     def ensure_depth(self, n):
-        while not self.complete and self.depth < n:
-            self._advance()
+        for i in range(len(self.reps)):
+            self.ensure_row(i, n)
+
+    @property
+    def complete(self):
+        """Whether every row is built to its first zero layer."""
+        return len(self._done) == len(self.reps)
 
     def layers_computed(self):
         return max((len(c) for c in self.chains.values()), default=0)
 
     def dim_irr(self, i, j):
         """dim R(i, j) - dim R²(i, j)."""
-        self.ensure_depth(2)
+        self.ensure_row(i, 2)
         chain = self.chains.get((i, j), [])
         return (chain[0].dim if chain else 0) - (chain[1].dim if len(chain) > 1 else 0)
 
@@ -313,10 +337,11 @@ def morphism_length(f, filt):
     if id(filt) not in _DENSE:
         _DENSE[id(filt)] = (filt, DenseFiltration(filt.reps))
     dense = _DENSE[id(filt)][1]
+    dense.ensure_row(i, 1)
     coords = dense.hom[(i, j)].space.coords(f.flatten())
     n = 0
     while True:
-        dense.ensure_depth(n + 1)
+        dense.ensure_row(i, n + 1)
         chain = dense.chains.get((i, j), ())
         if n == len(chain) or not chain[n].contains_vector(coords):
             return n
