@@ -92,9 +92,9 @@ def transpose(M: Representation) -> Representation:
     With P0 -> M the projective cover and K its kernel, the presentation
     P1 -> P0 -> M takes one summand P_b of P1 per top generator u of K at b,
     and sends its generator to incl_b(u) in P0.  Reversed into the opposite
-    presentation, the classes of u on each summand P_a of P0 are the image
-    of the generator of P^op_a in ⊕ P^op_b, and the images along its paths
-    (``rep._generator_images``) span the relations; Tr M is the cokernel.
+    presentation, the classes of the u on each summand P_a of P0 fix a map
+    P^op_a -> ⊕ P^op_b (``rep._generator_images``); Tr M is the cokernel of
+    their sum.
     """
     if M.is_zero():
         raise ValueError("zero module has no transpose")
@@ -378,7 +378,7 @@ class _Knitter:
         arrows = []
         for alpha in quiver.out_arrows(a):
             alpha_class = model.reduce_path(Path(quiver, a, (alpha.name,)))
-            h = {v: RatMatrix(images, cols=P.dims[v]).transpose() for v, images
+            h = {v: RatMatrix.from_columns(images, P.dims[v]) for v, images
                  in _rep._generator_images(P, alpha.target, alpha_class).items()}
             arrows.append((quiver._vindex[alpha.target], h, sum(m.rank() for m in h.values())))
         if sum(rank for _, _, rank in arrows) != P.total_dim() - 1:

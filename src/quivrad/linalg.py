@@ -6,7 +6,7 @@ are Python ints or ``fractions.Fraction``.  Matrices are stored dense, and
 every stored entry is an ``int`` or a ``Fraction`` that is not an integer
 (a *normal* entry).  Three constructors keep that invariant:
 
-* ``RatMatrix(...)`` normalises outside input;
+* ``RatMatrix(...)`` and ``RatMatrix.from_columns`` normalise outside input;
 * ``RatMatrix._of`` takes ints and Fractions, the results of arithmetic on
   normal entries (products, sums), and scans every row, normalising the
   entries that are not ``int``: a sum such as ``1/2 + 1/2`` is an integral
@@ -275,6 +275,13 @@ class RatMatrix:
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
         return _identity(n)
+
+    @classmethod
+    def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "RatMatrix":
+        """The matrix with these columns, each of length ``rows``."""
+        if not (columns and rows):
+            return _zeros(rows, len(columns))
+        return cls(zip(*columns), cols=len(columns))
 
     @property
     def shape(self):

@@ -4,10 +4,9 @@ Hom spaces, radical and socle, projective covers, indecomposability and
 isomorphism over the rationals.  A projective cover is read off the
 canonical echelon form of the radical: at each vertex its generators go to
 the unit vectors at the non-pivot positions, which lift a basis of the top.
-A map out of P_a is fixed by where its generator goes (Yoneda), and
-``_generator_images`` reads its columns off that image; the cover, Tr D and
-the meshes of the projectives in ``artrans`` all build their maps out of
-projectives with it.
+A map out of P_a is fixed by where its generator goes (Yoneda): its columns
+come from ``_generator_images``, the one builder of maps out of projectives
+for the cover, Tr D and the projective meshes.
 Matrix convention: the matrix of an arrow maps the source component to the
 target component, so the composite along a traversal-ordered path
 (a1, a2, ...) is ``M_a2 @ M_a1`` and so on.
@@ -99,7 +98,7 @@ def projective(pres: AlgebraPresentation, a: str) -> Representation:
     mats = {}
     for arr in pres.quiver.arrows:
         images = [model.reduce_path(p.extend(arr.name)) for p in basis[arr.source]]
-        mats[arr.name] = RatMatrix(images, cols=dims[arr.target]).transpose()
+        mats[arr.name] = RatMatrix.from_columns(images, dims[arr.target])
     pres._cache[key] = Representation(pres, dims, mats, check=False)
     return pres._cache[key]
 
@@ -315,8 +314,7 @@ def subrepresentation(M: Representation, subspaces: Dict[str, Subspace]):
     dims = {v: subspaces[v].dim for v in quiver.vertices}
     incl = {}
     for v in quiver.vertices:
-        cols = [list(row) for row in subspaces[v].basis]
-        incl[v] = RatMatrix(zip(*cols), cols=dims[v]) if cols else RatMatrix.zeros(M.dims[v], 0)
+        incl[v] = RatMatrix.from_columns(subspaces[v].basis, M.dims[v])
     mats = {}
     for a in quiver.arrows:
         cols = []
@@ -326,8 +324,7 @@ def subrepresentation(M: Representation, subspaces: Dict[str, Subspace]):
             if coords is None:
                 raise ValueError(f"subspaces not invariant under arrow {a.name}")
             cols.append(coords)
-        mats[a.name] = RatMatrix(zip(*cols), cols=dims[a.source]) if cols else \
-            RatMatrix.zeros(dims[a.target], 0)
+        mats[a.name] = RatMatrix.from_columns(cols, dims[a.target])
     sub = Representation(M.pres, dims, mats, check=False)
     inclusion = ModuleMorphism(sub, M, incl, check=False)
     return sub, inclusion
@@ -466,7 +463,7 @@ def projective_cover(M: Representation):
             cols[v] += images
     summands = tuple(a for a, _ in gens)
     P = direct_sum([projective(M.pres, a) for a in summands])
-    maps = {v: RatMatrix(images, cols=M.dims[v]).transpose() for v, images in cols.items()}
+    maps = {v: RatMatrix.from_columns(images, M.dims[v]) for v, images in cols.items()}
     return P, ModuleMorphism(P, M, maps, check=False), summands
 
 

@@ -331,7 +331,7 @@ def test_generator_images_are_the_map_out_of_the_projective(name):
             trivial = [p.arrows for p in pres.model().basis(a, a)].index(())
             for k in range(M.dims[a]):
                 w = [int(i == k) for i in range(M.dims[a])]
-                maps = {v: RatMatrix(images, cols=M.dims[v]).transpose()
+                maps = {v: RatMatrix.from_columns(images, M.dims[v])
                         for v, images in R._generator_images(M, a, w).items()}
                 f = ModuleMorphism(P, M, maps, check=True)
                 assert [row[trivial] for row in f.maps[a].data] == w
