@@ -368,7 +368,7 @@ class _Knitter:
         α: a -> t when rad P = ⊕ αA (ASS III.2), else by ``decompose``.
 
         h_α: P_t -> P, q -> αq, sends the generator of P_t to the class of
-        α in P_t (``rep._generator_images``), and αA = im h_α.  The αA span
+        α in P at t (``rep._generator_images``), and αA = im h_α.  The αA span
         rad P, so the sum is direct iff their dimensions add up to dim P - 1.
         Each αA is cyclic, so indecomposable: h_α is the piece from the seed
         P_t when it is mono, and otherwise αA is placed.
