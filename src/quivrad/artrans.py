@@ -428,13 +428,31 @@ class _Knitter:
         kernel, the simple socle, has dimension one.  Any other kernel, or a
         cokernel that is not the inverse translate already known, is an
         inconsistency.
+
+        The work is done only where X and E live: at a vertex v where X_v or
+        E_v is zero, im f_v is zero; elsewhere its spanning columns, one per
+        basis vector of X_v, are read sparse off the blocks g_v of f_v.
         """
         node = self.nodes[x]
         X = node.rep
         components = self._left_almost_split(x)
+        targets = [self.nodes[y].rep for y, _ in components]
         vertices = self.pres.quiver.vertices
-        image = {v: RatMatrix._of_normal([row for _, g in components for row in g.maps[v].data],
-                                         X.dims[v]).image() for v in vertices}
+        image = {}
+        for v in vertices:
+            height = sum(Y.dims[v] for Y in targets)
+            if not (X.dims[v] and height):
+                image[v] = Subspace.zero(height)
+                continue
+            columns = [{} for _ in range(X.dims[v])]
+            offset = 0
+            for _, g in components:
+                for i, row in enumerate(g.maps[v].data, offset):
+                    for col, entry in zip(columns, row):
+                        if entry:
+                            col[i] = entry
+                offset += g.maps[v].rows
+            image[v] = Subspace.from_vectors(height, columns)
         kernel = X.total_dim() - sum(s.dim for s in image.values())
         if kernel:
             if kernel != 1 or x in self.tau_inverse:
@@ -444,7 +462,6 @@ class _Knitter:
                     "other node's is zero")
             self.injectives.add(x)
             return
-        targets = [self.nodes[y].rep for y, _ in components]
         C, proj = quotient_representation(targets, image)
         z, iso = self._orbit_node(C, node, 1)
         if self.tau_inverse.get(x, z) != z or z in self.pieces:
@@ -462,7 +479,10 @@ class _Knitter:
             maps = {}
             for v in vertices:
                 lo, hi = start[v], start[v] + Y.dims[v]
-                maps[v] = RatMatrix._of_normal([row[lo:hi] for row in proj[v].data], hi - lo)
+                if hi == lo or not Z.dims[v]:
+                    maps[v] = RatMatrix.zeros(Z.dims[v], hi - lo)
+                else:
+                    maps[v] = RatMatrix._of_normal([row[lo:hi] for row in proj[v].data], hi - lo)
                 start[v] = hi
             self.pieces[z].append((y, ModuleMorphism(Y, Z, maps, check=False)))
 

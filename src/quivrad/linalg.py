@@ -18,9 +18,9 @@ every stored entry is an ``int`` or a ``Fraction`` that is not an integer
   operations here (``transpose``, negation, ``inverse``, ``zeros``,
   ``identity``, ``Subspace.quotient_matrix``) and, in ``rep`` and
   ``artrans``, the direct sum, the socle stack, the unflattened Hom basis,
-  the map E -> Z of the Ext route, and the image stack and the piece slices
-  of a knitting step.  ``Subspace.quotient_columns`` adds multiples of
-  rows, so it keeps the scan.
+  the map E -> Z of the Ext route, and the piece slices of a knitting
+  step.  ``Subspace.quotient_columns`` adds multiples of rows, so it keeps
+  the scan.
 
 Elimination lives here alone, in ``Echelon``: sparse integer rows, each a
 dict of its nonzero entries, primitive and positive at its pivot, the lowest
@@ -35,6 +35,16 @@ first.  Kernels (``Subspace.kernel_of``, for ``RatMatrix.kernel`` and the
 Hom spaces of ``rep``), subspace coordinates and quotient coordinates are
 computed in integers over one common denominator, and a ``Fraction`` is
 built only for a value that is not an integer.
+
+Most spans met on the way are trivial and are named without elimination:
+``Subspace.from_vectors`` drops zero vectors, so the span of none is the
+zero space and, in k¹, any nonzero vector spans k¹; ``Subspace.kernel_of``
+is all of k^d when no row is nonzero and zero when the rows have rank d.
+``Subspace.zero(d)`` and ``Subspace.full(d)`` are shared instances, one per
+d, as are ``RatMatrix.zeros`` and ``RatMatrix.identity``: the values are
+immutable, so sharing them shares the cached ``_reduction`` too.  Each
+shortcut returns the canonical form the elimination would, so no answer
+depends on which path built it.
 """
 from __future__ import annotations
 
@@ -407,28 +417,44 @@ class Subspace:
         raise AttributeError("Subspace is immutable")
 
     @classmethod
-    def from_vectors(cls, ambient: int, vectors: Iterable[Sequence]) -> "Subspace":
+    def from_vectors(cls, ambient: int, vectors: Iterable) -> "Subspace":
+        """The span of rational vectors in k^ambient, each given dense or as a
+        dict of its nonzero entries.  Zero vectors are dropped; the span of
+        none is ``zero(ambient)``, and a nonzero vector spans k¹."""
         rows = []
         for v in vectors:
-            if len(v) != ambient:
+            if not isinstance(v, dict) and len(v) != ambient:
                 raise ShapeError("vector length != ambient")
-            rows.append(_int_row(v))
+            row = _int_row(v)
+            if row:
+                rows.append(row)
+        if not rows:
+            return _zero_space(ambient)
+        if ambient == 1:
+            return _full_space(1)
         return cls(ambient, _echelon_sparse(rows))
 
     @classmethod
     def kernel_of(cls, ambient: int, rows: Iterable) -> "Subspace":
         """{x in k^ambient : r·x = 0 for every rational row r}, each row
-        given dense or as a dict of its nonzero entries."""
+        given dense or as a dict of its nonzero entries; all of k^ambient
+        when no row is nonzero, and zero when the rows have rank ambient."""
         red = _echelon_sparse(map(_int_row, rows))
+        if not red:
+            return _full_space(ambient)
+        if len(red) == ambient:
+            return _zero_space(ambient)
         return cls(ambient, _echelon_sparse(_kernel_int(red, ambient)))
 
     @classmethod
     def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, {})
+        """The zero subspace of k^ambient, one shared instance per ambient."""
+        return _zero_space(ambient)
 
     @classmethod
     def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, {c: {c: 1} for c in range(ambient)})
+        """All of k^ambient, one shared instance per ambient."""
+        return _full_space(ambient)
 
     @property
     def dim(self) -> int:
@@ -552,3 +578,12 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
 
+
+@lru_cache(maxsize=256)
+def _zero_space(ambient: int) -> Subspace:
+    return Subspace(ambient, {})
+
+
+@lru_cache(maxsize=256)
+def _full_space(ambient: int) -> Subspace:
+    return Subspace(ambient, {c: {c: 1} for c in range(ambient)})

@@ -341,7 +341,9 @@ def quotient_representation(summands: Sequence[Representation],
     (``Subspace.quotient_columns``); the projection is
     ``Subspace.quotient_matrix``.  E's arrows are block-diagonal, so those
     columns are read block by block off the summands: a row of block k is
-    zero off the source columns of block k.  E is never built.
+    zero off the source columns of block k.  E is never built.  An arrow
+    whose quotient is zero at either end acts by the cached zero matrix, and
+    the projection at a vertex with zero image is the cached identity.
     """
     quiver = summands[0].pres.quiver
     nonp = {v: subspaces[v].nonpivots() for v in quiver.vertices}
@@ -361,13 +363,17 @@ def quotient_representation(summands: Sequence[Representation],
     mats = {}
     for a in quiver.arrows:
         width = dims[a.source]
+        if not (width and dims[a.target]):
+            mats[a.name] = RatMatrix.zeros(dims[a.target], width)
+            continue
         lifted = []
         for Y, (i, j, cols) in zip(summands, blocks[a.source]):
             head, tail = [0] * i, [0] * (width - j)
             lifted += [head + [row[c] for c in cols] + tail for row in Y.matrices[a.name].data]
         mats[a.name] = subspaces[a.target].quotient_columns(lifted, width)
     quo = Representation(summands[0].pres, dims, mats, check=False)
-    return quo, {v: subspaces[v].quotient_matrix() for v in quiver.vertices}
+    return quo, {v: RatMatrix.identity(dims[v]) if subspaces[v].is_zero()
+                 else subspaces[v].quotient_matrix() for v in quiver.vertices}
 
 
 def radical_spaces(M: Representation) -> Dict[str, Subspace]:

@@ -53,7 +53,6 @@ KEEP = {
     "linalg.Subspace.__hash__": _VALUE,
     "linalg.Subspace.__repr__": _REPR,
     "linalg.Subspace.__setattr__": _FROZEN,
-    "linalg.Subspace.is_zero": _PREDICATE,
     "quiver.AlgebraPresentation.__repr__": _REPR,
     "quiver.Path.__eq__": _VALUE,
     "quiver.Path.__hash__": _VALUE,

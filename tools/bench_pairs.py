@@ -14,6 +14,10 @@ a drift in host speed falls on both sides alike.  Writes
   range, and in how many pairs the change reads better (ties count for
   neither side);
 * per workload, the CLI calls attempted and failed, summed over the runs;
+* per workload, ``outputs_identical``: whether every run on both sides
+  printed the same ``outputs sha256`` summary line, the digest of the CLI
+  output of each input and command.  Each run's digest is kept with its
+  result line as ``outputs_sha256``;
 * the command, seed, pair order, parent commit and a free-text host note.
 
 The parent checkout must be a git checkout (``git clone`` or
@@ -24,6 +28,8 @@ before the first run, and the script exits 2 when that fails, as in a
 without bytecode: with ``PYTHONDONTWRITEBYTECODE`` set, a checkout left
 with bytecode by an earlier run imports without compiling, and its
 ``setup_s`` and ``peak_rss_mb`` read lower than a fresh checkout's.
+The script exits 3, after writing the file, when the outputs of some
+workload are not identical: the change must print byte-identical output.
 
 Usage, from anywhere:
 
@@ -49,8 +55,18 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10
 
 
+def outputs_digest(stdout: str) -> str:
+    """The digest on the ``outputs sha256`` summary line of a run's stdout."""
+    for line in stdout.splitlines():
+        words = line.split()
+        if words[:2] == ["outputs", "sha256"] and len(words) == 3:
+            return words[2]
+    raise SystemExit("bench_pairs: a run printed no 'outputs sha256' line")
+
+
 def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
-    """The JSON result line of one untraced benchmark run in ``checkout``."""
+    """The JSON result line of one untraced benchmark run in ``checkout``,
+    with the digest of its outputs as ``outputs_sha256``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
@@ -58,7 +74,7 @@ def run_once(checkout: str, workload: str, seed: int, seconds: int) -> dict:
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"bench_pairs: {' '.join(argv[1:])} in {checkout} exited "
                          f"{proc.returncode}: {proc.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    return {**json.loads(lines[-1]), "outputs_sha256": outputs_digest(proc.stdout)}
 
 
 def parent_commit(checkout: str) -> str:
@@ -132,6 +148,8 @@ def main(argv=None) -> int:
                 runs[workload][side].append(result)
                 op_ref = result["metrics"]["op_ref"]["value"]
                 print(f"pair {k + 1} {workload} {side}: op_ref {op_ref:.4f}", flush=True)
+    identical = {w: len({x["outputs_sha256"] for x in r["parent"] + r["change"]}) == 1
+                 for w, r in runs.items()}
     doc = {
         "change": args.note,
         "parent_commit": commit,
@@ -142,12 +160,18 @@ def main(argv=None) -> int:
         "order": "parent and change alternate which runs first: parent first in odd pairs, "
                  "change first in even pairs; one run at a time",
         "host": args.host,
-        "workloads": {w: {"summary": summary(r["parent"], r["change"], metrics), **r}
+        "workloads": {w: {"summary": summary(r["parent"], r["change"], metrics),
+                          "outputs_identical": identical[w], **r}
                       for w, r in runs.items()},
     }
     path = ROOT / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"wrote {path}")
+    differ = [w for w, same in identical.items() if not same]
+    if differ:
+        print(f"bench_pairs: outputs differ between the runs of {', '.join(differ)}",
+              file=sys.stderr)
+        return 3
     return 0
 
 
