@@ -171,7 +171,7 @@ def almost_split_middle(Z: Representation, tau_z: Representation):
         psi = end_tau.element(coords)
         cols = [factored.quotient_coords((psi @ b).flatten()) for b in hom_k.basis]
         rows.extend(zip(*cols))
-    sols = RatMatrix(rows, cols=hom_k.dim).kernel() if rows else Subspace.full(hom_k.dim)
+    sols = RatMatrix(rows, cols=hom_k.dim).kernel()
     g = None
     for srow in sols.basis:
         cand = hom_k.element(srow)

@@ -4,16 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from quivrad import artrans
+from quivrad import artrans, linalg
 from quivrad import rep as R
 from quivrad.artrans import EnumerationLimits
+from quivrad.cli import main
 from quivrad.errors import ShapeError
 from quivrad.linalg import (
     RatMatrix,
     Subspace,
+    _echelon_sparse,
+    _int_row,
+    _kernel_int,
 )
 
-from conftest import samples
+from conftest import fixture_path, samples
 
 
 def bareiss_solve(rows, rhs):
@@ -204,3 +208,96 @@ def test_quotient_columns_stores_a_cancelling_sum_as_an_int():
     got = space.quotient_columns([[-1, 0], [Fraction(1, 2), 3]], 2)
     assert got.data == ((1, 3),)
     assert type(got.data[0][0]) is int
+
+
+def _random_entry(rng):
+    """Mostly zero, else a small int or a Fraction, sometimes an integral one."""
+    r = rng.random()
+    if r < 0.55:
+        return 0
+    if r < 0.8:
+        return rng.choice([-3, -2, -1, 1, 2, 5])
+    return Fraction(rng.choice([-4, -1, 1, 3, 6]), rng.choice([1, 2, 3]))
+
+
+def _random_rows(rng, ambient):
+    """0-4 rows in k^ambient, some all zero, each given dense or as the dict
+    of its nonzero entries; the rows as given and as dense tuples."""
+    given, dense = [], []
+    for _ in range(rng.randint(0, 4)):
+        row = [0] * ambient if rng.random() < 0.25 else \
+            [_random_entry(rng) for _ in range(ambient)]
+        dense.append(tuple(row))
+        given.append({c: x for c, x in enumerate(row) if x} if rng.random() < 0.5 else row)
+    return given, dense
+
+
+def _same_space(got, expected):
+    assert got.ambient == expected.ambient
+    assert got.basis == expected.basis
+    assert got.pivots == expected.pivots
+    assert got.nonpivots() == expected.nonpivots()
+    assert got.quotient_matrix() == expected.quotient_matrix()
+    assert got == expected
+
+
+def test_trivial_span_shortcuts_equal_the_elimination():
+    """``from_vectors`` and ``kernel_of`` name the zero space, k¹ and k^d
+    without elimination; each answer must be the canonical form that the
+    general path, ``Echelon`` on every row, computes."""
+    rng = random.Random(2027)
+    seen = {"no nonzero vector": 0, "nonzero in k^1": 0, "no nonzero row": 0,
+            "full rank": 0, "eliminated": 0}
+    for _ in range(600):
+        ambient = rng.randint(0, 4)
+        given, dense = _random_rows(rng, ambient)
+        span = Subspace(ambient, _echelon_sparse(map(_int_row, dense)))
+        _same_space(Subspace.from_vectors(ambient, given), span)
+        red = _echelon_sparse(map(_int_row, dense))
+        kernel = Subspace(ambient, _echelon_sparse(_kernel_int(red, ambient)))
+        _same_space(Subspace.kernel_of(ambient, given), kernel)
+        if not any(map(any, dense)):
+            seen["no nonzero vector"] += 1
+            seen["no nonzero row"] += 1
+        elif ambient == 1:
+            seen["nonzero in k^1"] += 1
+        if ambient and len(red) == ambient:
+            seen["full rank"] += 1
+        elif red:
+            seen["eliminated"] += 1
+    assert min(seen.values()) >= 40, seen  # every branch is crossed many times
+    for ambient in range(5):  # the edge cases, explicitly
+        for vectors in ([], [(0,) * ambient], [{}, (0,) * ambient]):
+            assert Subspace.from_vectors(ambient, vectors) is Subspace.zero(ambient)
+            assert Subspace.kernel_of(ambient, vectors) is Subspace.full(ambient)
+    assert Subspace.from_vectors(1, [(0,), {0: Fraction(-2, 3)}]) is Subspace.full(1)
+    with pytest.raises(ShapeError):
+        Subspace.from_vectors(3, [(0, 0)])
+    with pytest.raises(ShapeError):
+        Subspace.from_vectors(1, [(0, 0)])
+
+
+def test_zero_and_full_are_shared_and_canonical():
+    for d in range(6):
+        assert Subspace.zero(d) is Subspace.zero(d)
+        assert Subspace.full(d) is Subspace.full(d)
+        _same_space(Subspace.zero(d), Subspace(d, {}))
+        _same_space(Subspace.full(d), Subspace(d, {c: {c: 1} for c in range(d)}))
+        assert Subspace.zero(d).dim == 0 and Subspace.full(d).dim == d
+
+
+def test_index_of_ex_2_5_names_its_trivial_spans(monkeypatch, capsys):
+    """``quivrad index`` on ex_2_5 builds fewer than 4,000 ``Echelon``s:
+    8,938 when every span ran through elimination, about 2,900 with the
+    trivial spans named at once."""
+    built = []
+    init = linalg.Echelon.__init__
+
+    def counted(self):
+        built.append(1)
+        init(self)
+
+    monkeypatch.setattr(linalg.Echelon, "__init__", counted)
+    assert main(["index", fixture_path("ex_2_5")]) == 0
+    assert "r_A" in capsys.readouterr().out
+    assert 0 < len(built) < 4000, len(built)
