@@ -226,16 +226,6 @@ def _trusted_row(r) -> tuple:
     return t
 
 
-@lru_cache(maxsize=1024)
-def _zeros(rows: int, cols: int) -> "RatMatrix":
-    return RatMatrix._of_normal(((0,) * cols,) * rows, cols)
-
-
-@lru_cache(maxsize=256)
-def _identity(n: int) -> "RatMatrix":
-    return RatMatrix._of_normal([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
-
-
 class RatMatrix:
     """Immutable dense matrix with exact rational entries."""
 
@@ -278,19 +268,21 @@ class RatMatrix:
         object.__setattr__(m, "cols", cols)
         return m
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "RatMatrix":
-        return _zeros(rows, cols)
+    @staticmethod
+    @lru_cache(maxsize=1024)
+    def zeros(rows: int, cols: int) -> "RatMatrix":
+        return RatMatrix._of_normal(((0,) * cols,) * rows, cols)
 
-    @classmethod
-    def identity(cls, n: int) -> "RatMatrix":
-        return _identity(n)
+    @staticmethod
+    @lru_cache(maxsize=256)
+    def identity(n: int) -> "RatMatrix":
+        return RatMatrix._of_normal([[1 if i == j else 0 for j in range(n)] for i in range(n)], n)
 
     @classmethod
     def from_columns(cls, columns: Sequence[Sequence], rows: int) -> "RatMatrix":
         """The matrix with these columns, each of length ``rows``."""
         if not (columns and rows):
-            return _zeros(rows, len(columns))
+            return cls.zeros(rows, len(columns))
         return cls(zip(*columns), cols=len(columns))
 
     @property
@@ -340,7 +332,7 @@ class RatMatrix:
         if self.cols != other.rows:
             raise ShapeError(f"matmul {self.shape} @ {other.shape}")
         if self.rows == 0 or other.cols == 0 or other.rows == 0:
-            return _zeros(self.rows, other.cols)
+            return RatMatrix.zeros(self.rows, other.cols)
         ot = list(zip(*other.data))
         zero = (0,) * other.cols
         out = [[sum(map(mul, row, col)) for col in ot] if any(row) else zero
@@ -429,9 +421,9 @@ class Subspace:
             if row:
                 rows.append(row)
         if not rows:
-            return _zero_space(ambient)
+            return cls.zero(ambient)
         if ambient == 1:
-            return _full_space(1)
+            return cls.full(1)
         return cls(ambient, _echelon_sparse(rows))
 
     @classmethod
@@ -441,20 +433,22 @@ class Subspace:
         when no row is nonzero, and zero when the rows have rank ambient."""
         red = _echelon_sparse(map(_int_row, rows))
         if not red:
-            return _full_space(ambient)
+            return cls.full(ambient)
         if len(red) == ambient:
-            return _zero_space(ambient)
+            return cls.zero(ambient)
         return cls(ambient, _echelon_sparse(_kernel_int(red, ambient)))
 
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
+    @staticmethod
+    @lru_cache(maxsize=256)
+    def zero(ambient: int) -> "Subspace":
         """The zero subspace of k^ambient, one shared instance per ambient."""
-        return _zero_space(ambient)
+        return Subspace(ambient, {})
 
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
+    @staticmethod
+    @lru_cache(maxsize=256)
+    def full(ambient: int) -> "Subspace":
         """All of k^ambient, one shared instance per ambient."""
-        return _full_space(ambient)
+        return Subspace(ambient, {c: {c: 1} for c in range(ambient)})
 
     @property
     def dim(self) -> int:
@@ -577,13 +571,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(ambient={self.ambient}, dim={self.dim})"
-
-
-@lru_cache(maxsize=256)
-def _zero_space(ambient: int) -> Subspace:
-    return Subspace(ambient, {})
-
-
-@lru_cache(maxsize=256)
-def _full_space(ambient: int) -> Subspace:
-    return Subspace(ambient, {c: {c: 1} for c in range(ambient)})

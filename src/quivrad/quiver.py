@@ -185,8 +185,6 @@ class Relation:
 class AlgebraPresentation:
     """Bound quiver algebra kQ/I over the rationals."""
 
-    field = "Q"
-
     def __init__(self, quiver: Quiver, relations: Sequence[Relation]):
         self.quiver = quiver
         self.relations = tuple(relations)

@@ -23,7 +23,6 @@ equality are exact.
 """
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from operator import mul
 from typing import Dict, Optional, Sequence
@@ -37,38 +36,7 @@ from .quiver import (
     zero_relation_interiors,
     zero_relation_vertices,
 )
-from .rep import HomSpace, ModuleMorphism, Representation, hom_space, top_generators
-
-
-class _HomTable(Mapping):
-    """(i, j) -> Hom(node_i, node_j) for the pairs with a nonzero Hom space.
-
-    A pair is computed the first time it is looked up; iterating or taking
-    the length computes every pair.
-    """
-
-    def __init__(self, reps: Sequence[Representation]):
-        self._reps = reps
-        self._known: Dict[tuple, Optional[HomSpace]] = {}
-
-    def __getitem__(self, key) -> HomSpace:
-        if key not in self._known:
-            i, j = key
-            if not (0 <= i < len(self._reps) and 0 <= j < len(self._reps)):
-                raise KeyError(key)
-            hs = hom_space(self._reps[i], self._reps[j])
-            self._known[key] = hs if hs.dim else None
-        hs = self._known[key]
-        if hs is None:
-            raise KeyError(key)
-        return hs
-
-    def __iter__(self):
-        n = len(self._reps)
-        return ((i, j) for i in range(n) for j in range(n) if (i, j) in self)
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)
+from .rep import ModuleMorphism, Representation, top_generators
 
 
 class _Row:
@@ -132,8 +100,7 @@ class RadicalFiltration:
     computed on demand, one row R^n(P_a, -) at a time; ``ensure_complete``
     iterates the rows until every chain has reached zero, which must happen
     for representation-finite input (a row that stops shrinking while
-    nonzero turns a non-terminating run into an error).  ``hom`` serves the
-    rule checkers; the layers need no Hom space.
+    nonzero turns a non-terminating run into an error).
     """
 
     def __init__(self, pres: AlgebraPresentation, nodes: Sequence[Representation],
@@ -141,7 +108,6 @@ class RadicalFiltration:
                  socles: Dict[int, Dict[str, Subspace]]):
         self.pres = pres
         self.reps = list(nodes)
-        self.hom = _HomTable(self.reps)
         self.aliases = aliases
         self._pieces = pieces
         self._projective = sorted({i for key, i in self.aliases.items() if key[0] == "P"})

@@ -27,7 +27,7 @@ from .radical import (
     canonical_r,
     nilpotency_index,
 )
-from .rep import end_radical, radical_spaces
+from .rep import HomSpace, end_radical, hom_space, radical_spaces
 
 _RELATIONS = ("r_b<=r_a", "r_a<=r_b", "r_a==r_b", "none")
 
@@ -54,13 +54,7 @@ class ComparisonFinding:
             raise ValueError(f"bad relation {self.relation!r}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.a, "b": self.b, "arrow": self.arrow, "rule": self.rule,
-            "dim_irr_proj": self.dim_irr_proj, "dim_irr_inj": self.dim_irr_inj,
-            "dim_end_proj_b": self.dim_end_proj_b, "dim_end_inj_a": self.dim_end_inj_a,
-            "proj_side": self.proj_side, "inj_side": self.inj_side,
-            "relation": self.relation, "r_a": self.r_a, "r_b": self.r_b,
-        }
+        return dict(vars(self))  # the fields; asdict would deep-copy every value
 
 
 def _verify_relation(relation: str, r_a: int, r_b: int, context: str) -> None:
@@ -93,24 +87,32 @@ def _conclude(proj_side: bool, inj_side: bool) -> str:
     return "none"
 
 
+def _dim_end_proj(filt: RadicalFiltration, b: str) -> int:
+    """dim End(P_b) = dim (P_b)_b, since Hom(P_b, M) ≅ M_b (Yoneda)."""
+    return filt.reps[filt.projective_index(b)].dims[b]
+
+
+def _dim_end_inj(filt: RadicalFiltration, a: str) -> int:
+    """dim End(I_a) = dim (I_a)_a, since Hom(M, I_a) ≅ D(M_a) (Yoneda)."""
+    return filt.reps[filt.injective_index(a)].dims[a]
+
+
 def _compare_arrow(filt: RadicalFiltration, a: str, b: str,
                    rule: str, context: str, proj_holds, inj_holds) -> ComparisonFinding:
-    """Arrow a -> b: r_b <= r_a when Irr(P_b, P_a) ≠ 0 and ``proj_holds(P_b, P_a)``,
-    r_a <= r_b when Irr(I_b, I_a) ≠ 0 and ``inj_holds(I_b, I_a)`` (node indices)."""
+    """Arrow a -> b: r_b <= r_a when Irr(P_b, P_a) ≠ 0 and ``proj_holds(a, b)``,
+    r_a <= r_b when Irr(I_b, I_a) ≠ 0 and ``inj_holds(a, b)``."""
     a, b = str(a), str(b)
     arrow = _arrow_between(filt.pres, a, b)
-    pa, pb = filt.projective_index(a), filt.projective_index(b)
-    ia, ib = filt.injective_index(a), filt.injective_index(b)
-    irr_p = filt.dim_irr(pb, pa)
-    irr_i = filt.dim_irr(ib, ia)
-    proj_side = irr_p >= 1 and proj_holds(pb, pa)
-    inj_side = irr_i >= 1 and inj_holds(ib, ia)
+    irr_p = filt.dim_irr(filt.projective_index(b), filt.projective_index(a))
+    irr_i = filt.dim_irr(filt.injective_index(b), filt.injective_index(a))
+    proj_side = irr_p >= 1 and proj_holds(a, b)
+    inj_side = irr_i >= 1 and inj_holds(a, b)
     relation = _conclude(proj_side, inj_side)
     r_a = canonical_r(filt, a)
     r_b = canonical_r(filt, b)
     _verify_relation(relation, r_a, r_b, f"{context} at arrow {arrow}")
     return ComparisonFinding(a, b, arrow, rule, irr_p, irr_i,
-                             filt.hom[(pb, pb)].dim, filt.hom[(ia, ia)].dim,
+                             _dim_end_proj(filt, b), _dim_end_inj(filt, a),
                              proj_side, inj_side, relation, r_a, r_b)
 
 
@@ -119,21 +121,26 @@ def check_corollary_irred(filt: RadicalFiltration, a: str, b: str) -> Comparison
     r_b <= r_a; dually an irreducible I_b -> I_a with trivial End(I_a)
     forces r_a <= r_b."""
     return _compare_arrow(filt, a, b, "corollary", "corollary",
-                          lambda pb, pa: filt.hom[(pb, pb)].dim == 1,
-                          lambda ib, ia: filt.hom[(ia, ia)].dim == 1)
+                          lambda a, b: _dim_end_proj(filt, b) == 1,
+                          lambda a, b: _dim_end_inj(filt, a) == 1)
 
 
-def _factorization_holds(filt: RadicalFiltration, src: int, dst: int, side: str) -> bool:
-    """side 'proj': Hom(src,dst) == End(dst) ∘ f1; side 'inj':
-    Hom(src,dst) == f1 ∘ End(src); f1 the first knitted piece src -> dst,
-    an irreducible map."""
-    f1 = next(g for k, g in filt.pieces(dst) if k == src)
+def _factorization_holds(filt: RadicalFiltration, a: str, b: str, side: str) -> bool:
+    """Arrow a -> b.  side 'proj': Hom(P_b, P_a) == End(P_a) ∘ f1; side
+    'inj': Hom(I_b, I_a) == f1 ∘ End(I_b); f1 the first knitted piece, an
+    irreducible map.  The Hom space is known by its dimension, dim (P_a)_b
+    or dim (I_b)_a (Yoneda); only End is built, for its basis."""
     if side == "proj":
-        comps = [mu @ f1 for mu in filt.hom[(dst, dst)].basis]
+        src, dst = filt.projective_index(b), filt.projective_index(a)
+        end, dim_hom = dst, filt.reps[dst].dims[b]
     else:
-        comps = [f1 @ mu for mu in filt.hom[(src, src)].basis]
+        src, dst = filt.injective_index(b), filt.injective_index(a)
+        end, dim_hom = src, filt.reps[src].dims[a]
+    f1 = next(g for k, g in filt.pieces(dst) if k == src)
+    ends = hom_space(filt.reps[end], filt.reps[end]).basis
+    comps = [mu @ f1 for mu in ends] if side == "proj" else [f1 @ mu for mu in ends]
     span = Subspace.from_vectors(len(f1.flatten()), [c.flatten() for c in comps])
-    return span.dim == filt.hom[(src, dst)].dim
+    return span.dim == dim_hom
 
 
 def check_theorem_A(filt: RadicalFiltration, a: str, b: str) -> ComparisonFinding:
@@ -147,8 +154,8 @@ def check_theorem_A(filt: RadicalFiltration, a: str, b: str) -> ComparisonFindin
     and when dim Irr ≥ 2 no single one fills the Hom space.
     """
     return _compare_arrow(filt, a, b, "A", "factorization rule",
-                          lambda pb, pa: _factorization_holds(filt, pb, pa, "proj"),
-                          lambda ib, ia: _factorization_holds(filt, ib, ia, "inj"))
+                          lambda a, b: _factorization_holds(filt, a, b, "proj"),
+                          lambda a, b: _factorization_holds(filt, a, b, "inj"))
 
 
 def check_prop_33(filt: RadicalFiltration) -> list:
@@ -198,15 +205,7 @@ class ReductionCheck:
         out = self.report.to_json_dict()
         out["direct_r_A"] = self.direct_r_A
         if self.certificates:
-            out["certificates"] = [
-                {
-                    "relation_index": c.relation_index,
-                    "zero_relation": c.zero_relation,
-                    "vertices": list(c.vertices),
-                    "r_values": dict(c.r_values),
-                }
-                for c in self.certificates
-            ]
+            out["certificates"] = [dict(vars(c)) for c in self.certificates]
         if self.fallback:
             out["fallback"] = self.fallback
         return out
@@ -323,15 +322,6 @@ def _spans_line(vectors: list, line: tuple) -> bool:
     return Subspace.from_vectors(len(line), vectors).contains_vector(line)
 
 
-def _non_isos(filt: RadicalFiltration, i: int, j: int) -> list:
-    """A basis of the non-isomorphisms node_i -> node_j: Hom(i, j), or
-    rad End(i) when i = j."""
-    hs = filt.hom.get((i, j))
-    if hs is None:
-        return []
-    return hs.basis if i != j else [hs.element(r) for r in end_radical(hs).basis]
-
-
 def check_lemma_refe(filt: RadicalFiltration) -> list:
     """For every nonzero P_a -> I_b not factoring through S_a there is a
     non-isomorphism I_b -> I_a whose composite is nonzero and factors through
@@ -345,7 +335,15 @@ def check_lemma_refe(filt: RadicalFiltration) -> list:
     I_b -> I_a, holds the socle line of I_a at a, and whether the span of
     the f_b(w), w = phi(e_b) over (P_a)_b (rad(P_a)_a when a = b) for the
     non-isomorphisms phi: P_b -> P_a, holds the socle line of I_b at b.
+    Each Hom space is built once per call, and only for its basis.
     """
+    homs: Dict[tuple, HomSpace] = {}
+
+    def hom(i: int, j: int) -> HomSpace:
+        if (i, j) not in homs:
+            homs[i, j] = hom_space(filt.reps[i], filt.reps[j])
+        return homs[i, j]
+
     results = []
     for a in filt.pres.quiver.vertices:
         ip, ia = filt.projective_index(a), filt.injective_index(a)
@@ -354,19 +352,19 @@ def check_lemma_refe(filt: RadicalFiltration) -> list:
             ib = filt.injective_index(b)
             if not filt.reps[ib].dims[a]:
                 continue  # Hom(P_a, I_b) = (I_b)_a = 0 (Yoneda)
-            hs = filt.hom.get((ip, ib))
-            if hs is None:
-                continue
             soc = filt.socle_spaces(ib)[a]
             ws = (radical_spaces(P_a)[a] if a == b else Subspace.full(P_a.dims[b])).basis
-            for f in hs.basis:
+            phis = None  # a basis of the non-isomorphisms I_b -> I_a, built at first need
+            for f in hom(ip, ib).basis:
                 v = filt.at_generators(ip, f)
                 if soc.contains_vector(v):
                     results += [{"a": a, "b": b, "case": "vacuous"},
                                 {"a": a, "b": b, "case": "dual-vacuous"}]
                     continue
-                if not _spans_line([phi.maps[a].apply(v) for phi in _non_isos(filt, ib, ia)],
-                                   line_a):
+                if phis is None:
+                    hs = hom(ib, ia)  # rad End(I_a) when b = a
+                    phis = hs.basis if ib != ia else [hs.element(r) for r in end_radical(hs).basis]
+                if not _spans_line([phi.maps[a].apply(v) for phi in phis], line_a):
                     raise InconsistencyError(
                         f"no witness I_{b} -> I_{a} for a morphism P_{a} -> I_{b}")
                 results.append({"a": a, "b": b, "case": "post-composition"})

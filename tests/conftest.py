@@ -4,6 +4,7 @@ import pytest
 from pathlib import Path
 
 from quivrad import RadicalFiltration, ar_quiver, parse_presentation
+from dense_oracle import hom
 from randgen import random_finite_monomial, random_nakayama
 
 DATA = Path(__file__).parent / "data"
@@ -53,7 +54,7 @@ def projective_pairs(filt) -> list:
     """(i, j) per nonzero Hom(node_i, node_j) with node i projective: the
     pairs the filtration keeps layers for."""
     projective = sorted({filt.projective_index(a) for a in filt.pres.quiver.vertices})
-    return [(i, j) for i in projective for j in range(len(filt.reps)) if (i, j) in filt.hom]
+    return [(i, j) for i in projective for j in range(len(filt.reps)) if hom(filt, i, j)]
 
 
 def knitted_socles(filt) -> dict:

@@ -9,7 +9,12 @@ sequences, so it checks the sparse filtration in ``quivrad.radical``
 independently.  ``morphism_length`` asks only for the row of the morphism's
 source, and keeps one oracle per filtration.
 
-Below it, the Hom-space route through the simples: the composites
+Ahead of the oracle, ``hom`` and ``hom_pairs``: the Hom spaces between
+the nodes of a filtration, each built once per filtration, for the tests
+that read a Hom basis.  The package builds a Hom space only where it needs
+its basis.
+
+Below the oracle, the Hom-space route through the simples: the composites
 P_a -> S_a -> I_a and the witness searches of ``lemma_refe`` as rank tests
 on composites of whole Hom spaces.  The package reads both off one vertex
 space (Yoneda), so this route checks that reading.
@@ -26,11 +31,32 @@ of P_a as a morphism (the package reads only its columns), mono and epi
 tests, and the radical length of any morphism between two nodes, the
 general form of ``canonical_r``, read in the dense chains.
 """
+import weakref
+
 from quivrad.errors import InconsistencyError
 from quivrad.linalg import RatMatrix, Subspace
 from quivrad.quiver import Path
 from quivrad.rep import (ModuleMorphism, Representation, end_radical, hom_space, morphism_ambient,
                          projective, socle_spaces, subrepresentation)
+
+
+_HOMS = weakref.WeakKeyDictionary()  # filt -> {(i, j): Hom(node_i, node_j), or None if zero}
+
+
+def hom(filt, i, j):
+    """Hom(node_i, node_j) of a filtration, or None when it is zero;
+    computed once per filtration and pair."""
+    known = _HOMS.setdefault(filt, {})
+    if (i, j) not in known:
+        hs = hom_space(filt.reps[i], filt.reps[j])
+        known[i, j] = hs if hs.dim else None
+    return known[i, j]
+
+
+def hom_pairs(filt):
+    """Every (i, j) with Hom(node_i, node_j) nonzero, in order."""
+    n = len(filt.reps)
+    return [(i, j) for i in range(n) for j in range(n) if hom(filt, i, j)]
 
 
 class DenseFiltration:
@@ -146,7 +172,7 @@ class DenseFiltration:
 def canonical_maps(filt, a):
     """(p, q): the maps P_a -> S_a and S_a -> I_a, each spanning its Hom space."""
     ip, is_, ii = filt.projective_index(a), filt.aliases[f"S_{a}"], filt.injective_index(a)
-    hp, hq = filt.hom.get((ip, is_)), filt.hom.get((is_, ii))
+    hp, hq = hom(filt, ip, is_), hom(filt, is_, ii)
     if hp is None or hp.dim != 1 or hq is None or hq.dim != 1:
         raise InconsistencyError(
             f"Hom(P_{a}, S_{a}) and Hom(S_{a}, I_{a}) must be one-dimensional")
@@ -156,14 +182,14 @@ def canonical_maps(filt, a):
 def through_simple(filt, a, j):
     """A spanning list of the morphisms P_a -> node_j factoring through S_a."""
     p, _ = canonical_maps(filt, a)
-    hs = filt.hom.get((filt.aliases[f"S_{a}"], j))
+    hs = hom(filt, filt.aliases[f"S_{a}"], j)
     return [h @ p for h in hs.basis] if hs else []
 
 
 def through_simple_dual(filt, b, i):
     """A spanning list of the morphisms node_i -> I_b factoring through S_b."""
     _, q = canonical_maps(filt, b)
-    hs = filt.hom.get((i, filt.aliases[f"S_{b}"]))
+    hs = hom(filt, i, filt.aliases[f"S_{b}"])
     return [q @ h for h in hs.basis] if hs else []
 
 
@@ -181,7 +207,7 @@ def composites_meet(comps, target):
 
 def non_isomorphisms(filt, i, j):
     """A basis of Hom(node_i, node_j), or of rad End(node_i) when i = j."""
-    hs = filt.hom.get((i, j))
+    hs = hom(filt, i, j)
     if hs is None:
         return []
     return hs.basis if i != j else [hs.element(r) for r in end_radical(hs).basis]
@@ -212,7 +238,7 @@ def lemma_refe(filt, searches=None):
         ip, ia = filt.projective_index(a), filt.injective_index(a)
         for b in vertices:
             pb, ib = filt.projective_index(b), filt.injective_index(b)
-            hs = filt.hom.get((ip, ib))
+            hs = hom(filt, ip, ib)
             if hs is None:
                 continue
             through_a = flat_span(through_simple(filt, a, ib), hs.space.ambient)

@@ -60,8 +60,6 @@ KEEP = {
     "quiver.Quiver.__repr__": _REPR,
     "quiver.Relation.__repr__": _REPR,
     "radical.RadicalFiltration.ensure_depth": _TRACED,
-    "radical._HomTable.__iter__": _PERFBENCH + " (radical.hom_pairs, through __len__)",
-    "radical._HomTable.__len__": _PERFBENCH + " (radical.hom_pairs)",
     "rep.HomSpace.__repr__": _REPR,
     "rep.ModuleMorphism.__add__": _VALUE,
     "rep.ModuleMorphism.__repr__": _REPR,
@@ -123,14 +121,18 @@ def census_argvs(tmp_path) -> list:
 def run_census(argvs) -> set:
     """The code objects whose frames start while ``main`` runs each argv.
 
-    The package's ``lru_cache`` functions are cleared first: one that an
-    earlier test filled would otherwise answer without being entered.
+    The package's ``lru_cache`` functions, at module level or on a class
+    (under ``classmethod`` or ``staticmethod``), are cleared first: one that
+    an earlier run filled would otherwise answer without being entered.
     """
     for name, module in list(sys.modules.items()):
         if name.startswith("quivrad."):
             for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
+                own_class = isinstance(value, type) and value.__module__ == name
+                for member in (value, *(vars(value).values() if own_class else ())):
+                    member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                    if hasattr(member, "cache_clear"):
+                        member.cache_clear()
     seen = set()
 
     def profile(frame, event, arg):
@@ -148,12 +150,16 @@ def run_census(argvs) -> set:
     return seen
 
 
-def test_every_package_function_is_entered_or_kept(tmp_path):
+def entered_functions(argvs) -> set:
+    """The "module.qualified name" of every package function the census enters."""
     functions = package_functions()
-    entered = {(os.path.realpath(c.co_filename), c.co_qualname)
-               for c in run_census(census_argvs(tmp_path))}
-    names = set(functions.values())
-    entered_names = {functions[key] for key in entered if key in functions}
+    entered = {(os.path.realpath(c.co_filename), c.co_qualname) for c in run_census(argvs)}
+    return {functions[key] for key in entered if key in functions}
+
+
+def test_every_package_function_is_entered_or_kept(tmp_path):
+    names = set(package_functions().values())
+    entered_names = entered_functions(census_argvs(tmp_path))
     unreached = sorted(names - entered_names - set(KEEP))
     assert not unreached, f"no CLI call enters these; delete, move or KEEP them: {unreached}"
     gone = sorted(set(KEEP) - names)
@@ -161,6 +167,17 @@ def test_every_package_function_is_entered_or_kept(tmp_path):
     reached = sorted(set(KEEP) & entered_names)
     assert not reached, f"KEEP names functions the CLI enters: {reached}"
     assert all(KEEP.values())
+
+
+def test_census_clears_every_cache_it_would_answer_from():
+    # the class-level caches are cleared before each run, whatever filled
+    # them (an earlier test or the run before), so two runs enter the same
+    # functions, the cached ones among them
+    argvs = [["ar", str(DATA / "a2.quiver")], ["index", str(DATA / "a3_rel.quiver")]]
+    first = entered_functions(argvs)
+    assert entered_functions(argvs) == first
+    assert {"linalg.RatMatrix.zeros", "linalg.RatMatrix.identity",
+            "linalg.Subspace.zero", "linalg.Subspace.full"} <= first
 
 
 LINALG_NAMES = {"Echelon", "RatMatrix", "Subspace"}

@@ -7,7 +7,7 @@ from quivrad.linalg import Subspace
 from quivrad.radical import canonical_r
 
 from conftest import load, projective_pairs, relabelled_filtration
-from dense_oracle import DenseFiltration
+from dense_oracle import DenseFiltration, hom_pairs
 from randgen import random_finite_monomial, random_nakayama
 
 # every representation-finite fixture but ex_2_5, which is too slow for the oracle
@@ -31,7 +31,7 @@ def _agrees_with_dense(filt, dense, arrows=None):
     # keeps; the oracle's Hom-basis coordinates are mapped to the
     # filtration's by evaluation at the generator of P_a, which is onto
     # (node j)_a and injective (Yoneda)
-    assert set(filt.hom) == set(dense.hom)
+    assert set(hom_pairs(filt)) == set(dense.hom)
     for (i, j) in projective_pairs(filt):
         hs = dense.hom[(i, j)]
         values = [filt.at_generators(i, b) for b in hs.basis]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -5,7 +6,10 @@ import pytest
 
 from quivrad.errors import NotAdmissibleError, ParseError
 from quivrad.quiver import (
+    AlgebraPresentation,
     Path,
+    Quiver,
+    Relation,
     classify,
     parse_presentation,
     path_basis,
@@ -189,6 +193,81 @@ def test_path_coordinates_lie_on_basis_paths_registered_no_later(name):
             later = [str(b) for c, b in zip(model.reduce_path(p), basis)
                      if c and model.path_index[b.key()] > i]
             assert not later, (name, str(p), later)
+
+
+def _paths(quiver, start, end):
+    """Every path start -> end of an acyclic quiver, as a tuple of arrow names."""
+    if start == end:
+        return [()]
+    return [(a.name,) + rest for a in quiver.out_arrows(start)
+            for rest in _paths(quiver, a.target, end)]
+
+
+def _rank(vectors):
+    """Rank of rational vectors by Gaussian elimination on Fractions."""
+    rows, rank = [list(v) for v in vectors], 0
+    while rows:
+        pivot = rows.pop()
+        col = next((c for c, x in enumerate(pivot) if x), None)
+        if col is None:
+            continue
+        rank += 1
+        rows = [[x - r[col] / pivot[col] * y for x, y in zip(r, pivot)] for r in rows]
+    return rank
+
+
+def _random_acyclic(rng):
+    """2–5 vertices, arrows (parallel ones too) from lower to higher vertices,
+    and one to three relations of one to three parallel paths of length at
+    least two, with rational coefficients; a relation of two or three terms
+    takes a pair of vertices with paths of unequal lengths where one exists."""
+    n = rng.randint(2, 5)
+    vertices = [str(v) for v in range(n)]
+    arrows = []
+    for k in range(rng.randint(n - 1, 3 * n)):
+        s = rng.randrange(n - 1)
+        t = s + 1 if rng.random() < 0.5 else rng.randrange(s + 1, n)  # chains and shortcuts
+        arrows.append((f"x{k}", vertices[s], vertices[t]))
+    quiver = Quiver(vertices, arrows)
+    long = {}
+    for i in vertices:
+        for j in vertices:
+            words = [w for w in _paths(quiver, i, j) if len(w) >= 2]
+            if words:
+                long[i, j] = words
+    mixed = sorted(pair for pair, words in long.items() if len({len(w) for w in words}) > 1)
+    relations = []
+    for _ in range(rng.randint(1, 3) if long else 0):
+        terms = rng.randint(1, 3)
+        i, j = rng.choice(mixed if terms > 1 and mixed else sorted(long))
+        words = rng.sample(long[i, j], min(terms, len(long[i, j])))
+        relations.append(Relation([(Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)),
+                                    Path(quiver, i, w)) for w in words]))
+    return AlgebraPresentation(quiver, relations)
+
+
+def test_path_classes_match_brute_force_on_random_acyclic_presentations():
+    """dim e_i A e_j is the number of paths i -> j less the rank of every
+    multiple p·r·q of a relation r inside them, computed from the paths alone
+    and set against the size of the model's basis, pair by pair."""
+    rng = random.Random(20261021)
+    for _ in range(200):
+        pres = _random_acyclic(rng)
+        quiver, model = pres.quiver, pres.model()
+        for i in quiver.vertices:
+            for j in quiver.vertices:
+                paths = _paths(quiver, i, j)
+                column = {w: k for k, w in enumerate(paths)}
+                multiples = []
+                for rel in pres.relations:
+                    for p in _paths(quiver, i, rel.source):
+                        for q in _paths(quiver, rel.target, j):
+                            vec = [Fraction(0)] * len(paths)
+                            for c, term in rel.terms:
+                                vec[column[p + term.arrows + q]] += c
+                            multiples.append(vec)
+                assert len(model.basis(i, j)) == len(paths) - _rank(multiples), \
+                    (i, j, [str(r) for r in pres.relations])
 
 
 def test_sinks_and_sources():

@@ -1,6 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
-from quivrad import artrans, radical
+from quivrad import artrans, radical, theorems
 from quivrad import rep as R
 from quivrad.errors import InconsistencyError, MethodInapplicableError
 from quivrad.linalg import RatMatrix, Subspace
@@ -17,7 +20,7 @@ from quivrad import RadicalFiltration, ar_quiver, parse_presentation
 
 from conftest import (DATA, FINITE_SAMPLES, knitted_socles, load, pipeline, projective_pairs,
                       relabelled_filtration, samples)
-from dense_oracle import canonical_maps, injective, morphism_length, simple
+from dense_oracle import canonical_maps, hom, injective, morphism_length, simple
 from randgen import random_finite_monomial, random_nakayama
 
 
@@ -56,15 +59,16 @@ def test_layer_one_shape(s2_pipeline):
     # the generator of P_a, which is injective on Hom(P_a, j)
     pres, ar, filt = s2_pipeline
     for (i, j) in projective_pairs(filt):
-        hs = filt.hom[(i, j)]
+        hs = hom(filt, i, j)
         layer = filt.subspace(i, j, 1)
-        hom = Subspace.from_vectors(layer.ambient, [filt.at_generators(i, b) for b in hs.basis])
-        assert hom.dim == hs.dim
+        values = Subspace.from_vectors(layer.ambient,
+                                       [filt.at_generators(i, b) for b in hs.basis])
+        assert values.dim == hs.dim
         if i != j:
-            assert layer == hom
+            assert layer == values
         else:
             assert layer.dim == hs.dim - 1  # local endomorphism rings
-            assert layer + hom == hom
+            assert layer + values == values
 
 
 def test_morphism_length_of_identity_is_zero(a2_pipeline):
@@ -108,7 +112,7 @@ def test_irreducible_representative_has_length_one(s2_pipeline):
     s, t, m = ar.arrows()[0]
     assert m == 1
     r2 = filt.subspace(s, t, 2)
-    rep = next(b for b in filt.hom[(s, t)].basis
+    rep = next(b for b in hom(filt, s, t).basis
                if not r2.contains_vector(filt.at_generators(s, b)))
     assert morphism_length(rep, filt) == 1
 
@@ -248,7 +252,7 @@ def test_non_factoring_morphisms_are_shorter(s2_pipeline):
     checked = 0
     for a in pres.quiver.vertices:
         ip, ii = filt.projective_index(a), filt.injective_index(a)
-        hs = filt.hom.get((ip, ii))
+        hs = hom(filt, ip, ii)
         if hs is None:
             continue
         r_a = canonical_r(filt, a)
@@ -429,26 +433,38 @@ def test_a_reduction_builds_only_its_licensed_projective_rows(name, method, monk
 
 def test_projective_rows_compute_no_hom_space(monkeypatch):
     # a row starts from all of node j at a (Yoneda), so completing the
-    # filtration looks up no Hom space, and neither does canonical_r, which
-    # reads the socle line of I_a at a in the row of P_a; one lookup in the
-    # Hom table shows the count is live
+    # filtration computes no Hom space, and neither does canonical_r, which
+    # reads the socle line of I_a at a in the row of P_a; every name the
+    # package binds to hom_space counts
     ars = [pipeline(name)[1] for name in LIST_FIXTURES + ("ex_2_5",)]
     ars += [ar for _, _, ar in random_finite_monomial(20) + random_nakayama()]
     calls = []
+    real = R.hom_space
 
     def counted(M, N):
         calls.append((M, N))
-        return R.hom_space(M, N)
+        return real(M, N)
 
-    monkeypatch.setattr(radical, "hom_space", counted)
+    for module in (R, artrans, theorems):
+        monkeypatch.setattr(module, "hom_space", counted)
     for ar in ars:
         fresh = relabelled_filtration(ar, range(ar.node_count()))
         fresh.ensure_complete()
         for a in fresh.pres.quiver.vertices:
             assert canonical_r(fresh, a) == canonical_r(ar.filtration, a)
         assert calls == []
-    assert fresh.hom[(0, 0)].dim
-    assert len(calls) == 1
+
+
+def test_radical_holds_no_hom_machinery(a2_pipeline):
+    # the filtration is the rows and nothing else: no Hom table, and no
+    # import of hom_space, HomSpace or a module object that reaches them
+    assert not hasattr(radical, "_HomTable")
+    assert not hasattr(a2_pipeline[2], "hom")
+    tree = ast.parse(Path(radical.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = {alias.name for alias in node.names}
+            assert not {"hom_space", "HomSpace", "rep", "quivrad.rep"} & names, node.lineno
 
 
 @pytest.mark.parametrize("dim", (0, 2))

@@ -16,7 +16,7 @@ from quivrad.rep import ModuleMorphism, Representation, hom_space
 
 import dense_oracle
 from conftest import FINITE_SAMPLES, fixture_path, load, pipeline, samples
-from dense_oracle import is_epi, is_mono, node_index, simple, socle
+from dense_oracle import hom, is_epi, is_mono, node_index, simple, socle
 from toupie_witness import build_toupie_witness
 
 
@@ -67,7 +67,7 @@ def test_factorization_rule_none_without_irreducible(s2_pipeline):
 def _in_hom_coordinates(filt, i, j, n):
     """R^n(i, j) over the basis of Hom(i, j): the elements whose values at the
     generator of the projective node i lie in the layer."""
-    hs, layer = filt.hom[(i, j)], filt.subspace(i, j, n)
+    hs, layer = hom(filt, i, j), filt.subspace(i, j, n)
     residues = [layer.quotient_coords(filt.at_generators(i, b)) for b in hs.basis]
     pulled = RatMatrix(list(zip(*residues)), cols=hs.dim).kernel()
     assert pulled.dim == layer.dim  # evaluation is injective on Hom(i, j)
@@ -79,7 +79,7 @@ def test_factorization_independent_of_representative(s2_pipeline):
     pres, ar, filt = s2_pipeline
     pa = filt.projective_index("2")
     pb = filt.projective_index("1")
-    hs = filt.hom[(pb, pa)]
+    hs = hom(filt, pb, pa)
     r2 = _in_hom_coordinates(filt, pb, pa, 2)
     reps = []
     for row in _in_hom_coordinates(filt, pb, pa, 1).basis:
@@ -90,7 +90,7 @@ def test_factorization_independent_of_representative(s2_pipeline):
     variants = [f1]
     for row in r2.basis:
         variants.append(f1 + hs.element(row))
-    ends = filt.hom[(pa, pa)]
+    ends = hom(filt, pa, pa)
     spans = []
     for f in variants:
         vecs = [(mu @ f).flatten() for mu in ends.basis]
@@ -323,10 +323,10 @@ def test_lemma_refe_computes_no_hom_space_that_yoneda_rules_out(name, monkeypatc
     # Hom spaces are the Hom(I_b, I_a) of the post-composition witnesses:
     # none into or out of a simple, and no Hom(P_b, P_a)
     pres = load(name)
-    filt = ar_quiver(pres).filtration  # a fresh Hom table
+    filt = ar_quiver(pres).filtration
     calls = []
-    real = radical.hom_space
-    monkeypatch.setattr(radical, "hom_space", lambda M, N: calls.append((M, N)) or real(M, N))
+    real = T.hom_space
+    monkeypatch.setattr(T, "hom_space", lambda M, N: calls.append((M, N)) or real(M, N))
     T.check_lemma_refe(filt)
     vertices = pres.quiver.vertices
     for a in vertices:
@@ -374,7 +374,7 @@ def test_lemma_refe_matches_the_hom_space_reference(name, monkeypatch):
             ip = filt.projective_index(a)
             for b in pres.quiver.vertices:
                 ib = filt.injective_index(b)
-                hs = filt.hom.get((ip, ib))
+                hs = hom(filt, ip, ib)
                 if hs is not None:
                     through_a = dense_oracle.through_simple(filt, a, ib)
                     through_b = dense_oracle.through_simple_dual(filt, b, ip)
