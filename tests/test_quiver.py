@@ -156,7 +156,7 @@ def test_path_basis_dims_sum_to_algebra_dim():
         assert total == report.algebra_dim
 
 
-MODEL_FIXTURES = ["a2", "a3", "a3_rel", "ex_2_5", "ex_4_5", "kronecker",
+MODEL_FIXTURES = ["a2", "a3", "a3_rel", "ex_2_5", "ex_4_5", "kronecker", "late_multiple",
                   "s2_cyclic", "s3_cycle", "s4_final"]
 
 
