@@ -17,10 +17,10 @@ every stored entry is an ``int`` or a ``Fraction`` that is not an integer
   negations, and ``_ratio`` output.  Its callers are the structural
   operations here (``transpose``, negation, ``inverse``, ``zeros``,
   ``identity``, ``Subspace.quotient_matrix``) and, in ``rep`` and
-  ``artrans``, the direct sum, the socle stack, the unflattened Hom basis,
-  the map E -> Z of the Ext route, and the piece slices of a knitting
-  step.  ``Subspace.quotient_columns`` adds multiples of rows, so it keeps
-  the scan.
+  ``artrans``, the direct sum, the unflattened Hom basis, the map E -> Z of
+  the Ext route, and the piece slices of a knitting step.
+  ``Subspace.quotient_columns`` adds multiples of rows, so it keeps the
+  scan.
 
 Elimination lives here alone, in ``Echelon``: sparse integer rows, each a
 dict of its nonzero entries, primitive and positive at its pivot, the lowest
@@ -168,6 +168,13 @@ class Echelon:
         if row:
             self.rows[min(row)] = row
         return bool(row)
+
+    def solved(self, pivot: int) -> dict:
+        """Column ``pivot`` modulo the span, over the other columns of its row:
+        c -> -row[c]/row[pivot], each an int or a Fraction that is not an
+        integer.  After ``reduced()`` those columns lead no row."""
+        row = self.rows[pivot]
+        return {c: _ratio(-x, row[pivot]) for c, x in row.items() if c != pivot}
 
     def reduced(self) -> dict:
         """The rows in reduced echelon form, ordered by pivot."""

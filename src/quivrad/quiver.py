@@ -386,10 +386,18 @@ class _QuotientModel:
     The paths of each pair of vertices are registered in length-major order,
     and the one with index k is column −k of the pair's ``Echelon`` of
     relation multiples, so each row is led by its longest path, the one
-    registered last.  The rows are reduced once, after the enumeration and
-    the late kills; a pair's basis is then its paths that lead no row (the
-    standard monomials), and ``reduce_path`` reads a leading path's class
-    off its row.
+    registered last.  A path is extended only while its class is nonzero, so
+    an unregistered path has a zero prefix and a zero class.
+
+    The multiples p·r·q are the one kill rule: each is restricted to the
+    registered paths and added to its pair's ``Echelon``, those of total
+    length n when the paths of length n are registered, and after the
+    enumeration the late ones up to ``stop_len`` plus the largest spread of
+    term lengths in a relation.  Their span then holds every registered path
+    of the ideal; CHANGES.md gives the proof, and the ``late_multiple``
+    fixture needs the late ones.  The rows are reduced once; a pair's basis
+    is its paths that lead no row (the standard monomials), and
+    ``reduce_path`` reads a leading path's class off its row.
 
     ``stop_len`` is the first length at which no path survives; a cap at or
     above it certifies the model.
@@ -403,7 +411,6 @@ class _QuotientModel:
         self.elims: dict = {}        # (i, j) -> Echelon, path index k at column -k
         self._by_len_end: dict = {}  # (length, end vertex) -> [Path]
         self._by_len_start: dict = {}
-        self._alive_by_len: dict = {}
         self.nilpotency_degree = None
         self.stop_len = None
         self._basis: dict = {}
@@ -464,7 +471,6 @@ class _QuotientModel:
             p = Path(self.pres.quiver, v)
             self._register(p)
             frontier.append(p)
-        self._alive_by_len[0] = list(frontier)
         length = 0
         spread = max((r.max_term_length() - r.min_term_length() for r in self.pres.relations),
                      default=0)
@@ -481,56 +487,22 @@ class _QuotientModel:
             if len(self.path_index) > DEFAULT_PATH_CAP:
                 raise NotAdmissibleError("path enumeration exceeded the path cap")
             self._generate_multiples(length)
-            alive = [p for p in new if self._class_nonzero(p)]
-            self._alive_by_len[length] = alive
-            if not alive:
-                self.stop_len = length
-                for extra in range(length + 1, length + spread + 1):
-                    self._generate_multiples(extra)
+            frontier = [p for p in new if self._class_nonzero(p)]
+            if not frontier:
                 break
-            frontier = alive
-        self._propagate_dead()
+        self.stop_len = length
+        for extra in range(length + 1, length + spread + 1):
+            self._generate_multiples(extra)
         for elim in self.elims.values():
             elim.reduced()
-        # final aliveness & nilpotency degree (late multiples may kill more)
-        deg = 1
-        for n in range(1, length + 1):
-            if any(self._class_nonzero(p) for p in self._alive_by_len.get(n, ())):
-                deg = n + 1
-        self.nilpotency_degree = deg
+        # late multiples may kill more; a path dead at its check stays dead
+        self.nilpotency_degree = 1 + max(
+            (p.length for paths in self.pair_paths.values() for p in paths
+             if self._class_nonzero(p)), default=0)
         for pair, paths in self.pair_paths.items():
             elim = self.elims.get(pair)
             pivots = elim.rows if elim else {}
-            self._basis[pair] = [p for i, p in enumerate(paths)
-                                 if -i not in pivots and p.length < deg]
-
-    def _propagate_dead(self) -> None:
-        """Late kills: a registered path containing a dead subword is dead too.
-
-        Keeps the bounded-span quotient sound for ideals whose relations mix
-        term lengths, where a short path can die only after the enumeration
-        frontier has closed.
-        """
-        all_paths = sorted(
-            (p for paths in self.pair_paths.values() for p in paths if p.length >= 2),
-            key=lambda p: p.length,
-        )
-        changed = True
-        while changed:
-            changed = False
-            dead = [p for p in all_paths if not self._class_nonzero(p)]
-            for d in dead:
-                da = d.arrows
-                n = len(da)
-                for q in all_paths:
-                    if q.length <= n:
-                        continue
-                    qa = q.arrows
-                    if any(qa[k:k + n] == da for k in range(len(qa) - n + 1)):
-                        pair = (q.start, q.end)
-                        idx = self.path_index[q.key()]
-                        if self.elims.setdefault(pair, Echelon()).add({-idx: 1}):
-                            changed = True
+            self._basis[pair] = [p for i, p in enumerate(paths) if -i not in pivots]
 
     # -- queries -------------------------------------------------------------
 
@@ -547,19 +519,13 @@ class _QuotientModel:
         """Coordinates of a path's class over basis(start, end); [] if dead pair."""
         pair = (path.start, path.end)
         basis = self._basis.get(pair, [])
-        coords = [Fraction(0)] * len(basis)
-        if path.length >= self.nilpotency_degree:
-            return coords
+        coords = [0] * len(basis)
         idx = self.path_index.get(path.key())
         if idx is None:
             # an unregistered path has a dead prefix, hence zero class
             return coords
         elim = self.elims.get(pair)
-        row = elim.rows.get(-idx) if elim else None
-        if row is None:
-            residue = {-idx: Fraction(1)}
-        else:
-            residue = {c: Fraction(-x, row[-idx]) for c, x in row.items() if c != -idx}
+        residue = elim.solved(-idx) if elim and -idx in elim.rows else {-idx: 1}
         pos = {-self.path_index[p.key()]: k for k, p in enumerate(basis)}
         for c, v in residue.items():
             if c not in pos:

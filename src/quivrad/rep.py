@@ -249,7 +249,7 @@ def hom_space(M: Representation, N: Representation) -> HomSpace:
         raise ShapeError("modules over different presentations")
     quiver = M.pres.quiver
     ambient = morphism_ambient(M, N)
-    if ambient == 0 or not any(M.dims[v] and N.dims[v] for v in quiver.vertices):
+    if ambient == 0:
         return HomSpace(M, N, Subspace.zero(ambient))
     offsets = {}
     pos = 0
@@ -260,8 +260,6 @@ def hom_space(M: Representation, N: Representation) -> HomSpace:
     for a in quiver.arrows:
         s, t = a.source, a.target
         Ma, Na = M.matrices[a.name], N.matrices[a.name]
-        if N.dims[t] * M.dims[s] == 0:
-            continue
         for i in range(N.dims[t]):
             for j in range(M.dims[s]):
                 row = {}
@@ -397,7 +395,7 @@ def socle_spaces(M: Representation) -> Dict[str, Subspace]:
         rows = []
         for a in quiver.out_arrows(v):
             rows.extend(M.matrices[a.name].data)
-        out[v] = RatMatrix._of_normal(rows, M.dims[v]).kernel()
+        out[v] = Subspace.kernel_of(M.dims[v], rows)
     return out
 
 
