@@ -18,10 +18,10 @@ from quivrad.quiver import (
     zero_relation_vertices,
 )
 
-from quivrad.artrans import ar_translate
+from quivrad.artrans import ar_quiver, ar_translate
 from quivrad.rep import projective
 
-from conftest import load
+from conftest import fixture_text, load
 from dense_oracle import simple
 
 
@@ -268,6 +268,73 @@ def test_path_classes_match_brute_force_on_random_acyclic_presentations():
                             multiples.append(vec)
                 assert len(model.basis(i, j)) == len(paths) - _rank(multiples), \
                     (i, j, [str(r) for r in pres.relations])
+
+
+def _zero_class(model, path) -> bool:
+    return not any(model.reduce_path(path))
+
+
+def test_late_multiple_fixture_matches_its_monomial_form():
+    """x*y dies only by the multiple x*y - u*v*w*z, generated after the
+    enumeration stops at length 3; it gives the algebra of relation x*y."""
+    pres = load("late_multiple")
+    text = fixture_text("late_multiple").replace("relation x*y - u*v*w*z", "relation x*y")
+    monomial = parse_presentation(text)
+    assert pres.model().stop_len == 3
+    for v in (pres, monomial):
+        report = validate_admissible(v)
+        assert (report.algebra_dim, report.nilpotency_degree) == (15, 3)
+    for i in pres.quiver.vertices:
+        for j in pres.quiver.vertices:
+            assert ([str(p) for p in path_basis(pres, i, j)]
+                    == [str(p) for p in path_basis(monomial, i, j)]), (i, j)
+    assert ar_quiver(pres).to_json_dict() == ar_quiver(monomial).to_json_dict()
+
+
+PXY = ("vertex 0 1 2 3 4 5 6\narrow p 0 1\narrow x 1 2\narrow y 2 6\narrow u 1 3\n"
+       "arrow v 3 4\narrow w 4 5\narrow z 5 6\nrelation u*v\nrelation x*y - u*v*w*z\n")
+
+
+def test_a_late_multiple_kills_a_path_through_a_late_zero():
+    """x*y is zero by a multiple of total length 4; p*x*y, registered at
+    length 3, is zero by the late multiple p·(x*y - u*v*w*z) alone."""
+    pres = parse_presentation(PXY)
+    model = pres.model()
+    assert _zero_class(model, Path(pres.quiver, "1", ("x", "y")))
+    assert _zero_class(model, Path(pres.quiver, "0", ("p", "x", "y")))
+    assert model.dim_algebra() == 19
+
+
+def test_a_registered_path_with_a_zero_subword_has_zero_class():
+    """The relation multiples alone close the ideal under multiplication:
+    no pass kills the paths through a zero subword."""
+    rng = random.Random(20261021)
+    drawn = [_random_acyclic(rng) for _ in range(200)]
+    for pres in [load(name) for name in MODEL_FIXTURES] + [parse_presentation(PXY)] + drawn:
+        quiver, model = pres.quiver, pres.model()
+        zero = {p.key() for paths in model.pair_paths.values() for p in paths
+                if _zero_class(model, p)}
+        for paths in model.pair_paths.values():
+            for p in paths:
+                at = [p.start] + [quiver.arrow(a).target for a in p.arrows]
+                inner = {(at[k], p.arrows[k:m]) for k in range(p.length)
+                         for m in range(k + 1, p.length + 1)}
+                assert not inner & zero or p.key() in zero, str(p)
+
+
+def test_path_coordinates_are_normal():
+    """Every coordinate is an int or a Fraction that is not an integer."""
+    pres = parse_presentation("vertex 1 2 3 4\narrow a 1 2\narrow b 2 4\narrow c 1 3\n"
+                              "arrow d 3 4\nrelation 3/2*a*b - c*d\n")
+    model = pres.model()
+    assert model.reduce_path(Path(pres.quiver, "1", ("c", "d"))) == [Fraction(3, 2)]
+    assert model.reduce_path(Path(pres.quiver, "1", ("a", "b"))) == [1]
+    for pres in [pres] + [load(name) for name in MODEL_FIXTURES]:
+        model = pres.model()
+        for paths in model.pair_paths.values():
+            for p in paths:
+                for x in model.reduce_path(p):
+                    assert type(x) is int or x.denominator != 1, (str(p), x)
 
 
 def test_sinks_and_sources():
