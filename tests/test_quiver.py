@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -108,6 +109,150 @@ def test_parse_error_carries_line_and_column():
         parse_presentation("vertex 1 2\narrow a 1 2\nrelation a ?\n")
     assert err.value.line == 3
     assert err.value.column is not None
+
+
+# Every reachable parse error with the exact message, line and column the
+# parser reports; the relation lines follow QUIVER_TEXT, on line 5.  A
+# token error's column is where its failed match began, so ``relation a ?``
+# points at the space before ``?``; the errors Relation raises point just
+# before the relation's text; and a relation text found inside the word
+# ``relation`` is placed there, as ``relation o`` shows.
+QUIVER_TEXT = "vertex 1 2 3\narrow a 1 2\narrow b 2 3\narrow c 1 3\n"
+
+PARSE_ERRORS = [
+    # relation tokens
+    (QUIVER_TEXT + 'relation a ?\n', "line 5, column 11: unexpected character '?'", 5, 11),
+    (QUIVER_TEXT + 'relation ?a\n', "line 5, column 10: unexpected character '?'", 5, 10),
+    (QUIVER_TEXT + 'relation a*b+ 1/\n', "line 5, column 16: unexpected character '/'", 5, 16),
+    (QUIVER_TEXT + 'relation a*b + é\n', "line 5, column 15: unexpected character 'é'", 5, 15),
+    (QUIVER_TEXT + 'relation d*a + ?\n', "line 5, column 15: unexpected character '?'", 5, 15),
+    (QUIVER_TEXT + 'relation\n', 'line 5, column 8: relation without terms', 5, 8),
+    (QUIVER_TEXT + '  relation  # no terms\n', 'line 5, column 10: relation without terms', 5, 10),
+    (QUIVER_TEXT + 'relation 1/0*a*b\n', 'line 5, column 10: coefficient 1/0 has denominator zero', 5, 10),
+    (QUIVER_TEXT + 'relation 2 a*b\n', "line 5, column 10: coefficient must be followed by '*'", 5, 10),
+    (QUIVER_TEXT + 'relation a*b - 2\n', "line 5, column 16: coefficient must be followed by '*'", 5, 16),
+    (QUIVER_TEXT + 'relation 2*\n', 'line 5, column 10: coefficient without a path', 5, 10),
+    (QUIVER_TEXT + 'relation 2*3\n', "line 5, column 12: expected arrow name, got '3'", 5, 12),
+    (QUIVER_TEXT + 'relation *a\n', "line 5, column 10: expected arrow name, got '*'", 5, 10),
+    (QUIVER_TEXT + 'relation a*b + -c\n', "line 5, column 16: expected arrow name, got '-'", 5, 16),
+    (QUIVER_TEXT + 'relation a*d\n', "line 5, column 10: unknown arrow 'd'", 5, 10),
+    (QUIVER_TEXT + 'relation d*a\n', "line 5, column 10: unknown arrow 'd'", 5, 10),
+    (QUIVER_TEXT + 'relation a*b + a*d -\n', "line 5, column 16: unknown arrow 'd'", 5, 16),
+    (QUIVER_TEXT + 'relation o\n', "line 5, column 7: unknown arrow 'o'", 5, 7),
+    (QUIVER_TEXT + 'relation a*a\n', "line 5, column 10: arrows do not compose at 'a'", 5, 10),
+    (QUIVER_TEXT + 'relation -\n', 'line 5, column 10: dangling sign in relation', 5, 10),
+    (QUIVER_TEXT + 'relation a*b -\n', 'line 5, column 14: dangling sign in relation', 5, 14),
+    (QUIVER_TEXT + 'relation a*b c\n', "line 5, column 14: expected '+' or '-', got 'c'", 5, 14),
+    (QUIVER_TEXT + 'relation a*b*\n', "line 5, column 13: expected '+' or '-', got '*'", 5, 13),
+    (QUIVER_TEXT + 'relation a*b 2*c\n', "line 5, column 14: expected '+' or '-', got '2'", 5, 14),
+    # errors Relation raises, re-raised at the relation's column
+    (QUIVER_TEXT + 'relation 0*a*b\n', 'line 5, column 9: relation term with zero coefficient', 5, 9),
+    (QUIVER_TEXT + '\trelation 0/4*a*b - c\n',
+     'line 5, column 10: relation term with zero coefficient', 5, 10),
+    (QUIVER_TEXT + 'relation a*b - a\n', 'line 5, column 9: relation terms are not parallel', 5, 9),
+    (QUIVER_TEXT + 'relation a*b - 2*a*b\n', 'line 5, column 9: relation repeats a path', 5, 9),
+    # statement errors
+    ('vertex\n', 'line 1, column 1: vertex statement without ids', 1, 1),
+    ('vertex 1 x.y\n', "line 1, column 1: bad vertex id 'x.y'", 1, 1),
+    ('  vertex 1 2 1\n', "line 1, column 3: duplicate vertex '1'", 1, 3),
+    ('vertex 1 2\narrow a 1\n', 'line 2, column 1: arrow statement needs: name source target', 2, 1),
+    ('vertex 1 2\narrow 1a 1 2\n', "line 2, column 1: arrow name '1a' must be an identifier", 2, 1),
+    ('vertex 1 2\narrow a 1 2\n arrow a 2 1\n', "line 3, column 2: duplicate arrow 'a'", 3, 2),
+    ('vertex 1 2\narrow a 3 2\n', "line 2, column 1: unknown vertex '3'", 2, 1),
+    ('vertex 1 2\narrow a 1 3\n', "line 2, column 1: unknown vertex '3'", 2, 1),
+    ('vertex 1 2\nbogus a\n', "line 2, column 1: unknown statement 'bogus'", 2, 1),
+]
+
+
+@pytest.mark.parametrize("text,message,line,column", PARSE_ERRORS)
+def test_parse_error_message_line_and_column(text, message, line, column):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(text)
+    assert (str(err.value), err.value.line, err.value.column) == (message, line, column)
+
+
+CORPUS_ARROWS = (("a", "1", "2"), ("b", "2", "3"), ("c", "3", "4"),
+                 ("d", "1", "3"), ("e", "2", "4"), ("f", "1", "4"))
+CORPUS_PATHS = (("a", "b", "c"), ("d", "c"), ("a", "e"), ("f",), ("a", "b"), ("d",), ("b", "c"))
+CORPUS_TOKENS = ("a", "b", "c", "d", "e", "f", "g", "x1", "aé", "0", "1", "2", "3/2", "1/0",
+                 "0/4", "2a", "+", "-", "*", "*", "?", "/", ".", "é", "#", "relation")
+CORPUS_WORDS = ("vertex", "arrow", "relation", "rel", "1", "4", "9", "a", "a1", "1a", "x.y",
+                "a*b", "#", "")
+
+
+def _corpus_relation(rng):
+    """A relation over CORPUS_ARROWS: one to three well-formed terms, and
+    half the time each token kept, dropped or replaced, with a few inserted."""
+    tokens = []
+    for k in range(rng.randint(1, 3)):
+        if k or rng.random() < 0.3:
+            tokens.append(rng.choice("+-"))
+        if rng.random() < 0.3:
+            tokens += [rng.choice(("2", "3/2", "1/3", "0")), "*"]
+        path = rng.choice(CORPUS_PATHS)
+        tokens.append(path[0])
+        for name in path[1:]:
+            tokens += ["*", name]
+    if rng.random() < 0.5:
+        mutated = []
+        for tok in tokens:
+            roll = rng.random()
+            if roll >= 0.1:
+                mutated.append(rng.choice(CORPUS_TOKENS) if roll < 0.2 else tok)
+            if rng.random() < 0.05:
+                mutated.append(rng.choice(CORPUS_TOKENS))
+        tokens = mutated
+    return "".join(rng.choice(("", "", " ", "  ", "\t")) + tok for tok in tokens)
+
+
+def _corpus_text(rng) -> str:
+    """The statements of CORPUS_ARROWS and one or two relations; half the
+    time one statement line is doubled or has a word dropped, replaced or
+    inserted, and some lines take an indent or a trailing comment."""
+    lines = ["vertex 1 2 3 4"] + [f"arrow {n} {s} {t}" for n, s, t in CORPUS_ARROWS]
+    lines += ["relation " + _corpus_relation(rng) for _ in range(rng.randint(1, 2))]
+    k = rng.randrange(len(lines))
+    words = lines[k].split(" ")
+    roll = rng.random()
+    if roll < 0.1:
+        lines.insert(k, lines[k])
+    elif roll < 0.2:
+        del words[rng.randrange(len(words))]
+    elif roll < 0.35:
+        words[rng.randrange(len(words))] = rng.choice(CORPUS_WORDS)
+    elif roll < 0.5:
+        words.insert(rng.randrange(len(words) + 1), rng.choice(CORPUS_WORDS))
+    if 0.1 <= roll < 0.5:
+        lines[k] = " ".join(words)
+    if rng.random() < 0.3:
+        k = rng.randrange(len(lines))
+        lines[k] = rng.choice(("  ", "\t")) + lines[k]
+    if rng.random() < 0.3:
+        k = rng.randrange(len(lines))
+        lines[k] += rng.choice(("  # note", "#", " #x?"))
+    return "\n".join(lines) + "\n"
+
+
+def _parse_outcome(text: str) -> str:
+    """The parsed presentation, or the error's class, message, line and column."""
+    try:
+        pres = parse_presentation(text)
+    except ParseError as exc:
+        return repr((type(exc).__name__, str(exc), exc.line, exc.column))
+    relations = [[(str(c), p.start, p.arrows) for c, p in rel.terms] for rel in pres.relations]
+    return repr((pres.quiver.vertices, pres.quiver.arrows, relations))
+
+
+# sha256 of the outcomes of the 10,000 corpus texts drawn from seed 20261021
+PARSE_CORPUS_SHA256 = "9437020bdbc0b79a5dd0b1487163067c9547302234bcf491fab54facc3d00307"
+
+
+def test_parse_outcomes_of_a_seeded_corpus():
+    rng = random.Random(20261021)
+    digest = hashlib.sha256()
+    for _ in range(10_000):
+        digest.update(_parse_outcome(_corpus_text(rng)).encode() + b"\n")
+    assert digest.hexdigest() == PARSE_CORPUS_SHA256
 
 
 def test_s2_admissibility_profile():
@@ -368,8 +513,8 @@ def test_classify_ex45_grafo():
     g = shape.grafo
     zero_branch = shape.branches[g.zero_branch]
     assert zero_branch.vertices == ("2", "3")
-    assert g.n3 == 2 and (g.j, g.t) == (1, 2)
-    assert sorted((g.n1, g.n2)) == [1, 1]
+    assert len(zero_branch.vertices) == 2 and (g.j, g.t) == (1, 2)
+    assert sorted(len(shape.branches[i].vertices) for i in g.commutative_pair) == [1, 1]
 
 
 def test_classify_s2_monomial_not_toupie():
