@@ -231,77 +231,64 @@ class AlgebraPresentation:
 # ---------------------------------------------------------------------------
 # DSL parser
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<id>[A-Za-z_]\w*)|(?P<op>[*+-]))")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<id>[A-Za-z_]\w*)|(?P<op>[*+-])|(?P<bad>\S))")
 _NAME_RE = re.compile(r"^\w+$")
+_END = ("end", None, None)
 
 
 def _parse_relation_expr(text: str, quiver: Quiver, lineno: int, col0: int) -> Relation:
+    """Parse ``[sign] [coefficient *] arrow * ... * arrow`` terms joined by
+    signs.  A token's column is col0 plus its offset, counted from 1; an
+    unexpected character is placed where its failed token match began."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", lineno, col0 + pos + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}",
+                             lineno, col0 + m.start() + 1)
         tokens.append((kind, m.group(kind), col0 + m.start(kind) + 1))
-        pos = m.end()
     if not tokens:
         raise ParseError("relation without terms", lineno, col0)
-
-    def parse_term(i: int, sign: int):
+    tokens.append(_END)
+    terms = []
+    i = 0
+    while tokens[i] is not _END:
         kind, val, col = tokens[i]
-        coeff = Fraction(sign)
+        coeff = Fraction(1)
+        if kind == "op" and val in "+-":
+            i += 1
+            if tokens[i] is _END:
+                raise ParseError("dangling sign in relation", lineno, col)
+            coeff = Fraction(-1 if val == "-" else 1)
+            kind, val, col = tokens[i]
+        elif terms:
+            raise ParseError(f"expected '+' or '-', got {val!r}", lineno, col)
         if kind == "num":
             try:
                 coeff *= Fraction(val)
             except ZeroDivisionError:
                 raise ParseError(f"coefficient {val} has denominator zero", lineno, col) from None
-            i += 1
-            if i >= len(tokens) or tokens[i][:2] != ("op", "*"):
+            if tokens[i + 1][:2] != ("op", "*"):
                 raise ParseError("coefficient must be followed by '*'", lineno, col)
-            i += 1
-            if i >= len(tokens):
+            if tokens[i + 2] is _END:
                 raise ParseError("coefficient without a path", lineno, col)
+            i += 2
             kind, val, col = tokens[i]
         if kind != "id":
             raise ParseError(f"expected arrow name, got {val!r}", lineno, col)
         names = [val]
         i += 1
-        while i + 1 < len(tokens) and tokens[i][:2] == ("op", "*") and tokens[i + 1][0] == "id":
+        while tokens[i][:2] == ("op", "*") and tokens[i + 1][0] == "id":
             names.append(tokens[i + 1][1])
             i += 2
         for name in names:
             if not quiver.has_arrow(name):
                 raise ParseError(f"unknown arrow {name!r}", lineno, col)
-        start = quiver.arrow(names[0]).source
         try:
-            path = Path(quiver, start, names)
+            terms.append((coeff, Path(quiver, quiver.arrow(names[0]).source, names)))
         except ParseError as exc:
             raise ParseError(str(exc), lineno, col) from None
-        return (coeff, path), i
-
-    terms = []
-    i = 0
-    if tokens[0][:2] in (("op", "+"), ("op", "-")):
-        i = 1
-        if i >= len(tokens):
-            raise ParseError("dangling sign in relation", lineno, tokens[0][2])
-        term, i = parse_term(i, -1 if tokens[0][1] == "-" else 1)
-    else:
-        term, i = parse_term(i, 1)
-    terms.append(term)
-    while i < len(tokens):
-        kind, val, col = tokens[i]
-        if kind != "op" or val not in "+-":
-            raise ParseError(f"expected '+' or '-', got {val!r}", lineno, col)
-        i += 1
-        if i >= len(tokens):
-            raise ParseError("dangling sign in relation", lineno, col)
-        term, i = parse_term(i, -1 if val == "-" else 1)
-        terms.append(term)
     try:
         return Relation(terms)
     except ParseError as exc:
@@ -539,7 +526,6 @@ class _QuotientModel:
 
 @dataclass(frozen=True)
 class AdmissibilityReport:
-    admissible: bool
     nilpotency_degree: int       # least N with all length-N path classes zero
     longest_path_length: int
     algebra_dim: int
@@ -554,7 +540,6 @@ def validate_admissible(pres: AlgebraPresentation, max_len: int = DEFAULT_LENGTH
     """
     model = pres.model(max_len)
     return AdmissibilityReport(
-        admissible=True,
         nilpotency_degree=model.nilpotency_degree,
         longest_path_length=model.longest_path_length(),
         algebra_dim=model.dim_algebra(),
@@ -600,9 +585,6 @@ class GrafoPattern:
     """The three-branch shape with one zero-relation and one commutativity pair."""
     zero_branch: int         # index into ToupieShape.branches
     commutative_pair: tuple  # the two other branch indices
-    n1: int
-    n2: int
-    n3: int
     j: int                   # zero-relation is arrows j .. j+t of the zero branch (1-based)
     t: int
 
@@ -613,10 +595,8 @@ class GrafoPattern:
 
 @dataclass(frozen=True)
 class ToupieShape:
-    source: str
-    sink: str
     branches: tuple          # of Branch
-    grafo: Optional[GrafoPattern] = None
+    grafo: Optional[GrafoPattern]
 
 
 @dataclass(frozen=True)
@@ -625,7 +605,8 @@ class Classification:
     toupie: Optional[ToupieShape]
 
 
-def _detect_toupie(quiver: Quiver) -> Optional[ToupieShape]:
+def _toupie_branches(quiver: Quiver) -> Optional[tuple]:
+    """The branches of a toupie quiver, one per arrow out of its source, or None."""
     sinks, sources, _ = sinks_and_sources(quiver)
     if len(sinks) != 1 or len(sources) != 1 or sinks[0] == sources[0]:
         return None
@@ -653,11 +634,11 @@ def _detect_toupie(quiver: Quiver) -> Optional[ToupieShape]:
         return None
     if len(branches) < 2:
         return None  # linear quivers are not toupie
-    return ToupieShape(a, b, tuple(branches))
+    return tuple(branches)
 
 
-def _match_grafo(pres: AlgebraPresentation, shape: ToupieShape) -> Optional[GrafoPattern]:
-    if len(shape.branches) != 3 or len(pres.relations) != 2:
+def _match_grafo(pres: AlgebraPresentation, branches: tuple) -> Optional[GrafoPattern]:
+    if len(branches) != 3 or len(pres.relations) != 2:
         return None
     comm = [r for r in pres.relations if len(r.terms) == 2]
     zero = [r for r in pres.relations if r.is_zero_relation()]
@@ -667,37 +648,25 @@ def _match_grafo(pres: AlgebraPresentation, shape: ToupieShape) -> Optional[Graf
     (c1, p1), (c2, p2) = comm[0].terms
     if c1 + c2 != 0:
         return None
-    full = {br.arrows: i for i, br in enumerate(shape.branches)}
+    full = {br.arrows: i for i, br in enumerate(branches)}
     i1 = full.get(p1.arrows)
     i2 = full.get(p2.arrows)
     if i1 is None or i2 is None or i1 == i2:
         return None
     # the zero-relation must be a consecutive subpath of the remaining branch
     rest = ({0, 1, 2} - {i1, i2}).pop()
-    arrows = shape.branches[rest].arrows
+    arrows = branches[rest].arrows
     zarrows = zero[0].terms[0][1].arrows
-    t1 = len(zarrows) - 1
     for off in range(len(arrows) - len(zarrows) + 1):
         if arrows[off:off + len(zarrows)] == zarrows:
-            j = off + 1
-            return GrafoPattern(
-                zero_branch=rest,
-                commutative_pair=(i1, i2),
-                n1=len(shape.branches[i1].vertices),
-                n2=len(shape.branches[i2].vertices),
-                n3=len(shape.branches[rest].vertices),
-                j=j,
-                t=t1,
-            )
+            return GrafoPattern(zero_branch=rest, commutative_pair=(i1, i2), j=off + 1,
+                                t=len(zarrows) - 1)
     return None
 
 
 def classify(pres: AlgebraPresentation) -> Classification:
     """Monomial test plus toupie-shape detection (grafo fields when they apply)."""
     monomial = all(r.is_zero_relation() for r in pres.relations)
-    shape = _detect_toupie(pres.quiver)
-    if shape is not None:
-        grafo = _match_grafo(pres, shape)
-        if grafo is not None:
-            shape = ToupieShape(shape.source, shape.sink, shape.branches, grafo)
+    branches = _toupie_branches(pres.quiver)
+    shape = None if branches is None else ToupieShape(branches, _match_grafo(pres, branches))
     return Classification(is_monomial=monomial, toupie=shape)
