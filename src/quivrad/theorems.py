@@ -129,13 +129,16 @@ def _factorization_holds(filt: RadicalFiltration, a: str, b: str, side: str) -> 
     """Arrow a -> b.  side 'proj': Hom(P_b, P_a) == End(P_a) ∘ f1; side
     'inj': Hom(I_b, I_a) == f1 ∘ End(I_b); f1 the first knitted piece, an
     irreducible map.  The Hom space is known by its dimension, dim (P_a)_b
-    or dim (I_b)_a (Yoneda); only End is built, for its basis."""
+    or dim (I_b)_a (Yoneda).  When that is 1 the nonzero f1 spans it;
+    otherwise End is built, for its basis."""
     if side == "proj":
         src, dst = filt.projective_index(b), filt.projective_index(a)
         end, dim_hom = dst, filt.reps[dst].dims[b]
     else:
         src, dst = filt.injective_index(b), filt.injective_index(a)
         end, dim_hom = src, filt.reps[src].dims[a]
+    if dim_hom == 1:
+        return True
     f1 = next(g for k, g in filt.pieces(dst) if k == src)
     ends = hom_space(filt.reps[end], filt.reps[end]).basis
     comps = [mu @ f1 for mu in ends] if side == "proj" else [f1 @ mu for mu in ends]

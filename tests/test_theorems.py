@@ -64,6 +64,19 @@ def test_factorization_rule_none_without_irreducible(s2_pipeline):
     assert not f.proj_side
 
 
+@pytest.mark.parametrize("name,builds", [("a3", False), ("s4_final", False),
+                                         ("late_multiple", False), ("s2_cyclic", True)])
+def test_rule_a_builds_end_only_over_a_hom_of_dimension_two_or_more(name, builds, monkeypatch):
+    # Hom(P_b, P_a) ≅ (P_a)_b and Hom(I_b, I_a) ≅ (I_b)_a (Yoneda): where that
+    # is one-dimensional the nonzero irreducible f1 spans it, so no End is built
+    pres, ar, filt = pipeline(name)
+    calls = []
+    monkeypatch.setattr(T, "hom_space", lambda M, N: calls.append((M, N)) or hom_space(M, N))
+    for arr in pres.quiver.arrows:
+        T.check_theorem_A(filt, arr.source, arr.target)
+    assert bool(calls) == builds, len(calls)
+
+
 def _in_hom_coordinates(filt, i, j, n):
     """R^n(i, j) over the basis of Hom(i, j): the elements whose values at the
     generator of the projective node i lie in the layer."""
