@@ -351,7 +351,7 @@ class _Knitter:
         """Keep the right almost split map source -> node j as pieces, one
         per indecomposable summand of source (see ``_place``)."""
         self.pieces[j] = []
-        for Z, incl in ([] if source.is_zero() else decompose(source)):
+        for Z, incl in decompose(source):
             self._place(j, Z, into @ incl)
 
     def _place(self, j: int, Z: Representation, g: ModuleMorphism) -> None:
@@ -405,8 +405,7 @@ class _Knitter:
         of them is a source of an irreducible map out of x."""
         if x not in self.pieces or any(j == x for j, _, _ in self.loose):
             return False
-        return all(self.tau_inverse[w] in self.pieces if w in self.tau_inverse
-                   else w in self.injectives for w, _ in self.pieces[x])
+        return all(not self._owes_step(w) for w, _ in self.pieces[x])
 
     def _left_almost_split(self, x: int) -> list:
         """(y, g: node x -> node y) for the irreducible maps out of node x,
@@ -486,9 +485,10 @@ class _Knitter:
                 start[v] = hi
             self.pieces[z].append((y, ModuleMorphism(Y, Z, maps, check=False)))
 
-    def _expand_orbit(self, idx: int) -> None:
+    def _expand_orbit(self, idx: int) -> bool:
         """Take τ⁻¹ of node idx by Tr D, when undecided, and τ by D Tr, when
-        idx is neither linked to its translate nor a seed.
+        idx is neither linked to its translate nor a seed; whether it took
+        either step.
 
         τ is a bijection from the non-projective to the non-injective
         indecomposables, so each link is derived once, from the end the walk
@@ -496,7 +496,8 @@ class _Knitter:
         nodes before it is added, so the seeds are the only projective nodes.
         """
         node = self.nodes[idx]
-        if idx not in self.tau_inverse and idx not in self.injectives:
+        took = idx not in self.tau_inverse and idx not in self.injectives
+        if took:
             self.routes["translate"] += 1
             nxt = ar_translate_inverse(node.rep)
             if nxt is None:
@@ -506,6 +507,8 @@ class _Knitter:
         if idx not in self.tau and idx not in self.projectives:
             self.routes["translate"] += 1
             self.link_tau(idx, self._orbit_node(ar_translate(node.rep), node, -1)[0])
+            return True
+        return took
 
     def _orbit_node(self, rep: Representation, node: ARNode, step: int) -> tuple:
         """(k, iso: node k -> rep) for the node k isomorphic to rep, a
@@ -526,9 +529,7 @@ class _Knitter:
         """
         count = len(self.nodes)
         for x in range(count):
-            if ((x not in self.tau_inverse and x not in self.injectives)
-                    or (x not in self.tau and x not in self.projectives)):
-                self._expand_orbit(x)
+            if self._expand_orbit(x):
                 return True
         for z in range(count):
             if z not in self.pieces:

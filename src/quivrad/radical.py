@@ -327,10 +327,6 @@ def nilpotency_index(filt: RadicalFiltration, method: str = "direct") -> Nilpote
     ``direct`` iterates the filtration to zero; the reduction methods compute
     r over the vertex set their precondition licenses and return max r + 1.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    vertices = () if method in ("direct", "auto") else licensed_vertices(filt.pres, method)
-
     if method == "auto":
         chosen = choose_method(filt.pres)
         report = nilpotency_index(filt, chosen)
@@ -340,6 +336,7 @@ def nilpotency_index(filt: RadicalFiltration, method: str = "direct") -> Nilpote
         r = filt.nilpotency_index()
         return NilpotencyReport("direct", r, {}, (), filt.layers_computed())
 
+    vertices = licensed_vertices(filt.pres, method)
     per = {a: canonical_r(filt, a) for a in vertices}
     return NilpotencyReport(method, max(per.values()) + 1, per, vertices,
                             filt.layers_computed())
